@@ -33,7 +33,6 @@ from .errors import (  # noqa: E402
     GroupTooLargeError,
     IndexOutOfRangeError,
     LengthMismatchError,
-    MultiEdgeError,
     NotBijectionError,
     NotControllableError,
     NotSymmetricError,

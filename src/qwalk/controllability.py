@@ -10,6 +10,12 @@ every unitary evolution:
 * a parity test: some vertex must be reachable in both an odd and an even
   number of steps.
 
+All three are facts about the N vertices and d coins, not about the shift
+order r (the lcm of the cycle lengths, which can grow exponentially in N):
+joint orbits are cycles of a permutation of the N^2 vertex pairs, and the
+reachability search stops at the first covering level, which is at most
+2N-2 on a coverable walk.  Only the 2k+r transfer bound reads r.
+
 Coin labels ``l, m`` in the joint-orbit API are 1-based (1..d); vertices
 are 0-based.
 """
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CriterionConflictError, IndexOutOfRangeError
-from .graph_model import WalkSpec
+from .graph_model import WalkSpec, connected_components
 from .walk_core import shift_order
 
 K_SEARCH_CAP_FACTOR = 3
@@ -76,95 +82,66 @@ def _check_vertex(spec: WalkSpec, j: int):
 
 
 def joint_orbit(spec: WalkSpec, l: int, m: int) -> JointOrbit:
-    """All pairs (P_l^k j, P_m^k j) over j and k = 0..r-1 (l, m are 1-based)."""
+    """All pairs (P_l^k j, P_m^k j) over j and k >= 0 (l, m are 1-based).
+
+    These are the orbits of the diagonal pairs (j, j) under the pair map
+    (x, y) -> (P_l x, P_m y).  The pair map permutes the N^2 vertex pairs,
+    so each orbit is a cycle back to its starting pair and every pair is
+    visited at most once, whatever the shift order r is.
+    """
     for label in (l, m):
         if not 1 <= label <= spec.d:
             raise IndexOutOfRangeError(f"coin index {label} out of range 1..{spec.d}")
-    r = shift_order(spec)
-    pl = np.arange(spec.n)
-    pm = np.arange(spec.n)
+    pl = spec.perms[l - 1].map.tolist()
+    pm = spec.perms[m - 1].map.tolist()
     pairs = set()
-    for _ in range(r):
-        pairs.update(zip(pl.tolist(), pm.tolist()))
-        pl = spec.perms[l - 1].map[pl]
-        pm = spec.perms[m - 1].map[pm]
+    for j in range(spec.n):
+        x = y = j
+        while (x, y) not in pairs:
+            pairs.add((x, y))
+            x, y = pl[x], pm[y]
     return JointOrbit(l=l, m=m, pairs=frozenset(pairs))
-
-
-def _array_cycles(qmap: np.ndarray):
-    n = qmap.size
-    seen = np.zeros(n, dtype=bool)
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        v = int(qmap[start])
-        while v != start:
-            cyc.append(v)
-            seen[v] = True
-            v = int(qmap[v])
-        yield cyc
 
 
 def reduced_connectivity_graph(spec: WalkSpec) -> list[set[int]]:
     """Adjacency sets of the N-vertex graph deciding controllability.
 
-    For every coin pair l < m and every k = 0..r-1, vertices sharing a cycle
-    of P_l^-k P_m^k are pairwise connected.  Powers beyond r-1 repeat, so
-    this range is exhaustive.
+    For every coin pair l < m, each pair (x, y) of the (l, m) joint orbit
+    joins x and y.  Its components are those of the graph in which vertices
+    sharing a cycle of P_l^-k P_m^k, k = 0..r-1, are pairwise connected: a
+    pair has y = P_m^k P_l^-k x for some k, and P_m^k P_l^-k is the inverse
+    of P_l^-(r-k) P_m^(r-k), so the pairs of one k trace exactly the cycles
+    of that map at power r-k.
     """
-    n = spec.n
-    adj: list[set[int]] = [set() for _ in range(n)]
-    r = shift_order(spec)
-    for l in range(spec.d):
-        linv = spec.perms[l].inverse().map
-        for m in range(l + 1, spec.d):
-            plinv = np.arange(n)
-            pm = np.arange(n)
-            for k in range(r):
-                if k:
-                    plinv = linv[plinv]
-                    pm = spec.perms[m].map[pm]
-                    q = plinv[pm]
-                    for cyc in _array_cycles(q):
-                        for a_i, a in enumerate(cyc):
-                            for b in cyc[a_i + 1:]:
-                                adj[a].add(b)
-                                adj[b].add(a)
+    adj: list[set[int]] = [set() for _ in range(spec.n)]
+    for l in range(1, spec.d + 1):
+        for m in range(l + 1, spec.d + 1):
+            for x, y in joint_orbit(spec, l, m).pairs:
+                if x != y:
+                    adj[x].add(y)
+                    adj[y].add(x)
     return adj
 
 
-def connected_components(adj: list[set[int]]) -> list[list[int]]:
-    """Sorted components of an adjacency-set graph, ordered by least vertex."""
-    n = len(adj)
-    unseen = set(range(n))
-    comps = []
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for u in adj[v]:
-                if u not in comp:
-                    comp.add(u)
-                    frontier.append(u)
-        unseen -= comp
-        comps.append(sorted(comp))
-    return comps
+def _step(spec: WalkSpec, mask: np.ndarray) -> np.ndarray:
+    """Advance a boolean vertex mask of shape (n,) or (starts, n) one level:
+    the vertices reachable in exactly one more step."""
+    out = np.zeros_like(mask)
+    for p in spec.perms:
+        out[..., p.map] |= mask
+    return out
 
 
 def reachable_sets(spec: WalkSpec, j: int, kmax: int) -> list[set[int]]:
     """Exact image sets: vertices reachable from j in exactly 0, 1, ..., kmax
     steps.  Not monotone in general."""
     _check_vertex(spec, j)
+    mask = np.zeros(spec.n, dtype=bool)
+    mask[j] = True
     sets = [{j}]
-    current = {j}
     for _ in range(kmax):
-        arr = np.fromiter(current, dtype=np.int64)
-        current = set(np.concatenate([p.map[arr] for p in spec.perms]).tolist())
-        sets.append(current)
+        mask = _step(spec, mask)
+        sets.append(set(np.flatnonzero(mask).tolist()))
     return sets
 
 
@@ -192,32 +169,47 @@ def parity_check(spec: WalkSpec, j: int = 0) -> ParityReport:
     return ParityReport(m=2, witness=None, even=tuple(sorted(even)), odd=tuple(sorted(odd)))
 
 
+def _covering_level(spec: WalkSpec, starts: list[int], cap: int) -> tuple[int, int] | None:
+    """Least k <= cap at which some start reaches every vertex in exactly k
+    steps, with the least such start; None when the walk is not coverable.
+
+    All starts advance together as the rows of one boolean mask.
+    """
+    mask = np.zeros((len(starts), spec.n), dtype=bool)
+    mask[np.arange(len(starts)), starts] = True
+    for k in range(cap + 1):
+        full = np.flatnonzero(mask.all(axis=1))
+        if full.size:
+            return k, starts[int(full[0])]
+        mask = _step(spec, mask)
+    # Parity is a property of the whole connected graph, so one check
+    # answers for every start.
+    if parity_check(spec, starts[0]).m == 1:
+        where = f"vertex {starts[0]}" if len(starts) == 1 else "any vertex"
+        raise CriterionConflictError(
+            f"no covering step count for {where} up to cap {cap}, "
+            "but the parity test reports a coverable walk"
+        )
+    return None
+
+
 def k_of(spec: WalkSpec, j: int, cap: int | None = None) -> int | None:
     """Least k with every vertex reachable from j in exactly k steps.
 
     Returns None when no such k exists up to the cap (default 3N) and the
-    parity test confirms the walk is not coverable; raises
-    CriterionConflictError if the cap is hit although parity says it should
-    be coverable (internal assertion; the cap argument makes this
-    impossible).
+    parity test confirms the walk is not coverable.  A coverable walk is
+    connected and not bipartite, so its symmetric adjacency matrix is
+    primitive, and the exponent of a primitive symmetric N x N matrix is at
+    most 2N-2 (J.-Y. Shao, 1987): every vertex covers the graph by level
+    2N-2 and the default cap never fires on a coverable walk.  Hitting the
+    cap anyway raises CriterionConflictError, an internal assertion rather
+    than an outcome.
     """
     _check_vertex(spec, j)
     if cap is None:
         cap = K_SEARCH_CAP_FACTOR * spec.n
-    current = {j}
-    if len(current) == spec.n:
-        return 0
-    for k in range(1, cap + 1):
-        arr = np.fromiter(current, dtype=np.int64)
-        current = set(np.concatenate([p.map[arr] for p in spec.perms]).tolist())
-        if len(current) == spec.n:
-            return k
-    if parity_check(spec, j).m == 1:
-        raise CriterionConflictError(
-            f"no covering step count for vertex {j} up to cap {cap}, "
-            "but the parity test reports a coverable walk"
-        )
-    return None
+    found = _covering_level(spec, [j], cap)
+    return None if found is None else found[0]
 
 
 def kappa(spec: WalkSpec) -> tuple[int, int] | None:
@@ -225,21 +217,12 @@ def kappa(spec: WalkSpec) -> tuple[int, int] | None:
 
     Ties go to the smallest vertex.  None when the walk is not coverable.
     """
-    best = None
-    for j in range(spec.n):
-        kj = k_of(spec, j)
-        if kj is not None and (best is None or kj < best[0]):
-            best = (kj, j)
-    return best
+    return _covering_level(spec, list(range(spec.n)), K_SEARCH_CAP_FACTOR * spec.n)
 
 
-def verdicts_agree(spec: WalkSpec) -> AgreementReport:
-    """Cross-check the three criteria; when both partition-producing criteria
-    report two blocks, the partitions must also coincide vertex-by-vertex."""
-    comps = connected_components(reduced_connectivity_graph(spec))
+def _agreement(comps: list[list[int]], kap, par: ParityReport) -> AgreementReport:
     orbit_m = len(comps)
-    reach_ok = kappa(spec) is not None
-    par = parity_check(spec, 0)
+    reach_ok = kap is not None
     agree = (orbit_m == 1) == reach_ok == (par.m == 1)
     partitions_match = True
     if orbit_m == 2 and par.m == 2:
@@ -257,6 +240,13 @@ def verdicts_agree(spec: WalkSpec) -> AgreementReport:
     )
 
 
+def verdicts_agree(spec: WalkSpec) -> AgreementReport:
+    """Cross-check the three criteria; when both partition-producing criteria
+    report two blocks, the partitions must also coincide vertex-by-vertex."""
+    comps = connected_components(reduced_connectivity_graph(spec))
+    return _agreement(comps, kappa(spec), parity_check(spec, 0))
+
+
 def analyze(spec: WalkSpec) -> ControllabilityReport:
     """Full controllability report.
 
@@ -266,18 +256,20 @@ def analyze(spec: WalkSpec) -> ControllabilityReport:
     block's phase direction is independently reachable through per-vertex
     phase coins), so it is (dN)^2 exactly when there is a single component.
     The covering step count and the 2k+r transfer bound are filled in only
-    for controllable walks.
+    for controllable walks.  Each criterion runs once, and the same three
+    results feed the agreement check.
     """
     comps = connected_components(reduced_connectivity_graph(spec))
+    kap = kappa(spec)
+    agreement = _agreement(comps, kap, parity_check(spec, 0))
     sizes = tuple(len(c) for c in comps)
     m = len(comps)
     controllable = m == 1
     predicted = sum((spec.d * v) ** 2 for v in sizes)
     kk = kv = bound = None
-    if controllable:
-        kk, kv = kappa(spec)
+    if controllable and kap is not None:
+        kk, kv = kap
         bound = 2 * kk + shift_order(spec)
-    agreement = verdicts_agree(spec)
     return ControllabilityReport(
         components=tuple(tuple(c) for c in comps),
         sizes=sizes,

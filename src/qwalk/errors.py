@@ -25,10 +25,6 @@ class NotSymmetricError(SpecValidationError):
     """A transition has no reverse transition (asymmetric edge sum)."""
 
 
-class MultiEdgeError(SpecValidationError):
-    """The summed permutation matrices have an entry larger than one."""
-
-
 class DisconnectedError(SpecValidationError):
     """The induced graph is not connected."""
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,6 @@ from .errors import (
     CoinCollisionError,
     DisconnectedError,
     LengthMismatchError,
-    MultiEdgeError,
     NotBijectionError,
     NotSymmetricError,
     ParityError,
@@ -194,6 +194,26 @@ def _as_permutation(raw, n: int, index: int) -> Permutation:
     return p
 
 
+def connected_components(adj: Sequence[Iterable[int]]) -> list[list[int]]:
+    """Sorted components of an adjacency-set graph, ordered by least vertex."""
+    n = len(adj)
+    unseen = set(range(n))
+    comps = []
+    while unseen:
+        start = min(unseen)
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for u in adj[v]:
+                if u not in comp:
+                    comp.add(u)
+                    frontier.append(u)
+        unseen -= comp
+        comps.append(sorted(comp))
+    return comps
+
+
 def validate(n: int, perms) -> WalkSpec:
     """Check a raw permutation set and build the WalkSpec.
 
@@ -225,6 +245,8 @@ def validate(n: int, perms) -> WalkSpec:
                     f"permutations {i} and {k} both send vertex {j} to {ps[i](j)}"
                 )
 
+    # Entries stay 0/1: an entry of 2 needs two permutations sending one
+    # vertex to the same image, which the collision check has rejected.
     adjacency = np.zeros((n, n), dtype=np.int64)
     for p in ps:
         adjacency[p.map, idx] += 1
@@ -235,23 +257,11 @@ def validate(n: int, perms) -> WalkSpec:
         raise NotSymmetricError(
             f"transition {j} -> {l} has no reverse transition {l} -> {j}"
         )
-    big = np.argwhere(adjacency > 1)
-    if big.size:  # unreachable after the collision check; kept as a guard
-        l, j = (int(v) for v in big[0])
-        raise MultiEdgeError(f"vertices {j} and {l} are joined by multiple edges")
 
-    component = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for u in np.flatnonzero(adjacency[v]):
-            u = int(u)
-            if u not in component:
-                component.add(u)
-                frontier.append(u)
-    if len(component) != n:
+    comps = connected_components([np.flatnonzero(row).tolist() for row in adjacency])
+    if len(comps) > 1:
         raise DisconnectedError(
-            f"graph is disconnected; vertices {sorted(component)} form a component"
+            f"graph is disconnected; vertices {comps[0]} form a component"
         )
 
     adjacency.setflags(write=False)

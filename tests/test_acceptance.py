@@ -191,3 +191,26 @@ def test_criterion_8_simulation_exactness():
             assert np.abs(fast.amps - dense).max() < 1e-12
             checked += 1
     t.check("criterion 8: step equals dense matrix product on 50 instances")
+
+
+def test_criterion_9_large_shift_order():
+    # P1 has cycles of lengths 3, 4, 5, 7, 9, 11 and 13 on consecutive
+    # blocks, so the shift order is their lcm while N stays 52.
+    lengths = (3, 4, 5, 7, 9, 11, 13)
+    p1, start = [], 0
+    for length in lengths:
+        p1 += [start + (i + 1) % length for i in range(length)]
+        start += length
+    n = start
+    p2 = np.empty(n, dtype=np.int64)
+    p2[p1] = np.arange(n)
+    p3 = (np.arange(n) + n // 2) % n
+    with Timer(2.0) as t:
+        spec = qw.validate(n, [p1, p2, p3])
+        assert qw.shift_order(spec) == 180180
+        report = qw.analyze(spec)
+        assert report.controllable
+        assert (report.kappa, report.kappa_vertex) == (7, 2)
+        assert report.step_bound == 180194 == 2 * 7 + 180180
+        assert report.verdicts_agree
+    t.check("criterion 9: N=52 walk with shift order 180180 analyzed")

@@ -20,6 +20,19 @@ def brute_joint_orbit(spec, l, m):
     return pairs
 
 
+def boolean_power_kappa(spec):
+    """Oracle: least (k, j) with column j of the boolean k-th power of the
+    adjacency matrix all true, for k up to 3N."""
+    a = spec.adjacency > 0
+    power = np.eye(spec.n, dtype=bool)
+    for k in range(3 * spec.n + 1):
+        full = np.flatnonzero(power.all(axis=0))
+        if full.size:
+            return k, int(full[0])
+        power = (power.astype(np.int64) @ a.astype(np.int64)) > 0
+    return None
+
+
 def test_joint_orbit_equal_labels_is_diagonal(c5, fig):
     for spec in (c5, fig):
         for l in range(1, spec.d + 1):
@@ -33,8 +46,18 @@ def test_joint_orbit_contains_diagonal(fig):
             assert {(j, j) for j in range(6)} <= qw.joint_orbit(fig, l, m).pairs
 
 
+def _mixed_cycle_walk():
+    """Cycles of lengths 3, 4 and 5 plus a perfect matching: N = 12, r = 60."""
+    p1 = [1, 2, 0, 4, 5, 6, 3, 8, 9, 10, 11, 7]
+    p2 = np.empty(12, dtype=np.int64)
+    p2[p1] = np.arange(12)
+    return qw.validate(12, [p1, p2, (np.arange(12) + 6) % 12])
+
+
 def test_joint_orbit_matches_bruteforce(c5, fig):
-    for spec in (c5, fig, qw.cycle_shift(4)):
+    mixed = _mixed_cycle_walk()
+    assert qw.shift_order(mixed) == 60 > mixed.n
+    for spec in (c5, fig, qw.cycle_shift(4), mixed):
         for l in range(1, spec.d + 1):
             for m in range(1, spec.d + 1):
                 assert qw.joint_orbit(spec, l, m).pairs == brute_joint_orbit(spec, l, m)
@@ -191,6 +214,7 @@ def test_random_specs_properties():
         assert len(comps) in (1, 2)
         rep = qw.verdicts_agree(spec)
         assert rep.agree
+        assert qw.kappa(spec) == boolean_power_kappa(spec)
         if len(comps) == 2:
             par = qw.parity_check(spec, 0)
             assert {frozenset(c) for c in comps} == {
