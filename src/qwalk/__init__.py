@@ -2,15 +2,7 @@
 controllability analysis, operator-algebra verification and constructive
 state-transfer synthesis."""
 
-import os as _os
-
-_threads = _os.environ.get("QWALK_THREADS")
-if _threads is not None:
-    _t = "1" if _threads.strip() == "0" else _threads.strip()
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _t)
-
-from .controllability import (  # noqa: E402
+from .controllability import (
     AgreementReport,
     ControllabilityReport,
     JointOrbit,
@@ -24,7 +16,7 @@ from .controllability import (  # noqa: E402
     reduced_connectivity_graph,
     verdicts_agree,
 )
-from .errors import (  # noqa: E402
+from .errors import (
     CapExceededError,
     CoinCollisionError,
     CriterionConflictError,
@@ -40,12 +32,11 @@ from .errors import (  # noqa: E402
     ParityError,
     QwalkError,
     SelfLoopError,
-    ShortcutUnavailableError,
     SpecValidationError,
     ToleranceDegenerateError,
     UnreachableError,
 )
-from .graph_model import (  # noqa: E402
+from .graph_model import (
     Permutation,
     WalkSpec,
     builtin,
@@ -58,24 +49,23 @@ from .graph_model import (  # noqa: E402
     torus,
     validate,
 )
-from .lie_closure import (  # noqa: E402
+from .lie_closure import (
     GeneratorBasis,
     LieClosureResult,
     generator_basis,
     lie_closure_dim,
     verify_structure,
 )
-from .synthesis import (  # noqa: E402
+from .synthesis import (
     ControlSequence,
     TargetSpread,
     arbitrary_transfer,
     concentrate_to_node,
     reach_full_state,
-    shortcut_pair,
     spread_from_node,
     unitary_completion,
 )
-from .walk_core import (  # noqa: E402
+from .walk_core import (
     CoinOp,
     ShiftOp,
     WalkState,

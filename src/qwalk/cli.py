@@ -1,10 +1,8 @@
 """Batch command-line surface.
 
-Exit codes: 0 success, 1 validation error, 2 cross-check disagreement
+Exit codes: 0 success, 1 validation or usage error, 2 cross-check disagreement
 (criteria verdicts or closure dimension), 3 I/O failure.  All reports go to
 standard output as JSON except `demo`, which prints a fixed-width table.
-The environment variable QWALK_THREADS caps internal parallelism
-(0 means serial); it must be set before the package is imported.
 """
 
 from __future__ import annotations
@@ -124,14 +122,12 @@ def cmd_synthesize(args) -> int:
     spec = _load_spec(args.spec)
     psi1 = json_io.state_from_dict(json_io.read_json(args.state))
     psi2 = json_io.state_from_dict(json_io.read_json(args.target))
-    seq = arbitrary_transfer(spec, psi1, psi2, shortcut=args.shortcut)
-    report = analyze(spec)
-    bound = 2 * report.kappa + (2 if args.shortcut else shift_order(spec))
+    seq = arbitrary_transfer(spec, psi1, psi2)
     fidelity = state_fidelity(psi2, apply_sequence(psi1, seq, spec))
     _emit(
         json_io.sequence_to_dict(
             seq,
-            bound=bound,
+            bound=analyze(spec).step_bound,
             achieved_fidelity=json_io._f(fidelity),
         ),
         args.out,
@@ -276,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--state", required=True, help="initial state JSON path")
     p.add_argument("--target", required=True, help="target state JSON path")
-    p.add_argument("--shortcut", action="store_true")
     p.add_argument("--tol", type=float, default=FIDELITY_TOL)
 
     p = sub.add_parser("simulate", help="replay a coin sequence")
@@ -302,7 +297,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_INVALID if exc.code == 2 else exc.code
     try:
         code = _HANDLERS[args.command](args)
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:

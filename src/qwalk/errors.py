@@ -71,10 +71,6 @@ class GroupTooLargeError(QwalkError):
     """More targets share a predecessor than there are coin values."""
 
 
-class ShortcutUnavailableError(QwalkError):
-    """No shift-inverting coin pair is known for this walk."""
-
-
 class NotControllableError(QwalkError):
     """The walk cannot realize the requested transfer.
 

@@ -107,7 +107,7 @@ def read_json(path: str) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2)
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 def write_json(obj, path: str) -> None:

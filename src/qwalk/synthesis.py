@@ -19,7 +19,6 @@ from .errors import (
     IndexOutOfRangeError,
     NotControllableError,
     NotUnitError,
-    ShortcutUnavailableError,
     UnreachableError,
 )
 from .graph_model import WalkSpec
@@ -68,7 +67,7 @@ class TargetSpread:
         if len(set(nodes)) != len(nodes):
             raise ValueError(f"target nodes must be distinct: {nodes}")
         norm = float(np.linalg.norm(coeffs))
-        if abs(norm - 1.0) > _UNIT_TOL:
+        if not abs(norm - 1.0) <= _UNIT_TOL:  # also rejects NaN
             raise NotUnitError(f"coefficient norm {norm!r} is not 1")
         coin_states = self.coin_states
         if coin_states is not None:
@@ -78,7 +77,7 @@ class TargetSpread:
             if len(coin_states) != len(nodes):
                 raise ValueError("one coin state per node required")
             for i, c in enumerate(coin_states):
-                if abs(float(np.linalg.norm(c)) - 1.0) > _UNIT_TOL:
+                if not abs(float(np.linalg.norm(c)) - 1.0) <= _UNIT_TOL:
                     raise NotUnitError(f"coin state {i} is not a unit vector")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "coeffs", coeffs)
@@ -108,7 +107,7 @@ def _coin_vector(d: int, c0) -> np.ndarray:
     vec = np.asarray(c0, dtype=np.complex128).reshape(-1)
     if vec.size != d:
         raise DimensionMismatchError(f"coin state has size {vec.size}, expected {d}")
-    if abs(float(np.linalg.norm(vec)) - 1.0) > _UNIT_TOL:
+    if not abs(float(np.linalg.norm(vec)) - 1.0) <= _UNIT_TOL:
         raise NotUnitError("coin state is not a unit vector")
     return vec
 
@@ -139,7 +138,7 @@ def unitary_completion(src, dst) -> np.ndarray:
     if src.size != dst.size:
         raise DimensionMismatchError(f"sizes differ: {src.size} vs {dst.size}")
     for name, vec in (("src", src), ("dst", dst)):
-        if abs(float(np.linalg.norm(vec)) - 1.0) > _UNIT_TOL:
+        if not abs(float(np.linalg.norm(vec)) - 1.0) <= _UNIT_TOL:
             raise NotUnitError(f"{name} is not a unit vector")
     return _reflector_to_e1(dst).conj().T @ _reflector_to_e1(src)
 
@@ -219,64 +218,43 @@ def spread_from_node(spec: WalkSpec, j: int, c0, target: TargetSpread, k: int):
     return ControlSequence(tuple(ops), ("spread",) * len(ops)), states
 
 
-def shortcut_pair(spec: WalkSpec):
-    """Constant coin blocks (A1, A2) such that a step with A1 followed by a
-    step with A2 undoes one bare shift.
+def reach_full_state(spec: WalkSpec, j: int, c0, target, k: int) -> ControlSequence:
+    """Steer |c0> at node j to an arbitrary state in k + t steps.
 
-    Table-driven: registered exactly for degree-2 walks whose second
-    permutation inverts the first (the full-cycle family).  Returns None
-    when no pair is known.
-    """
-    if spec.d == 2 and spec.perms[1] == spec.perms[0].inverse():
-        a1 = np.array([[0, 1], [-1, 0]], dtype=np.complex128)
-        a2 = np.array([[0, -1], [1, 0]], dtype=np.complex128)
-        return a1, a2
-    return None
-
-
-def reach_full_state(
-    spec: WalkSpec, j: int, c0, target, k: int, shortcut: bool = False
-) -> ControlSequence:
-    """Steer |c0> at node j to an arbitrary state supported on the level-k
-    reachable set.
-
-    Spread to the per-node weights in k steps, mix each node's coin into the
-    target coin vector in one more step, then neutralize the trailing shifts
-    with r-1 identity-coin steps (length k + r), or with the registered
-    two-step shortcut (length k + 2).
+    t is the least t >= 1 such that S^-t target (S the bare shift) is
+    supported on the level-k reachable set of j.  Spread to the per-node
+    weights of S^-t target in k steps, mix each node's coin into its column
+    of S^-t target in one more step, then let t-1 identity-coin steps shift
+    it onto the target.  At a covering level t = 1 (length k + 1);
+    otherwise t <= r, the shift order, because S^-r is the identity.
     """
     if isinstance(target, TargetSpread):
         target = target.to_state(spec)
     if target.d != spec.d or target.n != spec.n:
         raise DimensionMismatchError("target does not match the walk dimensions")
-    table = target.table()
-    norms = np.linalg.norm(table, axis=0)
+    inside = np.zeros(spec.n, dtype=bool)
+    inside[list(reachable_sets(spec, j, k)[k])] = True
+    coins = np.arange(spec.d)[:, None]
+    maps = np.stack([p.map for p in spec.perms])
+    pre = target.table()
+    for t in range(1, shift_order(spec) + 1):
+        pre = pre[coins, maps]  # (S^-1 x)[c, v] = x[c, P_c v]
+        norms = np.linalg.norm(pre, axis=0)
+        if inside[norms > ZERO_COEFF].all():
+            break
     nodes = tuple(int(v) for v in np.flatnonzero(norms > ZERO_COEFF))
     betas = norms[list(nodes)]
     seq, coin_states = spread_from_node(
         spec, j, c0, TargetSpread(nodes, betas), k
     )
     mix_blocks = {
-        v: unitary_completion(coin_states[v], table[:, v] / beta)
+        v: unitary_completion(coin_states[v], pre[:, v] / beta)
         for v, beta in zip(nodes, betas)
     }
     mix = CoinOp.from_blocks(spec.d, spec.n, mix_blocks)
-    if shortcut:
-        pair = shortcut_pair(spec)
-        if pair is None:
-            raise ShortcutUnavailableError(
-                "no shift-inverting coin pair registered for this walk"
-            )
-        a1, a2 = pair
-        op1 = CoinOp(np.einsum("ab,jbc->jac", a1, mix.blocks))
-        op2 = CoinOp(np.broadcast_to(a2, (spec.n, spec.d, spec.d)).copy())
-        ops = seq.ops + (op1, op2)
-        meta = seq.meta + ("mix+shortcut", "shortcut")
-        return ControlSequence(ops, meta)
-    r = shift_order(spec)
     pad = CoinOp.identity(spec.d, spec.n)
-    ops = seq.ops + (mix,) + (pad,) * (r - 1)
-    meta = seq.meta + ("mix",) + ("pad",) * (r - 1)
+    ops = seq.ops + (mix,) + (pad,) * (t - 1)
+    meta = seq.meta + ("mix",) + ("pad",) * (t - 1)
     return ControlSequence(ops, meta)
 
 
@@ -330,16 +308,15 @@ def concentrate_to_node(spec: WalkSpec, j: int, state: WalkState, k: int):
     return ControlSequence(tuple(ops), ("concentrate",) * len(ops)), final_coin
 
 
-def arbitrary_transfer(
-    spec: WalkSpec, psi1: WalkState, psi2: WalkState, shortcut: bool = False
-) -> ControlSequence:
-    """Coin sequence steering psi1 to psi2, at most 2k + r steps long
-    (2k + 2 with the shortcut), where k is the walk's best covering step
-    count and r the shift order.
+def arbitrary_transfer(spec: WalkSpec, psi1: WalkState, psi2: WalkState) -> ControlSequence:
+    """Coin sequence steering psi1 to psi2, at most 2k + 1 steps long, where
+    k is the walk's best covering step count (the paper's bound is 2k + r,
+    r the shift order).
 
-    Concentrates psi1 onto the vertex achieving k, then spreads out to
-    psi2; the spread accepts whatever coin state the gather phase left,
-    since its first coin operation is free.
+    Concentrates psi1 onto the vertex achieving k, then reaches psi2 from
+    there in k + 1 steps, since every vertex is reachable at level k; the
+    spread accepts whatever coin state the gather phase left, since its
+    first coin operation is free.
     """
     report = analyze(spec)
     if not report.controllable:
@@ -349,5 +326,5 @@ def arbitrary_transfer(
         )
     kk, jstar = report.kappa, report.kappa_vertex
     seq1, gamma = concentrate_to_node(spec, jstar, psi1, kk)
-    seq2 = reach_full_state(spec, jstar, gamma, psi2, kk, shortcut=shortcut)
+    seq2 = reach_full_state(spec, jstar, gamma, psi2, kk)
     return ControlSequence(seq1.ops + seq2.ops, seq1.meta + seq2.meta)

@@ -37,7 +37,7 @@ class WalkState:
                 f"state has {amps.size} amplitudes, expected d*n = {self.d * self.n}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN
             raise ValueError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
@@ -67,7 +67,7 @@ class CoinOp:
         polished = None
         for j, q in enumerate(blocks):
             err = np.abs(q.conj().T @ q - eye).max()
-            if err > UNITARY_TOL:
+            if not err <= UNITARY_TOL:
                 raise ValueError(f"coin block at vertex {j} is not unitary (err {err:.2e})")
             if err > 1e-14:  # nearest unitary: polar factor via SVD
                 u, _, vh = np.linalg.svd(q)

@@ -153,6 +153,14 @@ def test_synthesize_then_simulate(capsys, tmp_path, cycle5_path):
     assert np.abs(np.array(sim["probabilities"]) - expected).max() < 1e-9
 
 
+def test_usage_error_is_invalid_input(capsys, cycle5_path):
+    # an unknown flag is invalid input (1); 2 would read as a failed cross-check
+    code = main(["synthesize", "--spec", cycle5_path, "--state", "a.json",
+                 "--target", "b.json", "--shortcut"])
+    assert code == 1
+    assert main(["--help"]) == 0
+
+
 def test_synthesize_not_controllable(capsys, tmp_path, cycle4_path):
     c4 = qw.cycle_shift(4)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

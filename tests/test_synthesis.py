@@ -5,7 +5,6 @@ import pytest
 
 import qwalk as qw
 from qwalk.sampling import random_spec, random_state_vector, random_walk_state
-from qwalk.walk_core import coin_matrix, shift_matrix
 
 
 def test_unitary_completion_identity_case():
@@ -115,10 +114,20 @@ def test_reach_own_state_pads_to_shift_period(c5):
     assert qw.state_fidelity(target, out) > 1 - 1e-9
 
 
+def test_reach_takes_least_shift_power(c5):
+    # coin 0 carries the walker from vertex 0 to vertex v in v bare shifts
+    for v in range(1, 5):
+        target = qw.basis_state(c5, 0, v)
+        seq = qw.reach_full_state(c5, 0, 0, target, 0)
+        assert seq.meta == ("mix",) + ("pad",) * (v - 1)
+        out = qw.apply_sequence(qw.basis_state(c5, 0, 0), seq, c5)
+        assert qw.state_fidelity(target, out) > 1 - 1e-9
+
+
 def test_reach_uniform_state(fig):
     target = qw.WalkState(3, 6, np.full(18, 1 / np.sqrt(18), dtype=complex))
     seq = qw.reach_full_state(fig, 0, 0, target, 3)
-    assert len(seq) <= 3 + qw.shift_order(fig)
+    assert len(seq) == 4  # level 3 covers figure1, so k + 1 steps
     out = qw.apply_sequence(qw.basis_state(fig, 0, 0), seq, fig)
     assert qw.state_fidelity(target, out) > 1 - 1e-9
 
@@ -129,30 +138,6 @@ def test_reach_accepts_target_spread_with_coin_states(c5):
     seq = qw.reach_full_state(c5, 0, 0, target, 1)
     out = qw.apply_sequence(qw.basis_state(c5, 0, 0), seq, c5)
     assert qw.state_fidelity(target.to_state(c5), out) > 1 - 1e-9
-
-
-def test_shortcut_pair_inverts_shift(c5):
-    a1, a2 = qw.shortcut_pair(c5)
-    s = shift_matrix(c5).matrix()
-    c1 = coin_matrix(qw.CoinOp(np.broadcast_to(a1, (5, 2, 2)).copy()))
-    c2 = coin_matrix(qw.CoinOp(np.broadcast_to(a2, (5, 2, 2)).copy()))
-    assert np.abs(c2 @ s @ c1 - np.linalg.inv(s)).max() < 1e-12
-
-
-def test_reach_with_shortcut_is_k_plus_two(c5):
-    rng = np.random.default_rng(2)
-    target = random_walk_state(rng, c5)
-    seq = qw.reach_full_state(c5, 0, 0, target, 4, shortcut=True)
-    assert len(seq) == 6
-    out = qw.apply_sequence(qw.basis_state(c5, 0, 0), seq, c5)
-    assert qw.state_fidelity(target, out) > 1 - 1e-9
-
-
-def test_shortcut_unavailable(fig):
-    target = qw.WalkState(3, 6, np.full(18, 1 / np.sqrt(18), dtype=complex))
-    assert qw.shortcut_pair(fig) is None
-    with pytest.raises(qw.ShortcutUnavailableError):
-        qw.reach_full_state(fig, 0, 0, target, 3, shortcut=True)
 
 
 def test_concentrate_k0_empty(c5):
@@ -201,11 +186,8 @@ def test_transfer_lengths_and_fidelity(c5):
         psi1 = random_walk_state(rng, c5)
         psi2 = random_walk_state(rng, c5)
         seq = qw.arbitrary_transfer(c5, psi1, psi2)
-        assert len(seq) <= 13
+        assert len(seq) <= 10
         assert qw.state_fidelity(psi2, qw.apply_sequence(psi1, seq, c5)) > 1 - 1e-9
-        short = qw.arbitrary_transfer(c5, psi1, psi2, shortcut=True)
-        assert len(short) <= 10
-        assert qw.state_fidelity(psi2, qw.apply_sequence(psi1, short, c5)) > 1 - 1e-9
 
 
 def test_transfer_not_controllable(c4):
@@ -222,11 +204,13 @@ def test_transfer_round_trip_on_random_controllable_specs():
     done = 0
     while done < 6:
         spec = random_spec(rng)
-        if not qw.analyze(spec).controllable:
+        report = qw.analyze(spec)
+        if not report.controllable:
             continue
         psi1 = random_walk_state(rng, spec)
         psi2 = random_walk_state(rng, spec)
         go = qw.arbitrary_transfer(spec, psi1, psi2)
+        assert len(go) <= 2 * report.kappa + 1
         back = qw.arbitrary_transfer(spec, psi2, psi1)
         out = qw.apply_sequence(qw.apply_sequence(psi1, go, spec), back, spec)
         assert qw.state_fidelity(psi1, out) > 1 - 1e-8
@@ -236,5 +220,5 @@ def test_transfer_round_trip_on_random_controllable_specs():
 def test_sequence_meta_matches_phases(c5):
     rng = np.random.default_rng(33)
     seq = qw.arbitrary_transfer(c5, random_walk_state(rng, c5), random_walk_state(rng, c5))
-    assert set(seq.meta) <= {"concentrate", "spread", "mix", "pad", "mix+shortcut", "shortcut"}
+    assert set(seq.meta) <= {"concentrate", "spread", "mix"}
     assert len(seq.meta) == len(seq.ops)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qwalk as qw
+from qwalk import json_io
 from qwalk.sampling import random_coin_op, random_spec, random_unitary, random_walk_state
 from qwalk.walk_core import coin_matrix, shift_matrix
 
@@ -145,6 +146,22 @@ def test_coin_unitarity_validation():
     bad = np.stack([np.eye(2), np.array([[1, 1], [0, 1]])]).astype(complex)
     with pytest.raises(ValueError, match="vertex 1"):
         qw.CoinOp(bad)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: qw.WalkState(1, 2, np.array([1.0, np.nan])), ValueError),
+        (lambda: qw.CoinOp(np.array([[[1.0, 0.0], [0.0, np.nan]]])), ValueError),
+        (lambda: qw.TargetSpread((0, 1), np.array([1.0, np.nan])), qw.NotUnitError),
+    ],
+    ids=["state", "coin", "target"],
+)
+def test_nan_is_rejected(build, error):
+    with pytest.raises(error):
+        build()
+    with pytest.raises(ValueError):  # nor can a NaN leave as bare JSON
+        json_io.dumps({"x": np.nan})
 
 
 def test_step_dimension_mismatch(c5):
