@@ -43,7 +43,6 @@ from .graph_model import (
     complete,
     cycle_exchange,
     cycle_shift,
-    degree2_kind,
     figure1,
     product_walk,
     torus,

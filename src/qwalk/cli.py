@@ -102,7 +102,7 @@ def cmd_reach(args) -> int:
 
 
 def cmd_lie_check(args) -> int:
-    result = verify_structure(_load_spec(args.spec), cap=args.cap, tol=args.tol)
+    result = verify_structure(_load_spec(args.spec), tol=args.tol)
     _emit(
         {
             "schema": json_io.SCHEMA_VERSION,
@@ -132,7 +132,7 @@ def cmd_synthesize(args) -> int:
         ),
         args.out,
     )
-    return EXIT_OK if fidelity >= 1.0 - args.tol else EXIT_MISMATCH
+    return EXIT_OK if fidelity >= 1.0 - FIDELITY_TOL else EXIT_MISMATCH
 
 
 def cmd_simulate(args) -> int:
@@ -266,13 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lie-check", help="closure dimension vs structure prediction")
     add_common(p)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--cap", type=int, default=DEFAULT_DIM_CAP)
 
     p = sub.add_parser("synthesize", help="coin sequence steering one state to another")
     add_common(p)
     p.add_argument("--state", required=True, help="initial state JSON path")
     p.add_argument("--target", required=True, help="target state JSON path")
-    p.add_argument("--tol", type=float, default=FIDELITY_TOL)
 
     p = sub.add_parser("simulate", help="replay a coin sequence")
     add_common(p)

@@ -14,7 +14,9 @@ All three are facts about the N vertices and d coins, not about the shift
 order r (the lcm of the cycle lengths, which can grow exponentially in N):
 joint orbits are cycles of a permutation of the N^2 vertex pairs, and the
 reachability search stops at the first covering level, which is at most
-2N-2 on a coverable walk.  Only the 2k+r transfer bound reads r.
+2N-2 on a coverable walk, or as soon as its reachable sets repeat, within
+diameter + 2 levels on a non-coverable one.  Only the 2k+r transfer bound
+reads r.
 
 Coin labels ``l, m`` in the joint-orbit API are 1-based (1..d); vertices
 are 0-based.
@@ -23,14 +25,13 @@ are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
 from .errors import CriterionConflictError, IndexOutOfRangeError
 from .graph_model import WalkSpec, connected_components
 from .walk_core import shift_order
-
-K_SEARCH_CAP_FACTOR = 3
 
 
 @dataclass(frozen=True)
@@ -169,46 +170,53 @@ def parity_check(spec: WalkSpec, j: int = 0) -> ParityReport:
     return ParityReport(m=2, witness=None, even=tuple(sorted(even)), odd=tuple(sorted(odd)))
 
 
-def _covering_level(spec: WalkSpec, starts: list[int], cap: int) -> tuple[int, int] | None:
-    """Least k <= cap at which some start reaches every vertex in exactly k
-    steps, with the least such start; None when the walk is not coverable.
+def _covering_level(spec: WalkSpec, starts: list[int]) -> tuple[int, int] | None:
+    """Least k at which some start reaches every vertex in exactly k steps,
+    with the least such start; None when the walk is not coverable.
 
-    All starts advance together as the rows of one boolean mask.
+    All starts advance together as the rows of one boolean mask.  The next
+    mask depends only on the current one, so once a mask equals the one two
+    levels back the masks alternate between two states that have both been
+    checked, and no later level can cover.  On a connected bipartite walk
+    the exact-k sets settle on the alternating colour classes, so the
+    repeat comes within diameter + 2 levels.
     """
     mask = np.zeros((len(starts), spec.n), dtype=bool)
     mask[np.arange(len(starts)), starts] = True
-    for k in range(cap + 1):
+    older = newer = None
+    for k in count():
         full = np.flatnonzero(mask.all(axis=1))
         if full.size:
             return k, starts[int(full[0])]
+        if older is not None and np.array_equal(mask, older):
+            break
+        older, newer = newer, mask
         mask = _step(spec, mask)
     # Parity is a property of the whole connected graph, so one check
     # answers for every start.
     if parity_check(spec, starts[0]).m == 1:
         where = f"vertex {starts[0]}" if len(starts) == 1 else "any vertex"
         raise CriterionConflictError(
-            f"no covering step count for {where} up to cap {cap}, "
+            f"reachable sets from {where} repeat at level {k} without covering, "
             "but the parity test reports a coverable walk"
         )
     return None
 
 
-def k_of(spec: WalkSpec, j: int, cap: int | None = None) -> int | None:
+def k_of(spec: WalkSpec, j: int) -> int | None:
     """Least k with every vertex reachable from j in exactly k steps.
 
-    Returns None when no such k exists up to the cap (default 3N) and the
-    parity test confirms the walk is not coverable.  A coverable walk is
-    connected and not bipartite, so its symmetric adjacency matrix is
-    primitive, and the exponent of a primitive symmetric N x N matrix is at
-    most 2N-2 (J.-Y. Shao, 1987): every vertex covers the graph by level
-    2N-2 and the default cap never fires on a coverable walk.  Hitting the
-    cap anyway raises CriterionConflictError, an internal assertion rather
+    Returns None when the exact-k reachable sets repeat without covering
+    and the parity test confirms the walk is not coverable.  A coverable
+    walk is connected and not bipartite, so its symmetric adjacency matrix
+    is primitive, and the exponent of a primitive symmetric N x N matrix is
+    at most 2N-2 (J.-Y. Shao, 1987): the search stops at a covering level
+    of at most 2N-2.  Sets that repeat on a walk whose parity test says it
+    is coverable raise CriterionConflictError, an internal assertion rather
     than an outcome.
     """
     _check_vertex(spec, j)
-    if cap is None:
-        cap = K_SEARCH_CAP_FACTOR * spec.n
-    found = _covering_level(spec, [j], cap)
+    found = _covering_level(spec, [j])
     return None if found is None else found[0]
 
 
@@ -217,7 +225,7 @@ def kappa(spec: WalkSpec) -> tuple[int, int] | None:
 
     Ties go to the smallest vertex.  None when the walk is not coverable.
     """
-    return _covering_level(spec, list(range(spec.n)), K_SEARCH_CAP_FACTOR * spec.n)
+    return _covering_level(spec, list(range(spec.n)))
 
 
 def _agreement(comps: list[list[int]], kap, par: ParityReport) -> AgreementReport:

@@ -46,8 +46,9 @@ class IndexOutOfRangeError(QwalkError):
 
 
 class CriterionConflictError(QwalkError):
-    """Internal cross-check failed: the reachability search cap was hit on a
-    walk whose parity test says every vertex is coverable."""
+    """Internal cross-check failed: the exact-k reachable sets repeated
+    without covering the graph on a walk whose parity test says every
+    vertex is coverable."""
 
 
 class ToleranceDegenerateError(QwalkError):
@@ -60,7 +61,8 @@ class CapExceededError(QwalkError):
 
 
 class NotUnitError(QwalkError):
-    """A vector that must have unit norm does not."""
+    """A vector that must have unit norm does not, or a coin block that must
+    be unitary is not."""
 
 
 class UnreachableError(QwalkError):

@@ -26,7 +26,7 @@ from .errors import (
     SpecValidationError,
 )
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_CYCLE_RE = re.compile(r"\(([\d,\s]*)\)")
 
 
 class Permutation:
@@ -63,7 +63,7 @@ class Permutation:
         spaces or commas. Vertices not mentioned are fixed points."""
         stripped = text.replace(" ", "").replace(",", "")
         if stripped and _CYCLE_RE.sub("", text).strip():
-            raise ValueError(f"unparsable cycle notation: {text!r}")
+            raise SpecValidationError(f"unparsable cycle notation: {text!r}")
         images = np.arange(n)
         touched = set()
         for group in _CYCLE_RE.findall(text):
@@ -336,17 +336,3 @@ def builtin(name: str, *params) -> WalkSpec:
             f"unknown builtin {name!r}; choose from {sorted(_BUILTINS)}"
         ) from None
     return factory(*(int(p) for p in params))
-
-
-def degree2_kind(spec: WalkSpec) -> str:
-    """Classify a degree-2 walk by cycle shape: ``"full_cycle"`` (one n-cycle
-    and its inverse) or ``"exchange"`` (two pairings). No relabeling is
-    computed."""
-    if spec.d != 2:
-        raise ValueError(f"degree2_kind needs d=2, got d={spec.d}")
-    shapes = [{len(c) for c in p.cycles()} for p in spec.perms]
-    if all(s == {spec.n} for s in shapes):
-        return "full_cycle"
-    if all(s == {2} for s in shapes):
-        return "exchange"
-    raise SpecValidationError("degree-2 walk matches neither known family")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NotUnitError
 from .graph_model import WalkSpec
 
 NORM_TOL = 1e-12
@@ -38,7 +38,7 @@ class WalkState:
             )
         norm = float(np.linalg.norm(amps))
         if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN
-            raise ValueError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
+            raise NotUnitError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -68,7 +68,7 @@ class CoinOp:
         for j, q in enumerate(blocks):
             err = np.abs(q.conj().T @ q - eye).max()
             if not err <= UNITARY_TOL:
-                raise ValueError(f"coin block at vertex {j} is not unitary (err {err:.2e})")
+                raise NotUnitError(f"coin block at vertex {j} is not unitary (err {err:.2e})")
             if err > 1e-14:  # nearest unitary: polar factor via SVD
                 u, _, vh = np.linalg.svd(q)
                 if polished is None:

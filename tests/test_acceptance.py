@@ -146,7 +146,7 @@ def test_criterion_6_randomized_equivalence_suite():
             assert agreement.agree, (spec.n, spec.d)
             assert agreement.orbit_m in (1, 2)
             if spec.d * spec.n <= 16:
-                closure = qw.verify_structure(spec, cap=16)
+                closure = qw.verify_structure(spec)
                 assert closure.match, (spec.n, spec.d, closure.dim, closure.predicted)
     t.check("criterion 6: 200 random specs, criteria agree, closures match")
 

@@ -47,6 +47,16 @@ def test_validate_bad_spec(capsys, tmp_path):
     assert doc["valid"] is False and doc["error"] == "SelfLoopError"
 
 
+@pytest.mark.parametrize("cycle", ["(0 1 2 3 4", "(0 1 x 3 4)"])
+def test_validate_malformed_cycle_notation(capsys, tmp_path, cycle):
+    path = tmp_path / "bad.json"
+    json_io.write_json({"n": 5, "perms": [cycle, [4, 0, 1, 2, 3]]}, str(path))
+    code, out = run_cli(capsys, "validate", "--spec", str(path))
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["valid"] is False and doc["error"] == "SpecValidationError"
+
+
 def test_missing_file_is_io_error(capsys):
     assert main(["analyze", "--spec", "/nonexistent/x.json"]) == 3
 
@@ -158,7 +168,31 @@ def test_usage_error_is_invalid_input(capsys, cycle5_path):
     code = main(["synthesize", "--spec", cycle5_path, "--state", "a.json",
                  "--target", "b.json", "--shortcut"])
     assert code == 1
+    # the closure cap and the transfer fidelity tolerance are not settable
+    assert main(["lie-check", "--spec", cycle5_path, "--cap", "30"]) == 1
+    assert main(["synthesize", "--spec", cycle5_path, "--state", "a.json",
+                 "--target", "b.json", "--tol", "0.1"]) == 1
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("command", ["synthesize", "simulate"])
+def test_non_unit_input_is_invalid(capsys, tmp_path, cycle5_path, command):
+    # a state of norm 1.58 for synthesize, a non-unitary coin for simulate
+    c5 = qw.cycle_shift(5)
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    json_io.write_json(json_io.state_to_dict(qw.basis_state(c5, 0, 0)), str(good))
+    if command == "synthesize":
+        amps = [[1.0, 0.0], [1.0, 0.0], [0.5, 0.0], [0.5, 0.0]] + [[0.0, 0.0]] * 6
+        json_io.write_json({"d": 2, "n": 5, "amps": amps}, str(bad))
+        argv = ["--state", str(good), "--target", str(bad)]
+    else:
+        blocks = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]] * 5
+        blocks[2] = [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        json_io.write_json({"steps": [{"coins": blocks}]}, str(bad))
+        argv = ["--state", str(good), "--seq", str(bad)]
+    code, out = run_cli(capsys, command, "--spec", cycle5_path, *argv)
+    assert code == 1
+    assert json.loads(out)["error"] == "NotUnitError"
 
 
 def test_synthesize_not_controllable(capsys, tmp_path, cycle4_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qwalk as qw
+from qwalk import controllability
 from qwalk.controllability import connected_components, reduced_connectivity_graph
 from qwalk.sampling import random_spec
 
@@ -145,6 +146,36 @@ def test_kappa(c5, fig):
     assert qw.kappa(c5) == (4, 0)
     assert qw.kappa(fig) == (3, 0)
     assert qw.kappa(qw.cycle_shift(6)) is None
+
+
+@pytest.mark.parametrize(
+    "spec, diameter", [(qw.cycle_shift(100), 50), (qw.torus(20, 20), 20)], ids=["cycle100", "torus20"]
+)
+def test_non_coverable_search_stops_on_repeat(monkeypatch, spec, diameter):
+    # a bipartite walk's exact-k sets alternate between the colour classes
+    # once k reaches the diameter; the search must stop there, not at a cap
+    calls = []
+    step = controllability._step
+
+    def counting_step(walk, mask):
+        calls.append(None)
+        return step(walk, mask)
+
+    monkeypatch.setattr(controllability, "_step", counting_step)
+    for search in (lambda: qw.kappa(spec), lambda: qw.k_of(spec, 0)):
+        calls.clear()
+        assert search() is None
+        assert len(calls) <= diameter + 2
+
+
+def test_repeat_with_coverable_parity_is_a_conflict(monkeypatch):
+    c6 = qw.cycle_shift(6)
+    fake = controllability.ParityReport(m=1, witness=0, even=(), odd=())
+    monkeypatch.setattr(controllability, "parity_check", lambda spec, j=0: fake)
+    with pytest.raises(qw.CriterionConflictError, match="any vertex repeat at level"):
+        qw.kappa(c6)
+    with pytest.raises(qw.CriterionConflictError, match="vertex 0 repeat at level"):
+        qw.k_of(c6, 0)
 
 
 def test_parity_check(c4, c5, fig):

@@ -110,7 +110,7 @@ def test_cycle_notation_parser():
     assert Permutation.from_cycles(q.cycle_notation(), 6) == q
     with pytest.raises(qw.NotBijectionError):
         Permutation.from_cycles("(0 1)(1 2)", 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(qw.SpecValidationError):
         Permutation.from_cycles("0 1 2", 3)
 
 
@@ -178,23 +178,17 @@ def test_product_of_random_specs_validates():
         assert prod.n == a.n * b.n
 
 
-def test_degree2_classification():
-    assert qw.degree2_kind(qw.cycle_shift(6)) == "full_cycle"
-    assert qw.degree2_kind(qw.cycle_exchange(6)) == "exchange"
-    with pytest.raises(ValueError):
-        qw.degree2_kind(qw.figure1())
-
-
 def test_degree2_random_specs_fall_into_the_two_families():
     rng = np.random.default_rng(5)
     for _ in range(25):
         spec = random_spec(rng, d=2) if rng.integers(2) else random_spec(rng)
         if spec.d != 2:
             continue
-        kind = qw.degree2_kind(spec)
-        assert kind in ("full_cycle", "exchange")
-        if kind == "full_cycle":
+        lengths = [{len(c) for c in p.cycles()} for p in spec.perms]
+        if lengths == [{spec.n}, {spec.n}]:  # one n-cycle and its inverse
             assert spec.perms[1] == spec.perms[0].inverse()
+        else:  # two fixed-point-free involutions
+            assert lengths == [{2}, {2}]
 
 
 def test_immutability():

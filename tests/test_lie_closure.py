@@ -141,9 +141,8 @@ def test_verify_structure_block_diagonality(c4):
 def test_cap_exceeded():
     with pytest.raises(qw.CapExceededError):
         qw.verify_structure(qw.torus(3, 3))
-    # raising the cap makes it legal (not run: the point is the guard)
     with pytest.raises(qw.CapExceededError):
-        qw.verify_structure(qw.torus(3, 5), cap=24)
+        qw.verify_structure(qw.torus(3, 5))
 
 
 def test_empty_basis_rejected():

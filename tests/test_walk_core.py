@@ -136,7 +136,7 @@ def test_state_fidelity_ignores_global_phase(c5):
 
 
 def test_state_norm_validation():
-    with pytest.raises(ValueError, match="norm"):
+    with pytest.raises(qw.NotUnitError, match="norm"):
         qw.WalkState(2, 2, np.array([1, 1, 0, 0], dtype=complex))
     with pytest.raises(qw.DimensionMismatchError):
         qw.WalkState(2, 3, np.array([1, 0, 0, 0], dtype=complex))
@@ -144,15 +144,15 @@ def test_state_norm_validation():
 
 def test_coin_unitarity_validation():
     bad = np.stack([np.eye(2), np.array([[1, 1], [0, 1]])]).astype(complex)
-    with pytest.raises(ValueError, match="vertex 1"):
+    with pytest.raises(qw.NotUnitError, match="vertex 1"):
         qw.CoinOp(bad)
 
 
 @pytest.mark.parametrize(
     "build, error",
     [
-        (lambda: qw.WalkState(1, 2, np.array([1.0, np.nan])), ValueError),
-        (lambda: qw.CoinOp(np.array([[[1.0, 0.0], [0.0, np.nan]]])), ValueError),
+        (lambda: qw.WalkState(1, 2, np.array([1.0, np.nan])), qw.NotUnitError),
+        (lambda: qw.CoinOp(np.array([[[1.0, 0.0], [0.0, np.nan]]])), qw.NotUnitError),
         (lambda: qw.TargetSpread((0, 1), np.array([1.0, np.nan])), qw.NotUnitError),
     ],
     ids=["state", "coin", "target"],
