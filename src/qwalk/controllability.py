@@ -126,10 +126,11 @@ def reduced_connectivity_graph(spec: WalkSpec) -> list[set[int]]:
 
 def _step(spec: WalkSpec, mask: np.ndarray) -> np.ndarray:
     """Advance a boolean vertex mask of shape (n,) or (starts, n) one level:
-    the vertices reachable in exactly one more step."""
+    the vertices reachable in exactly one more step.  Gathers through the
+    inverse maps, out[y] |= mask[P^-1 y], rather than scattering through P."""
     out = np.zeros_like(mask)
     for p in spec.perms:
-        out[..., p.map] |= mask
+        out |= mask[..., p.inverse().map]
     return out
 
 

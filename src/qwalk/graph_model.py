@@ -39,7 +39,15 @@ class Permutation:
     __slots__ = ("map",)
 
     def __init__(self, images):
-        arr = np.array(images, dtype=np.int64)
+        try:
+            raw = np.asarray(images)
+        except ValueError:  # ragged nesting
+            raise NotBijectionError("images are not a flat array of integers") from None
+        if raw.dtype.kind == "f" and np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+            raw = raw.astype(np.int64)
+        if raw.dtype.kind not in "iu":
+            raise NotBijectionError(f"images must be integers: {raw.tolist()}")
+        arr = raw.astype(np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise NotBijectionError("need a non-empty one-dimensional image array")
         n = arr.size

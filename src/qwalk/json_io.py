@@ -12,6 +12,7 @@ import json
 import numpy as np
 
 from .controllability import ControllabilityReport
+from .errors import SpecValidationError
 from .graph_model import WalkSpec, validate
 from .synthesis import ControlSequence
 from .walk_core import CoinOp, WalkState
@@ -45,8 +46,19 @@ def spec_to_dict(spec: WalkSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> WalkSpec:
-    """Accepts one-line arrays or cycle-notation strings under "perms"."""
-    return validate(int(data["n"]), data["perms"])
+    """Accepts one-line arrays or cycle-notation strings under "perms".
+
+    Raises SpecValidationError unless ``data`` is an object whose "n" is an
+    integer and whose "perms" is a list.
+    """
+    if not isinstance(data, dict):
+        raise SpecValidationError(f"a spec is a JSON object, got {type(data).__name__}")
+    n = data.get("n")
+    if isinstance(n, bool) or not isinstance(n, (int, float)) or n % 1 != 0:
+        raise SpecValidationError(f'"n" must be an integer, got {n!r}')
+    if not isinstance(data.get("perms"), list):
+        raise SpecValidationError(f'"perms" must be a list, got {data.get("perms")!r}')
+    return validate(int(n), data["perms"])
 
 
 def state_to_dict(state: WalkState) -> dict:

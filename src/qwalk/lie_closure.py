@@ -21,6 +21,7 @@ from .graph_model import WalkSpec
 DEFAULT_TOL = 1e-9
 DEFAULT_DIM_CAP = 24
 _ZERO_NORM = 1e-14
+_FILTER_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +90,11 @@ def generator_basis(spec: WalkSpec) -> GeneratorBasis:
 
 
 def _vectorize(mat: np.ndarray, iu) -> np.ndarray:
-    return np.concatenate([mat.diagonal().imag, mat[iu].real, mat[iu].imag])
+    """Real coordinates of a skew-Hermitian matrix, or of each in a stack."""
+    upper = mat[..., iu[0], iu[1]]
+    return np.concatenate(
+        [np.diagonal(mat, axis1=-2, axis2=-1).imag, upper.real, upper.imag], axis=-1
+    )
 
 
 def _devectorize(vec: np.ndarray, side: int, iu) -> np.ndarray:
@@ -102,18 +107,21 @@ def _devectorize(vec: np.ndarray, side: int, iu) -> np.ndarray:
 
 
 class _SpanBuilder:
-    """Orthonormal real basis of the running span, with rank guards."""
+    """Orthonormal real basis of the running span, with rank guards.
+
+    ``rows`` and ``mats`` are preallocated for the full dimension side^2 and
+    filled up to ``dim``; ``np.zeros`` leaves the pages of unused rows
+    untouched, so a span that stays small costs only what it fills.
+    """
 
     def __init__(self, side: int, tol: float):
+        full = side * side
         self.side = side
         self.tol = tol
         self.iu = np.triu_indices(side, 1)
-        self.rows = np.zeros((0, side * side))
-        self.mats: list[np.ndarray] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.mats)
+        self.rows = np.zeros((full, full))
+        self.mats = np.zeros((full, side, side), dtype=np.complex128)
+        self.dim = 0
 
     def offer(self, mat: np.ndarray) -> bool:
         """Project a candidate against the span; extend the basis when the
@@ -123,8 +131,9 @@ class _SpanBuilder:
         pre = float(np.linalg.norm(vec))
         if pre < _ZERO_NORM:
             return False
+        rows = self.rows[:self.dim]
         for _ in range(2):
-            vec = vec - self.rows.T @ (self.rows @ vec)
+            vec = vec - rows.T @ (rows @ vec)
         residual = float(np.linalg.norm(vec))
         threshold = self.tol * pre
         if threshold / 10.0 <= residual <= threshold * 10.0:
@@ -135,9 +144,38 @@ class _SpanBuilder:
         if residual <= threshold:
             return False
         row = vec / residual
-        self.rows = np.vstack([self.rows, row])
-        self.mats.append(_devectorize(row, self.side, self.iu))
+        self.rows[self.dim] = row
+        self.mats[self.dim] = _devectorize(row, self.side, self.iu)
+        self.dim += 1
         return True
+
+    def inside(self, f: int) -> np.ndarray:
+        """Mark each b whose bracket [mats[f], mats[b]] lies in the current
+        span by a wide margin, so that ``offer`` would reject it.
+
+        For skew-Hermitian F and B, [F, B] = (B F)^H - B F, so one product
+        per block of ``_FILTER_BLOCK`` basis elements yields every bracket
+        of the block, projected once against the rows.  A bracket is marked
+        when its norm is below ``_ZERO_NORM`` or its residual is below a
+        hundredth of the threshold ``tol * prenorm``: a full decade under
+        the degenerate band, so the rounding of this one-pass projection
+        cannot hide a bracket that ``offer`` would accept or refuse as
+        ambiguous.
+        """
+        rows, basis = self.rows[:self.dim], self.mats[:self.dim]
+        side = self.side
+        marks = []
+        for start in range(0, self.dim, _FILTER_BLOCK):
+            block = basis[start:start + _FILTER_BLOCK]
+            prods = (block.reshape(-1, side) @ basis[f]).reshape(block.shape)
+            vecs = _vectorize(prods.conj().transpose(0, 2, 1) - prods, self.iu)
+            pre = np.linalg.norm(vecs, axis=1)
+            mark = pre < _ZERO_NORM
+            live = vecs[~mark]
+            residual = np.linalg.norm(live - (live @ rows.T) @ rows, axis=1)
+            mark[~mark] = residual < self.tol * pre[~mark] / 100.0
+            marks.append(mark)
+        return np.concatenate(marks)
 
 
 def lie_closure_dim(basis: GeneratorBasis, tol: float = DEFAULT_TOL) -> LieClosureResult:
@@ -153,6 +191,16 @@ def lie_closure_dim(basis: GeneratorBasis, tol: float = DEFAULT_TOL) -> LieClosu
 
 
 def _closure(basis: GeneratorBasis, tol: float):
+    """Return ``(dim, iterations, mats)`` of the bracket closure, ``mats``
+    being the ``(dim, side, side)`` orthonormal basis in acceptance order.
+
+    Each frontier element is first bracketed against the basis it is about
+    to loop over in one batched filter (``_SpanBuilder.inside``); only the
+    brackets it leaves unmarked are built and offered one by one.
+    Rows added later can only shrink a residual, so a marked bracket would
+    have been rejected anyway: the accepted rows, ``dim`` and ``iterations``
+    are those of offering every bracket.
+    """
     if not basis.mats:
         raise ValueError("empty generator basis")
     side = basis.side
@@ -170,7 +218,7 @@ def _closure(basis: GeneratorBasis, tol: float):
             if span.dim >= full:
                 break
             fm = span.mats[f]
-            for b in range(span.dim):
+            for b in np.flatnonzero(~span.inside(f)):
                 if b == f:
                     continue
                 bm = span.mats[b]
@@ -179,7 +227,7 @@ def _closure(basis: GeneratorBasis, tol: float):
                 if span.dim >= full:
                     break
         frontier = new
-    return span.dim, iterations, span.mats
+    return span.dim, iterations, span.mats[:span.dim]
 
 
 def verify_structure(spec: WalkSpec, tol: float = DEFAULT_TOL) -> LieClosureResult:
@@ -201,7 +249,7 @@ def verify_structure(spec: WalkSpec, tol: float = DEFAULT_TOL) -> LieClosureResu
         comp_of[list(comp)] = ci
     block_of = comp_of[np.arange(side) % spec.n]
     off_block = block_of[:, None] != block_of[None, :]
-    block_ok = float(np.abs(np.stack(mats)[:, off_block]).max(initial=0.0)) < 1e-9
+    block_ok = float(np.abs(mats[:, off_block]).max(initial=0.0)) < 1e-9
 
     return LieClosureResult(
         dim=dim,

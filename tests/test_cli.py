@@ -57,6 +57,24 @@ def test_validate_malformed_cycle_notation(capsys, tmp_path, cycle):
     assert doc["valid"] is False and doc["error"] == "SpecValidationError"
 
 
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ('{"perms": [[1, 2, 3, 4, 0], [4, 0, 1, 2, 3]]}', "SpecValidationError"),
+        ('[5, [[1, 2, 3, 4, 0], [4, 0, 1, 2, 3]]]', "SpecValidationError"),
+        ('{"n": "x", "perms": [[1, 2, 3, 4, 0], [4, 0, 1, 2, 3]]}', "SpecValidationError"),
+        ('{"n": 5, "perms": [[1.5, 2, 3, 4, 0], [4, 0, 1, 2, 3]]}', "NotBijectionError"),
+    ],
+    ids=["missing-n", "top-level-list", "string-n", "fractional-image"],
+)
+def test_malformed_spec_is_invalid(capsys, tmp_path, text, error):
+    path = tmp_path / "bad.json"
+    path.write_text(text + "\n")
+    code, out = run_cli(capsys, "analyze", "--spec", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == error
+
+
 def test_missing_file_is_io_error(capsys):
     assert main(["analyze", "--spec", "/nonexistent/x.json"]) == 3
 

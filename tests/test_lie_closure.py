@@ -4,11 +4,59 @@ import numpy as np
 import pytest
 
 import qwalk as qw
-from qwalk.lie_closure import GeneratorBasis, _closure
+from qwalk.lie_closure import (
+    _ZERO_NORM,
+    GeneratorBasis,
+    _closure,
+    _devectorize,
+    _SpanBuilder,
+    _vectorize,
+)
 from qwalk.sampling import random_spec
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def reference_closure(basis, tol=1e-9):
+    """Sequential closure without the batched filter: every bracket is
+    offered, and the span is grown one stacked row at a time."""
+    side, iu = basis.side, np.triu_indices(basis.side, 1)
+    rows, mats = np.zeros((0, side * side)), []
+
+    def offer(mat):
+        nonlocal rows
+        vec = _vectorize(mat, iu)
+        pre = float(np.linalg.norm(vec))
+        if pre < _ZERO_NORM:
+            return False
+        for _ in range(2):
+            vec = vec - rows.T @ (rows @ vec)
+        residual = float(np.linalg.norm(vec))
+        if residual <= tol * pre:
+            return False
+        rows = np.vstack([rows, vec / residual])
+        mats.append(_devectorize(vec / residual, side, iu))
+        return True
+
+    for mat in basis.mats:
+        offer(mat)
+    frontier = list(range(len(mats)))
+    iterations = 0
+    while frontier and len(mats) < side * side:
+        iterations += 1
+        new = []
+        for f in frontier:
+            if len(mats) >= side * side:
+                break
+            for b in range(len(mats)):
+                if b != f and offer(mats[f] @ mats[b] - mats[b] @ mats[f]):
+                    new.append(len(mats) - 1)
+                if len(mats) >= side * side:
+                    break
+        frontier = new
+    return len(mats), iterations, mats
 
 
 def closure_dim_of_mats(mats, side, tol=1e-9):
@@ -160,3 +208,44 @@ def test_ambiguous_rank_decision_raises():
     # a clearly separated tolerance resolves it (and the pair then brackets
     # up to the full three-dimensional algebra)
     assert qw.lie_closure_dim(basis, tol=1e-12).dim == 3
+
+
+def _filter_specs():
+    rng = np.random.default_rng(5)
+    draws = (spec for spec in iter(lambda: random_spec(rng), None) if spec.d * spec.n <= 16)
+    return [qw.figure1()] + [next(draws) for _ in range(8)]
+
+
+@pytest.mark.parametrize(
+    "spec", _filter_specs(), ids=["figure1"] + [f"random{i}" for i in range(8)]
+)
+def test_filtered_closure_equals_sequential_reference(spec):
+    basis = qw.generator_basis(spec)
+    dim, iterations, mats = _closure(basis, 1e-9)
+    ref_dim, ref_iterations, ref_mats = reference_closure(basis)
+    assert (dim, iterations) == (ref_dim, ref_iterations)
+    assert np.array_equal(mats, np.stack(ref_mats))
+
+
+def test_filter_leaves_only_accepted_brackets_to_offer(monkeypatch, fig):
+    offers = []
+    offer = _SpanBuilder.offer
+    monkeypatch.setattr(
+        _SpanBuilder, "offer", lambda self, mat: offers.append(1) or offer(self, mat)
+    )
+    basis = qw.generator_basis(fig)
+    dim, _, _ = _closure(basis, 1e-9)
+    # the unfiltered loop makes about 38,000 offers here to accept 324 rows
+    assert len(offers) - len(basis.mats) <= 2 * dim
+
+
+def test_filter_does_not_mark_a_bracket_in_the_degenerate_band():
+    # span {iX, iY, i(Z + tol I)}: [iX, iY] = -2iZ has residual ~ tol * prenorm
+    tol = 1e-9
+    span = _SpanBuilder(2, tol)
+    for mat in (1j * SX, 1j * SY, 1j * (SZ + tol * np.eye(2))):
+        assert span.offer(mat)
+    assert not span.inside(0)[1]
+    fm, bm = span.mats[0], span.mats[1]
+    with pytest.raises(qw.ToleranceDegenerateError):
+        span.offer(fm @ bm - bm @ fm)
