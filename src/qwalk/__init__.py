@@ -22,7 +22,6 @@ from .errors import (
     CriterionConflictError,
     DimensionMismatchError,
     DisconnectedError,
-    GroupTooLargeError,
     IndexOutOfRangeError,
     LengthMismatchError,
     NotBijectionError,

@@ -163,14 +163,13 @@ def _demo_gallery():
 
 
 def cmd_demo(args) -> int:
-    rng = np.random.default_rng(args.seed)
     rows = []
     failures = []
     for name, spec in _demo_gallery():
         report = analyze(spec)
         side = spec.d * spec.n
         if side <= DEFAULT_DIM_CAP:
-            closure = verify_structure(spec, tol=args.tol)
+            closure = verify_structure(spec)
             dim = str(closure.dim)
             if not (closure.match and closure.block_diagonal_ok):
                 failures.append(f"{name}: closure dim {closure.dim} != predicted "
@@ -219,7 +218,8 @@ def cmd_demo(args) -> int:
     if np.abs(probs - 1 / 6).max() > 1e-9:
         failures.append("figure1: uniform spread probabilities deviate from 1/6")
 
-    # seeded round-trip transfer on the 5-cycle
+    # round-trip transfer between two random 5-cycle states from a fixed seed
+    rng = np.random.default_rng(0)
     c5 = cycle_shift(5)
     psi_a = random_walk_state(rng, c5)
     psi_b = random_walk_state(rng, c5)
@@ -277,9 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--seq", required=True)
 
-    p = sub.add_parser("demo", help="built-in gallery with cross-checks")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sub.add_parser("demo", help="built-in gallery with cross-checks")
     return parser
 
 

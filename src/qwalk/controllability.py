@@ -107,30 +107,32 @@ def joint_orbit(spec: WalkSpec, l: int, m: int) -> JointOrbit:
 def reduced_connectivity_graph(spec: WalkSpec) -> list[set[int]]:
     """Adjacency sets of the N-vertex graph deciding controllability.
 
-    For every coin pair l < m, each pair (x, y) of the (l, m) joint orbit
-    joins x and y.  Its components are those of the graph in which vertices
-    sharing a cycle of P_l^-k P_m^k, k = 0..r-1, are pairwise connected: a
-    pair has y = P_m^k P_l^-k x for some k, and P_m^k P_l^-k is the inverse
-    of P_l^-(r-k) P_m^(r-k), so the pairs of one k trace exactly the cycles
-    of that map at power r-k.
+    For every coin m = 2..d, each pair (x, y) of the (1, m) joint orbit
+    joins x and y.  These d-1 orbits give the same components as all
+    d(d-1)/2 coin pairs l < m: for any j and k the (l, m) pair
+    (P_l^k j, P_m^k j) joins two vertices that the (1, l) and (1, m) pairs
+    both join to P_1^k j, and the (1, m) graph is a subgraph of the
+    all-pairs one.  The returned sets are therefore a spanning subgraph of
+    the all-pairs graph with the same components, built in O(d N^2).
     """
     adj: list[set[int]] = [set() for _ in range(spec.n)]
-    for l in range(1, spec.d + 1):
-        for m in range(l + 1, spec.d + 1):
-            for x, y in joint_orbit(spec, l, m).pairs:
-                if x != y:
-                    adj[x].add(y)
-                    adj[y].add(x)
+    for m in range(2, spec.d + 1):
+        for x, y in joint_orbit(spec, 1, m).pairs:
+            if x != y:
+                adj[x].add(y)
+                adj[y].add(x)
     return adj
 
 
 def _step(spec: WalkSpec, mask: np.ndarray) -> np.ndarray:
     """Advance a boolean vertex mask of shape (n,) or (starts, n) one level:
-    the vertices reachable in exactly one more step.  Gathers through the
-    inverse maps, out[y] |= mask[P^-1 y], rather than scattering through P."""
+    the vertices reachable in exactly one more step.  y is reachable when
+    some P_c^-1 y is in the mask; the adjacency is symmetric, so the
+    P_c^-1 y over all coins are the P_c y, and the gather out |= mask[P_c]
+    gives the same set without building the inverses."""
     out = np.zeros_like(mask)
     for p in spec.perms:
-        out |= mask[..., p.inverse().map]
+        out |= mask[..., p.map]
     return out
 
 

@@ -69,10 +69,6 @@ class UnreachableError(QwalkError):
     """A target vertex is not reachable in the given number of steps."""
 
 
-class GroupTooLargeError(QwalkError):
-    """More targets share a predecessor than there are coin values."""
-
-
 class NotControllableError(QwalkError):
     """The walk cannot realize the requested transfer.
 

@@ -15,7 +15,6 @@ import numpy as np
 from .controllability import analyze, reachable_sets
 from .errors import (
     DimensionMismatchError,
-    GroupTooLargeError,
     IndexOutOfRangeError,
     NotControllableError,
     NotUnitError,
@@ -166,11 +165,6 @@ def _spread(spec, j, c0vec, nodes, coeffs, k, nsets, inv_maps):
                 break
         else:  # impossible: v in nsets[k] means it has a predecessor
             raise UnreachableError(f"no predecessor for vertex {v} at level {k}")
-    for w, members in groups.items():
-        if len(members) > d:  # impossible: distinct targets force distinct coins
-            raise GroupTooLargeError(
-                f"{len(members)} targets share predecessor {w} with only {d} coins"
-            )
     zs = sorted(groups)
     gammas = np.array(
         [np.sqrt(sum(abs(a) ** 2 for _, a, _ in groups[z])) for z in zs]

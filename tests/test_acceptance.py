@@ -112,10 +112,10 @@ def test_criterion_3_figure1_walk():
 
 def test_criterion_4_degree_above_half():
     with Timer(2.0) as t:
-        for n in range(3, 9):
+        for n in (*range(3, 9), 100):
             report = qw.analyze(qw.complete(n))
             assert report.controllable, f"complete({n})"
-    t.check("criterion 4: complete graphs N=3..8 all controllable")
+    t.check("criterion 4: complete graphs N=3..8 and N=100 all controllable")
 
 
 def test_criterion_5_products():

@@ -190,6 +190,9 @@ def test_usage_error_is_invalid_input(capsys, cycle5_path):
     assert main(["lie-check", "--spec", cycle5_path, "--cap", "30"]) == 1
     assert main(["synthesize", "--spec", cycle5_path, "--state", "a.json",
                  "--target", "b.json", "--tol", "0.1"]) == 1
+    # the demo draws its round-trip states with a fixed seed at the default tolerance
+    assert main(["demo", "--seed", "0"]) == 1
+    assert main(["demo", "--tol", "1e-9"]) == 1
     assert main(["--help"]) == 0
 
 
@@ -281,7 +284,7 @@ def test_json_round_trips(tmp_path):
 
 
 def test_demo_passes_cross_checks(capsys):
-    code, out = run_cli(capsys, "demo", "--seed", "0")
+    code, out = run_cli(capsys, "demo")
     assert code == 0
     assert "all cross-checks passed" in out
     assert "figure1 reachable from 0 in exactly 3 steps: [0, 1, 2, 3, 4, 5]" in out

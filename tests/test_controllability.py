@@ -21,6 +21,18 @@ def brute_joint_orbit(spec, l, m):
     return pairs
 
 
+def all_pairs_components(spec):
+    """Oracle: components of the reduced graph built from every coin pair
+    l < m, not only the pairs (1, m)."""
+    adj = [set() for _ in range(spec.n)]
+    for l in range(1, spec.d + 1):
+        for m in range(l + 1, spec.d + 1):
+            for x, y in qw.joint_orbit(spec, l, m).pairs:
+                adj[x].add(y)
+                adj[y].add(x)
+    return connected_components(adj)
+
+
 def boolean_power_kappa(spec):
     """Oracle: least (k, j) with column j of the boolean k-th power of the
     adjacency matrix all true, for k up to 3N."""
@@ -81,6 +93,29 @@ def test_joint_orbit_index_errors(c5):
 def test_reduced_graph_components_on_cycles(c4, c5):
     assert connected_components(reduced_connectivity_graph(c5)) == [[0, 1, 2, 3, 4]]
     assert connected_components(reduced_connectivity_graph(c4)) == [[0, 2], [1, 3]]
+
+
+def test_first_coin_pairs_give_all_pairs_components():
+    walks = [qw.figure1(), qw.torus(4, 4), qw.torus(3, 5), qw.cycle_exchange(8),
+             _mixed_cycle_walk()]
+    walks += [qw.complete(n) for n in range(3, 13)]
+    for spec in walks:
+        assert connected_components(reduced_connectivity_graph(spec)) == all_pairs_components(spec)
+
+
+def test_analyze_walks_d_minus_one_joint_orbits(monkeypatch):
+    calls = []
+    orbit = controllability.joint_orbit
+
+    def counting_orbit(spec, l, m):
+        calls.append((l, m))
+        return orbit(spec, l, m)
+
+    monkeypatch.setattr(controllability, "joint_orbit", counting_orbit)
+    for spec in (qw.figure1(), qw.complete(8)):
+        calls.clear()
+        qw.analyze(spec)
+        assert len(calls) == spec.d - 1
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -243,6 +278,7 @@ def test_random_specs_properties():
         spec = random_spec(rng)
         comps = connected_components(reduced_connectivity_graph(spec))
         assert len(comps) in (1, 2)
+        assert comps == all_pairs_components(spec)
         rep = qw.verdicts_agree(spec)
         assert rep.agree
         assert qw.kappa(spec) == boolean_power_kappa(spec)
