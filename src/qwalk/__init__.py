@@ -38,7 +38,6 @@ from .errors import (
 from .graph_model import (
     Permutation,
     WalkSpec,
-    builtin,
     complete,
     cycle_exchange,
     cycle_shift,
@@ -74,7 +73,6 @@ from .walk_core import (
     shift_matrix,
     shift_order,
     state_fidelity,
-    state_from_vector,
     step,
 )
 

@@ -128,7 +128,7 @@ def cmd_synthesize(args) -> int:
         json_io.sequence_to_dict(
             seq,
             bound=analyze(spec).step_bound,
-            achieved_fidelity=json_io._f(fidelity),
+            achieved_fidelity=json_io.round_float(fidelity),
         ),
         args.out,
     )
@@ -144,7 +144,7 @@ def cmd_simulate(args) -> int:
         "schema": json_io.SCHEMA_VERSION,
         "steps": len(seq),
         "state": json_io.state_to_dict(final),
-        "probabilities": [json_io._f(p) for p in position_probabilities(final)],
+        "probabilities": [json_io.round_float(p) for p in position_probabilities(final)],
     }
     _emit(doc, args.out)
     return EXIT_OK

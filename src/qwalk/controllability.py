@@ -150,27 +150,21 @@ def reachable_sets(spec: WalkSpec, j: int, kmax: int) -> list[set[int]]:
 
 
 def parity_check(spec: WalkSpec, j: int = 0) -> ParityReport:
-    """Breadth-first parity labelling of the graph from vertex j.
+    """Odd/even reachability from vertex j, as one component search on the
+    bipartite double cover, where vertex v + N is the odd copy of v.
 
     m = 1 when some vertex is reachable in both an odd and an even number of
     steps (with a witness); otherwise m = 2 with the even/odd partition.
     """
     _check_vertex(spec, j)
-    even, odd = {j}, set()
-    frontier = [(j, 0)]
-    while frontier:
-        nxt = []
-        for v, par in frontier:
-            for u in spec.neighbors(v):
-                target = odd if par == 0 else even
-                if u not in target:
-                    target.add(u)
-                    nxt.append((u, 1 - par))
-        frontier = nxt
-    both = even & odd
-    if both:
-        return ParityReport(m=1, witness=min(both), even=tuple(sorted(even)), odd=tuple(sorted(odd)))
-    return ParityReport(m=2, witness=None, even=tuple(sorted(even)), odd=tuple(sorted(odd)))
+    n = spec.n
+    nbrs = [spec.neighbors(v) for v in range(n)]
+    cover = [[u + n for u in nb] for nb in nbrs] + nbrs
+    comp = next(c for c in connected_components(cover) if j in c)
+    even = tuple(v for v in comp if v < n)
+    odd = tuple(v - n for v in comp if v >= n)
+    both = set(even) & set(odd)
+    return ParityReport(m=1 if both else 2, witness=min(both, default=None), even=even, odd=odd)
 
 
 def _covering_level(spec: WalkSpec, starts: list[int]) -> tuple[int, int] | None:

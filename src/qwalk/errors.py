@@ -6,7 +6,9 @@ class QwalkError(Exception):
 
 
 class SpecValidationError(QwalkError):
-    """A permutation set does not define a valid walk."""
+    """An input document is malformed: a permutation set that does not
+    define a valid walk, or a spec, state or sequence document of the
+    wrong shape."""
 
 
 class NotBijectionError(SpecValidationError):

@@ -325,22 +325,3 @@ def torus(n1: int, n2: int) -> WalkSpec:
     """Degree-4 walk on the n1 x n2 periodic lattice (product of two cycles)."""
     return product_walk(cycle_shift(n1), cycle_shift(n2))
 
-
-_BUILTINS = {
-    "cycle_shift": cycle_shift,
-    "cycle_exchange": cycle_exchange,
-    "complete": complete,
-    "figure1": figure1,
-    "torus": torus,
-}
-
-
-def builtin(name: str, *params) -> WalkSpec:
-    """Look up a named example walk, e.g. ``builtin("cycle_shift", 5)``."""
-    try:
-        factory = _BUILTINS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown builtin {name!r}; choose from {sorted(_BUILTINS)}"
-        ) from None
-    return factory(*(int(p) for p in params))

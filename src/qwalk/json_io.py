@@ -20,21 +20,42 @@ from .walk_core import CoinOp, WalkState
 SCHEMA_VERSION = 1
 
 
-def _f(x) -> float:
+def round_float(x) -> float:
+    """``x`` rounded to the 12 significant digits of every emitted float."""
     return float(f"{float(x):.12g}")
 
 
 def _pair(z) -> list:
-    return [_f(z.real), _f(z.imag)]
+    return [round_float(z.real), round_float(z.imag)]
 
 
 def _matrix(m) -> list:
     return [[_pair(z) for z in row] for row in np.asarray(m)]
 
 
-def _from_pairs(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=np.float64)
+def _from_pairs(pairs, key: str) -> np.ndarray:
+    """Complex array from a nested list whose innermost entries are
+    [re, im] pairs."""
+    try:
+        arr = np.asarray(pairs, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged nesting, strings, objects
+        arr = np.empty(0)
+    if arr.shape[-1:] != (2,):
+        raise SpecValidationError(f'"{key}" must be an evenly nested list of [re, im] pairs')
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _object(data, kind: str) -> dict:
+    if not isinstance(data, dict):
+        raise SpecValidationError(f"a {kind} is a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _int_field(data: dict, key: str) -> int:
+    value = data.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
+        raise SpecValidationError(f'"{key}" must be an integer, got {value!r}')
+    return int(value)
 
 
 def spec_to_dict(spec: WalkSpec) -> dict:
@@ -51,14 +72,10 @@ def spec_from_dict(data: dict) -> WalkSpec:
     Raises SpecValidationError unless ``data`` is an object whose "n" is an
     integer and whose "perms" is a list.
     """
-    if not isinstance(data, dict):
-        raise SpecValidationError(f"a spec is a JSON object, got {type(data).__name__}")
-    n = data.get("n")
-    if isinstance(n, bool) or not isinstance(n, (int, float)) or n % 1 != 0:
-        raise SpecValidationError(f'"n" must be an integer, got {n!r}')
+    n = _int_field(_object(data, "spec"), "n")
     if not isinstance(data.get("perms"), list):
         raise SpecValidationError(f'"perms" must be a list, got {data.get("perms")!r}')
-    return validate(int(n), data["perms"])
+    return validate(n, data["perms"])
 
 
 def state_to_dict(state: WalkState) -> dict:
@@ -71,7 +88,10 @@ def state_to_dict(state: WalkState) -> dict:
 
 
 def state_from_dict(data: dict) -> WalkState:
-    return WalkState(int(data["d"]), int(data["n"]), _from_pairs(data["amps"]))
+    """Raises SpecValidationError unless ``data`` is an object with integer
+    "d" and "n" and an "amps" list of [re, im] pairs."""
+    d, n = _int_field(_object(data, "state"), "d"), _int_field(data, "n")
+    return WalkState(d, n, _from_pairs(data.get("amps"), "amps"))
 
 
 def coin_to_list(coin: CoinOp) -> list:
@@ -79,7 +99,7 @@ def coin_to_list(coin: CoinOp) -> list:
 
 
 def coin_from_list(data) -> CoinOp:
-    return CoinOp(np.stack([_from_pairs(q) for q in data]))
+    return CoinOp(_from_pairs(data, "coins"))
 
 
 def sequence_to_dict(seq: ControlSequence, **extra) -> dict:
@@ -92,10 +112,14 @@ def sequence_to_dict(seq: ControlSequence, **extra) -> dict:
 
 
 def sequence_from_dict(data: dict) -> ControlSequence:
-    ops = []
-    meta = []
-    for entry in data["steps"]:
-        ops.append(coin_from_list(entry["coins"]))
+    """Raises SpecValidationError unless ``data`` is an object whose "steps"
+    is a list of objects, each with a "coins" list of [re, im] pairs."""
+    steps = _object(data, "sequence").get("steps")
+    if not isinstance(steps, list):
+        raise SpecValidationError(f'"steps" must be a list, got {type(steps).__name__}')
+    ops, meta = [], []
+    for entry in steps:
+        ops.append(coin_from_list(_object(entry, "step").get("coins")))
         meta.append(entry.get("phase", "step"))
     return ControlSequence(tuple(ops), tuple(meta))
 

@@ -26,14 +26,9 @@ _FILTER_BLOCK = 64
 
 @dataclass(frozen=True, eq=False)
 class GeneratorBasis:
-    """Elementary skew-Hermitian generators on the admissible support.
-
-    ``positions[i]`` is the ``((l, r), (m, s))`` position pair of ``mats[i]``
-    with 1-based coin labels; diagonal generators repeat their position.
-    """
+    """Elementary skew-Hermitian generators on the admissible support."""
 
     mats: list
-    positions: list
     side: int
 
 
@@ -63,13 +58,11 @@ def generator_basis(spec: WalkSpec) -> GeneratorBasis:
         for l in range(1, d + 1)
         for m in range(l + 1, d + 1)
     }
-    mats, positions = [], []
+    mats = []
     for a in range(side):
         g = np.zeros((side, side), dtype=np.complex128)
         g[a, a] = 1j
-        l, r = divmod(a, n)
         mats.append(g)
-        positions.append(((l + 1, r), (l + 1, r)))
     for a in range(side):
         l, r = divmod(a, n)
         for b in range(a + 1, side):
@@ -85,8 +78,7 @@ def generator_basis(spec: WalkSpec) -> GeneratorBasis:
             imag[a, b] = 1j
             imag[b, a] = 1j
             mats.extend([real, imag])
-            positions.extend([((l + 1, r), (m + 1, s))] * 2)
-    return GeneratorBasis(mats=mats, positions=positions, side=side)
+    return GeneratorBasis(mats=mats, side=side)
 
 
 def _vectorize(mat: np.ndarray, iu) -> np.ndarray:

@@ -21,7 +21,7 @@ from .errors import (
     UnreachableError,
 )
 from .graph_model import WalkSpec
-from .walk_core import CoinOp, WalkState, shift_order, step
+from .walk_core import CoinOp, WalkState, step
 
 ZERO_COEFF = 1e-14
 _UNIT_TOL = 1e-12
@@ -52,11 +52,10 @@ class ControlSequence:
 @dataclass(frozen=True, eq=False)
 class TargetSpread:
     """A node-probability target: distinct vertices with unit-norm complex
-    coefficients, optionally with a coin state per node."""
+    coefficients."""
 
     nodes: tuple
     coeffs: np.ndarray
-    coin_states: tuple | None = None
 
     def __post_init__(self):
         nodes = tuple(int(v) for v in self.nodes)
@@ -68,32 +67,8 @@ class TargetSpread:
         norm = float(np.linalg.norm(coeffs))
         if not abs(norm - 1.0) <= _UNIT_TOL:  # also rejects NaN
             raise NotUnitError(f"coefficient norm {norm!r} is not 1")
-        coin_states = self.coin_states
-        if coin_states is not None:
-            coin_states = tuple(
-                np.asarray(c, dtype=np.complex128).reshape(-1) for c in coin_states
-            )
-            if len(coin_states) != len(nodes):
-                raise ValueError("one coin state per node required")
-            for i, c in enumerate(coin_states):
-                if not abs(float(np.linalg.norm(c)) - 1.0) <= _UNIT_TOL:
-                    raise NotUnitError(f"coin state {i} is not a unit vector")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "coin_states", coin_states)
-
-    def to_state(self, spec: WalkSpec) -> WalkState:
-        """Materialize as a full state; nodes without an explicit coin state
-        get the first coin basis vector."""
-        table = np.zeros((spec.d, spec.n), dtype=np.complex128)
-        for i, v in enumerate(self.nodes):
-            if self.coin_states is not None:
-                cvec = self.coin_states[i]
-            else:
-                cvec = np.zeros(spec.d, dtype=np.complex128)
-                cvec[0] = 1.0
-            table[:, v] = self.coeffs[i] * cvec
-        return WalkState(spec.d, spec.n, table.reshape(-1))
 
 
 def _coin_vector(d: int, c0) -> np.ndarray:
@@ -194,11 +169,6 @@ def spread_from_node(spec: WalkSpec, j: int, c0, target: TargetSpread, k: int):
     """
     if not 0 <= j < spec.n:
         raise IndexOutOfRangeError(f"vertex {j} out of range 0..{spec.n - 1}")
-    if target.coin_states is not None:
-        raise ValueError(
-            "spread_from_node chooses its own coin states; "
-            "use reach_full_state for targets with coin states"
-        )
     c0vec = _coin_vector(spec.d, c0)
     nodes, coeffs = _strip_zeros(target.nodes, target.coeffs)
     nsets = reachable_sets(spec, j, k)
@@ -212,30 +182,24 @@ def spread_from_node(spec: WalkSpec, j: int, c0, target: TargetSpread, k: int):
     return ControlSequence(tuple(ops), ("spread",) * len(ops)), states
 
 
-def reach_full_state(spec: WalkSpec, j: int, c0, target, k: int) -> ControlSequence:
-    """Steer |c0> at node j to an arbitrary state in k + t steps.
+def reach_full_state(spec: WalkSpec, j: int, c0, target: WalkState, k: int) -> ControlSequence:
+    """Steer |c0> at node j to an arbitrary state in k + 1 steps.
 
-    t is the least t >= 1 such that S^-t target (S the bare shift) is
-    supported on the level-k reachable set of j.  Spread to the per-node
-    weights of S^-t target in k steps, mix each node's coin into its column
-    of S^-t target in one more step, then let t-1 identity-coin steps shift
-    it onto the target.  At a covering level t = 1 (length k + 1);
-    otherwise t <= r, the shift order, because S^-r is the identity.
+    Spread to the per-node weights of S^-1 target (S the bare shift) in k
+    steps, then mix each node's coin into its column of S^-1 target in one
+    more step, whose shift lands it on the target.  S^-1 target must lie on
+    the level-k reachable set of j, as it does at a covering level; where
+    it does not, the spread raises UnreachableError naming the nodes.  A
+    target that needs t more bare shifts is reached by the call at level
+    k + t - 1 in k + t steps: S^-1 target = S^(t-1) (S^-t target), and
+    each step carries the level-i reachable set into level i + 1.
     """
-    if isinstance(target, TargetSpread):
-        target = target.to_state(spec)
     if target.d != spec.d or target.n != spec.n:
         raise DimensionMismatchError("target does not match the walk dimensions")
-    inside = np.zeros(spec.n, dtype=bool)
-    inside[list(reachable_sets(spec, j, k)[k])] = True
     coins = np.arange(spec.d)[:, None]
     maps = np.stack([p.map for p in spec.perms])
-    pre = target.table()
-    for t in range(1, shift_order(spec) + 1):
-        pre = pre[coins, maps]  # (S^-1 x)[c, v] = x[c, P_c v]
-        norms = np.linalg.norm(pre, axis=0)
-        if inside[norms > ZERO_COEFF].all():
-            break
+    pre = target.table()[coins, maps]  # (S^-1 x)[c, v] = x[c, P_c v]
+    norms = np.linalg.norm(pre, axis=0)
     nodes = tuple(int(v) for v in np.flatnonzero(norms > ZERO_COEFF))
     betas = norms[list(nodes)]
     seq, coin_states = spread_from_node(
@@ -246,10 +210,7 @@ def reach_full_state(spec: WalkSpec, j: int, c0, target, k: int) -> ControlSeque
         for v, beta in zip(nodes, betas)
     }
     mix = CoinOp.from_blocks(spec.d, spec.n, mix_blocks)
-    pad = CoinOp.identity(spec.d, spec.n)
-    ops = seq.ops + (mix,) + (pad,) * (t - 1)
-    meta = seq.meta + ("mix",) + ("pad",) * (t - 1)
-    return ControlSequence(ops, meta)
+    return ControlSequence(seq.ops + (mix,), seq.meta + ("mix",))
 
 
 def concentrate_to_node(spec: WalkSpec, j: int, state: WalkState, k: int):

@@ -145,10 +145,6 @@ def basis_state(spec: WalkSpec, coin: int, vertex: int) -> WalkState:
     return WalkState(spec.d, spec.n, amps)
 
 
-def state_from_vector(spec: WalkSpec, vec) -> WalkState:
-    return WalkState(spec.d, spec.n, np.asarray(vec, dtype=np.complex128))
-
-
 def _check_dims(state: WalkState, coin: CoinOp, spec: WalkSpec):
     if state.d != spec.d or state.n != spec.n:
         raise DimensionMismatchError(

@@ -216,4 +216,8 @@ def test_criterion_9_large_shift_order():
         seq = qw.arbitrary_transfer(spec, psi1, psi2)
         assert len(seq) <= 2 * 7 + 1
         assert qw.state_fidelity(psi2, qw.apply_sequence(psi1, seq, spec)) >= 1 - 1e-9
+        # psi2 is not on the level-0 set, and refusing it must not cost
+        # time in the shift order
+        with pytest.raises(qw.UnreachableError):
+            qw.reach_full_state(spec, 0, 0, psi2, 0)
     t.check("criterion 9: N=52 walk with shift order 180180 analyzed, one transfer")

@@ -216,6 +216,35 @@ def test_non_unit_input_is_invalid(capsys, tmp_path, cycle5_path, command):
     assert json.loads(out)["error"] == "NotUnitError"
 
 
+_EYE = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+_AMPS = [[1.0, 0.0]] + [[0.0, 0.0]] * 9
+
+
+@pytest.mark.parametrize(
+    "which,doc",
+    [
+        ("seq", {"steps": [{"coins": [_EYE] * 4 + [[[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}]}),
+        ("seq", {"schema": 1}),
+        ("seq", {"steps": 3}),
+        ("seq", {"steps": [{"coins": "x"}]}),
+        ("state", {"n": 5, "amps": _AMPS}),
+        ("state", {"d": 2, "n": 5, "amps": [[1.0]] + _AMPS[1:]}),
+    ],
+    ids=["ragged-coins", "missing-steps", "integer-steps", "string-coins", "missing-d", "ragged-amps"],
+)
+def test_malformed_sequence_or_state_is_invalid(capsys, tmp_path, cycle5_path, which, doc):
+    paths = {"state": tmp_path / "state.json", "seq": tmp_path / "seq.json"}
+    json_io.write_json({"d": 2, "n": 5, "amps": _AMPS}, str(paths["state"]))
+    json_io.write_json({"steps": [{"coins": [_EYE] * 5}]}, str(paths["seq"]))
+    json_io.write_json(doc, str(paths[which]))
+    code, out = run_cli(
+        capsys, "simulate", "--spec", cycle5_path,
+        "--state", str(paths["state"]), "--seq", str(paths["seq"]),
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "SpecValidationError"
+
+
 def test_synthesize_not_controllable(capsys, tmp_path, cycle4_path):
     c4 = qw.cycle_shift(4)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

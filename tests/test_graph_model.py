@@ -1,4 +1,4 @@
-"""Walk validation, permutation algebra, builtins and products."""
+"""Walk validation, permutation algebra, named walks and products."""
 
 import numpy as np
 import pytest
@@ -148,14 +148,6 @@ def test_complete_adjacency_is_all_ones_off_diagonal(n):
     spec = qw.complete(n)
     expected = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
     assert np.array_equal(spec.adjacency, expected)
-
-
-def test_builtin_dispatch():
-    assert qw.builtin("cycle_shift", 5).n == 5
-    assert qw.builtin("torus", 3, 5).n == 15
-    assert qw.builtin("figure1").d == 3
-    with pytest.raises(ValueError, match="unknown builtin"):
-        qw.builtin("petersen")
 
 
 def test_row_and_column_sums_equal_degree_and_dn_even():

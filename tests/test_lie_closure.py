@@ -60,7 +60,7 @@ def reference_closure(basis, tol=1e-9):
 
 
 def closure_dim_of_mats(mats, side, tol=1e-9):
-    return _closure(GeneratorBasis(mats=mats, positions=[None] * len(mats), side=side), tol)[0]
+    return _closure(GeneratorBasis(mats=mats, side=side), tol)[0]
 
 
 def test_two_spin_generators_close_to_dimension_three():
@@ -79,7 +79,7 @@ def test_diagonal_generators_are_abelian(c5):
         g = np.zeros((side, side), dtype=complex)
         g[a, a] = 1j
         mats.append(g)
-    result = qw.lie_closure_dim(GeneratorBasis(mats=mats, positions=[None] * side, side=side))
+    result = qw.lie_closure_dim(GeneratorBasis(mats=mats, side=side))
     assert result.dim == side
     assert result.iterations <= 1
 
@@ -89,10 +89,11 @@ def test_generator_basis_layout(fig):
     side = 18
     # diagonal generators first, one per position
     for a in range(side):
-        assert gb.positions[a] == gb.positions[a][::-1]
+        assert np.argwhere(gb.mats[a]).tolist() == [[a, a]]
         assert gb.mats[a][a, a] == 1j
-    # count = side + 2 * admissible pairs, every generator skew-Hermitian
-    n_pairs = 0
+    # then two generators on each admissible position pair, every generator
+    # skew-Hermitian
+    admissible = []
     for a in range(side):
         la, ra = divmod(a, 6)
         for b in range(a + 1, side):
@@ -100,17 +101,19 @@ def test_generator_basis_layout(fig):
             if la == mb:
                 continue
             if (ra, sb) in qw.joint_orbit(fig, la + 1, mb + 1).pairs:
-                n_pairs += 1
-    assert len(gb.mats) == side + 2 * n_pairs
+                admissible.append([[a, b], [b, a]])
+    supports = [np.argwhere(mat).tolist() for mat in gb.mats[side:]]
+    assert supports == [pair for pair in admissible for _ in range(2)]
     for mat in gb.mats:
         assert np.abs(mat + mat.conj().T).max() < 1e-12
 
 
 def test_no_generators_within_a_coin_block(c5):
     gb = qw.generator_basis(c5)
-    for (l, r), (m, s) in gb.positions:
-        if (l, r) != (m, s):
-            assert l != m
+    for mat in gb.mats:
+        for a, b in np.argwhere(mat):
+            if a != b:
+                assert a // c5.n != b // c5.n  # different coin blocks
 
 
 def test_brackets_stay_skew_hermitian(c4):
@@ -168,7 +171,6 @@ def test_closure_invariant_under_order_and_scaling(c4):
     order = rng.permutation(len(gb.mats))
     shuffled = GeneratorBasis(
         mats=[gb.mats[i] * float(rng.uniform(0.1, 10.0)) for i in order],
-        positions=[gb.positions[i] for i in order],
         side=gb.side,
     )
     assert qw.lie_closure_dim(shuffled).dim == base
@@ -195,14 +197,14 @@ def test_cap_exceeded():
 
 def test_empty_basis_rejected():
     with pytest.raises(ValueError):
-        qw.lie_closure_dim(GeneratorBasis(mats=[], positions=[], side=4))
+        qw.lie_closure_dim(GeneratorBasis(mats=[], side=4))
 
 
 def test_ambiguous_rank_decision_raises():
     # second generator sits right at the rank threshold: residual within a
     # factor 10 of tol * prenorm must abort instead of guessing
     near = 1j * SX + 1e-9 * 1j * SY
-    basis = GeneratorBasis(mats=[1j * SX, near], positions=[None, None], side=2)
+    basis = GeneratorBasis(mats=[1j * SX, near], side=2)
     with pytest.raises(qw.ToleranceDegenerateError):
         qw.lie_closure_dim(basis, tol=1e-9)
     # a clearly separated tolerance resolves it (and the pair then brackets

@@ -92,13 +92,6 @@ def test_spread_unreachable(fig):
         qw.spread_from_node(fig, 0, 0, target, 2)
 
 
-def test_spread_rejects_coin_states(fig):
-    cs = (np.array([1, 0, 0], dtype=complex),)
-    target = qw.TargetSpread((1,), np.array([1.0]), coin_states=cs)
-    with pytest.raises(ValueError, match="reach_full_state"):
-        qw.spread_from_node(fig, 0, 0, target, 1)
-
-
 def test_target_spread_validation():
     with pytest.raises(ValueError, match="distinct"):
         qw.TargetSpread((1, 1), np.array([1, 0]))
@@ -107,21 +100,49 @@ def test_target_spread_validation():
 
 
 def test_reach_own_state_pads_to_shift_period(c5):
+    # the walker is back on its own basis state after r bare shifts, so the
+    # call at level r - 1 reaches it in r steps, and level 0 cannot
     target = qw.basis_state(c5, 0, 0)
-    seq = qw.reach_full_state(c5, 0, 0, target, 0)
-    assert len(seq) == qw.shift_order(c5)
+    r = qw.shift_order(c5)
+    seq = qw.reach_full_state(c5, 0, 0, target, r - 1)
+    assert seq.meta == ("spread",) * (r - 1) + ("mix",)
     out = qw.apply_sequence(qw.basis_state(c5, 0, 0), seq, c5)
     assert qw.state_fidelity(target, out) > 1 - 1e-9
+    with pytest.raises(qw.UnreachableError):
+        qw.reach_full_state(c5, 0, 0, target, 0)
 
 
 def test_reach_takes_least_shift_power(c5):
-    # coin 0 carries the walker from vertex 0 to vertex v in v bare shifts
+    # coin 0 carries the walker from vertex 0 to vertex v in v bare shifts,
+    # so the call at level v - 1 reaches it in v steps
     for v in range(1, 5):
         target = qw.basis_state(c5, 0, v)
-        seq = qw.reach_full_state(c5, 0, 0, target, 0)
-        assert seq.meta == ("mix",) + ("pad",) * (v - 1)
+        seq = qw.reach_full_state(c5, 0, 0, target, v - 1)
+        assert seq.meta == ("spread",) * (v - 1) + ("mix",)
         out = qw.apply_sequence(qw.basis_state(c5, 0, 0), seq, c5)
         assert qw.state_fidelity(target, out) > 1 - 1e-9
+        if v >= 2:
+            with pytest.raises(qw.UnreachableError):
+                qw.reach_full_state(c5, 0, 0, target, 0)
+
+
+def test_reach_after_extra_shifts_on_random_specs():
+    # psi = S^t phi, phi random on the level-k set of j: S^-1 psi lies on
+    # the level k + t - 1 set, so that call reaches psi in k + t steps
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        spec = random_spec(rng)
+        j = int(rng.integers(spec.n))
+        k, t = int(rng.integers(0, 2 * spec.n)), int(rng.integers(1, 4))
+        table = np.zeros((spec.d, spec.n), dtype=complex)
+        level = sorted(qw.reachable_sets(spec, j, k)[k])
+        table[:, level] = random_state_vector(rng, spec.d * len(level)).reshape(spec.d, -1)
+        psi = qw.WalkState(spec.d, spec.n, table.reshape(-1))
+        psi = qw.apply_sequence(psi, [qw.CoinOp.identity(spec.d, spec.n)] * t, spec)
+        seq = qw.reach_full_state(spec, j, 0, psi, k + t - 1)
+        assert len(seq) == k + t
+        out = qw.apply_sequence(qw.basis_state(spec, 0, j), seq, spec)
+        assert qw.state_fidelity(psi, out) >= 1 - 1e-9
 
 
 def test_reach_uniform_state(fig):
@@ -133,11 +154,15 @@ def test_reach_uniform_state(fig):
 
 
 def test_reach_accepts_target_spread_with_coin_states(c5):
-    cs = (np.array([1, 1], dtype=complex) / np.sqrt(2), np.array([0, 1], dtype=complex))
-    target = qw.TargetSpread((1, 4), np.array([0.6, 0.8]), coin_states=cs)
-    seq = qw.reach_full_state(c5, 0, 0, target, 1)
+    # a WalkState target prescribes the coin state at each node
+    table = np.zeros((2, 5), dtype=complex)
+    table[:, 1] = 0.6 * np.array([1, 1]) / np.sqrt(2)
+    table[:, 4] = 0.8 * np.array([0, 1])
+    target = qw.WalkState(2, 5, table.reshape(-1))
+    seq = qw.reach_full_state(c5, 0, 0, target, 2)
+    assert len(seq) == 3
     out = qw.apply_sequence(qw.basis_state(c5, 0, 0), seq, c5)
-    assert qw.state_fidelity(target.to_state(c5), out) > 1 - 1e-9
+    assert qw.state_fidelity(target, out) > 1 - 1e-9
 
 
 def test_concentrate_k0_empty(c5):
