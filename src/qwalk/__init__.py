@@ -3,9 +3,7 @@ controllability analysis, operator-algebra verification and constructive
 state-transfer synthesis."""
 
 from .controllability import (
-    AgreementReport,
     ControllabilityReport,
-    JointOrbit,
     ParityReport,
     analyze,
     joint_orbit,
@@ -14,7 +12,6 @@ from .controllability import (
     parity_check,
     reachable_sets,
     reduced_connectivity_graph,
-    verdicts_agree,
 )
 from .errors import (
     CapExceededError,

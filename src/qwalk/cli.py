@@ -127,7 +127,7 @@ def cmd_synthesize(args) -> int:
     _emit(
         json_io.sequence_to_dict(
             seq,
-            bound=analyze(spec).step_bound,
+            bound=seq.bound,
             achieved_fidelity=json_io.round_float(fidelity),
         ),
         args.out,
@@ -247,9 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec=True):
-        if spec:
-            p.add_argument("--spec", required=True, help="walk spec JSON path")
+    def add_common(p):
+        p.add_argument("--spec", required=True, help="walk spec JSON path")
         p.add_argument("--out", help="also write the JSON report to this path")
 
     p = sub.add_parser("validate", help="check a walk spec file")

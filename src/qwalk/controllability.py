@@ -35,15 +35,6 @@ from .walk_core import shift_order
 
 
 @dataclass(frozen=True)
-class JointOrbit:
-    """Vertex pairs traced out by equal powers of two permutations."""
-
-    l: int
-    m: int
-    pairs: frozenset
-
-
-@dataclass(frozen=True)
 class ParityReport:
     """Outcome of the odd/even reachability test from one vertex."""
 
@@ -54,18 +45,16 @@ class ParityReport:
 
 
 @dataclass(frozen=True)
-class AgreementReport:
-    """Side-by-side verdicts of the three criteria."""
-
-    agree: bool
-    orbit_m: int
-    reach_controllable: bool
-    parity_m: int
-    partitions_match: bool
-
-
-@dataclass(frozen=True)
 class ControllabilityReport:
+    """The orbit criterion's verdict with the other two criteria beside it.
+
+    ``m`` counts the reduced-connectivity components; ``reach_controllable``
+    says whether some vertex covers the graph at one exact level, and
+    ``parity_m`` is the parity test's block count.  ``partitions_match`` is
+    False only when the orbit and parity criteria both split the vertices
+    in two, but differently.
+    """
+
     components: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
     m: int
@@ -74,7 +63,15 @@ class ControllabilityReport:
     kappa: int | None
     kappa_vertex: int | None
     step_bound: int | None
-    verdicts_agree: bool
+    reach_controllable: bool
+    parity_m: int
+    partitions_match: bool
+
+    @property
+    def verdicts_agree(self) -> bool:
+        """The three criteria give one verdict, and one partition."""
+        agree = (self.m == 1) == self.reach_controllable == (self.parity_m == 1)
+        return agree and self.partitions_match
 
 
 def _check_vertex(spec: WalkSpec, j: int):
@@ -82,7 +79,7 @@ def _check_vertex(spec: WalkSpec, j: int):
         raise IndexOutOfRangeError(f"vertex {j} out of range 0..{spec.n - 1}")
 
 
-def joint_orbit(spec: WalkSpec, l: int, m: int) -> JointOrbit:
+def joint_orbit(spec: WalkSpec, l: int, m: int) -> frozenset:
     """All pairs (P_l^k j, P_m^k j) over j and k >= 0 (l, m are 1-based).
 
     These are the orbits of the diagonal pairs (j, j) under the pair map
@@ -101,7 +98,7 @@ def joint_orbit(spec: WalkSpec, l: int, m: int) -> JointOrbit:
         while (x, y) not in pairs:
             pairs.add((x, y))
             x, y = pl[x], pm[y]
-    return JointOrbit(l=l, m=m, pairs=frozenset(pairs))
+    return frozenset(pairs)
 
 
 def reduced_connectivity_graph(spec: WalkSpec) -> list[set[int]]:
@@ -117,7 +114,7 @@ def reduced_connectivity_graph(spec: WalkSpec) -> list[set[int]]:
     """
     adj: list[set[int]] = [set() for _ in range(spec.n)]
     for m in range(2, spec.d + 1):
-        for x, y in joint_orbit(spec, 1, m).pairs:
+        for x, y in joint_orbit(spec, 1, m):
             if x != y:
                 adj[x].add(y)
                 adj[y].add(x)
@@ -138,8 +135,11 @@ def _step(spec: WalkSpec, mask: np.ndarray) -> np.ndarray:
 
 def reachable_sets(spec: WalkSpec, j: int, kmax: int) -> list[set[int]]:
     """Exact image sets: vertices reachable from j in exactly 0, 1, ..., kmax
-    steps.  Not monotone in general."""
+    steps.  Not monotone in general.  A negative kmax raises
+    IndexOutOfRangeError."""
     _check_vertex(spec, j)
+    if kmax < 0:
+        raise IndexOutOfRangeError(f"level {kmax} is negative")
     mask = np.zeros(spec.n, dtype=bool)
     mask[j] = True
     sets = [{j}]
@@ -225,33 +225,6 @@ def kappa(spec: WalkSpec) -> tuple[int, int] | None:
     return _covering_level(spec, list(range(spec.n)))
 
 
-def _agreement(comps: list[list[int]], kap, par: ParityReport) -> AgreementReport:
-    orbit_m = len(comps)
-    reach_ok = kap is not None
-    agree = (orbit_m == 1) == reach_ok == (par.m == 1)
-    partitions_match = True
-    if orbit_m == 2 and par.m == 2:
-        partitions_match = {frozenset(c) for c in comps} == {
-            frozenset(par.even),
-            frozenset(par.odd),
-        }
-        agree = agree and partitions_match
-    return AgreementReport(
-        agree=agree,
-        orbit_m=orbit_m,
-        reach_controllable=reach_ok,
-        parity_m=par.m,
-        partitions_match=partitions_match,
-    )
-
-
-def verdicts_agree(spec: WalkSpec) -> AgreementReport:
-    """Cross-check the three criteria; when both partition-producing criteria
-    report two blocks, the partitions must also coincide vertex-by-vertex."""
-    comps = connected_components(reduced_connectivity_graph(spec))
-    return _agreement(comps, kappa(spec), parity_check(spec, 0))
-
-
 def analyze(spec: WalkSpec) -> ControllabilityReport:
     """Full controllability report.
 
@@ -261,12 +234,12 @@ def analyze(spec: WalkSpec) -> ControllabilityReport:
     block's phase direction is independently reachable through per-vertex
     phase coins), so it is (dN)^2 exactly when there is a single component.
     The covering step count and the 2k+r transfer bound are filled in only
-    for controllable walks.  Each criterion runs once, and the same three
-    results feed the agreement check.
+    for controllable walks.  Each criterion runs once, and the report
+    carries all three verdicts side by side.
     """
     comps = connected_components(reduced_connectivity_graph(spec))
     kap = kappa(spec)
-    agreement = _agreement(comps, kap, parity_check(spec, 0))
+    par = parity_check(spec, 0)
     sizes = tuple(len(c) for c in comps)
     m = len(comps)
     controllable = m == 1
@@ -275,6 +248,9 @@ def analyze(spec: WalkSpec) -> ControllabilityReport:
     if controllable and kap is not None:
         kk, kv = kap
         bound = 2 * kk + shift_order(spec)
+    partitions_match = m != 2 or par.m != 2 or (
+        {frozenset(c) for c in comps} == {frozenset(par.even), frozenset(par.odd)}
+    )
     return ControllabilityReport(
         components=tuple(tuple(c) for c in comps),
         sizes=sizes,
@@ -284,5 +260,7 @@ def analyze(spec: WalkSpec) -> ControllabilityReport:
         kappa=kk,
         kappa_vertex=kv,
         step_bound=bound,
-        verdicts_agree=agreement.agree,
+        reach_controllable=kap is not None,
+        parity_m=par.m,
+        partitions_match=partitions_match,
     )

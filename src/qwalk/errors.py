@@ -54,8 +54,8 @@ class CriterionConflictError(QwalkError):
 
 
 class ToleranceDegenerateError(QwalkError):
-    """A rank decision fell within a factor 10 of its threshold; retry with a
-    different tolerance."""
+    """A rank decision fell within a factor 10 of its threshold, or the
+    tolerance is not a number in (0, 1); retry with a different tolerance."""
 
 
 class CapExceededError(QwalkError):

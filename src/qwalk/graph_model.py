@@ -114,8 +114,6 @@ class Permutation:
             raise LengthMismatchError(f"sizes differ: {self.n} vs {other.n}")
         return Permutation(self.map[other.map])
 
-    __mul__ = compose
-
     def inverse(self) -> "Permutation":
         inv = np.empty(self.n, dtype=np.int64)
         inv[self.map] = np.arange(self.n)
@@ -132,8 +130,6 @@ class Permutation:
             square = square[square]
             k >>= 1
         return Permutation(result)
-
-    __pow__ = power
 
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles()))
@@ -163,12 +159,6 @@ class Permutation:
         """Display form; fixed points omitted, identity prints ``()``."""
         parts = ["(" + " ".join(map(str, c)) + ")" for c in self.cycles() if len(c) > 1]
         return "".join(parts) or "()"
-
-    def matrix(self) -> np.ndarray:
-        """N x N 0/1 matrix with column j carrying a 1 in row map[j]."""
-        m = np.zeros((self.n, self.n), dtype=np.int64)
-        m[self.map, np.arange(self.n)] = 1
-        return m
 
 
 @dataclass(frozen=True, eq=False)

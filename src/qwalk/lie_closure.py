@@ -54,7 +54,7 @@ def generator_basis(spec: WalkSpec) -> GeneratorBasis:
     d, n = spec.d, spec.n
     side = d * n
     orbits = {
-        (l, m): joint_orbit(spec, l, m).pairs
+        (l, m): joint_orbit(spec, l, m)
         for l in range(1, d + 1)
         for m in range(l + 1, d + 1)
     }
@@ -191,8 +191,11 @@ def _closure(basis: GeneratorBasis, tol: float):
     brackets it leaves unmarked are built and offered one by one.
     Rows added later can only shrink a residual, so a marked bracket would
     have been rejected anyway: the accepted rows, ``dim`` and ``iterations``
-    are those of offering every bracket.
+    are those of offering every bracket.  A tolerance that is not a number
+    in (0, 1), NaN and infinity included, raises ToleranceDegenerateError.
     """
+    if not 0 < tol < 1:
+        raise ToleranceDegenerateError(f"closure tolerance {tol!r} is not in (0, 1)")
     if not basis.mats:
         raise ValueError("empty generator basis")
     side = basis.side

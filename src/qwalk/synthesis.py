@@ -21,18 +21,22 @@ from .errors import (
     UnreachableError,
 )
 from .graph_model import WalkSpec
-from .walk_core import CoinOp, WalkState, step
+from .walk_core import NORM_TOL, CoinOp, WalkState, step
 
 ZERO_COEFF = 1e-14
-_UNIT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class ControlSequence:
-    """Ordered coin operations plus the construction phase of each step."""
+    """Ordered coin operations plus the construction phase of each step.
+
+    ``bound`` is the paper's 2k + r step bound of the walk, set on the
+    sequences ``arbitrary_transfer`` returns.
+    """
 
     ops: tuple
     meta: tuple
+    bound: int | None = None
 
     def __post_init__(self):
         ops = tuple(self.ops)
@@ -65,7 +69,7 @@ class TargetSpread:
         if len(set(nodes)) != len(nodes):
             raise ValueError(f"target nodes must be distinct: {nodes}")
         norm = float(np.linalg.norm(coeffs))
-        if not abs(norm - 1.0) <= _UNIT_TOL:  # also rejects NaN
+        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN
             raise NotUnitError(f"coefficient norm {norm!r} is not 1")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "coeffs", coeffs)
@@ -81,7 +85,7 @@ def _coin_vector(d: int, c0) -> np.ndarray:
     vec = np.asarray(c0, dtype=np.complex128).reshape(-1)
     if vec.size != d:
         raise DimensionMismatchError(f"coin state has size {vec.size}, expected {d}")
-    if not abs(float(np.linalg.norm(vec)) - 1.0) <= _UNIT_TOL:
+    if not abs(float(np.linalg.norm(vec)) - 1.0) <= NORM_TOL:
         raise NotUnitError("coin state is not a unit vector")
     return vec
 
@@ -112,7 +116,7 @@ def unitary_completion(src, dst) -> np.ndarray:
     if src.size != dst.size:
         raise DimensionMismatchError(f"sizes differ: {src.size} vs {dst.size}")
     for name, vec in (("src", src), ("dst", dst)):
-        if not abs(float(np.linalg.norm(vec)) - 1.0) <= _UNIT_TOL:
+        if not abs(float(np.linalg.norm(vec)) - 1.0) <= NORM_TOL:
             raise NotUnitError(f"{name} is not a unit vector")
     return _reflector_to_e1(dst).conj().T @ _reflector_to_e1(src)
 
@@ -271,7 +275,8 @@ def arbitrary_transfer(spec: WalkSpec, psi1: WalkState, psi2: WalkState) -> Cont
     Concentrates psi1 onto the vertex achieving k, then reaches psi2 from
     there in k + 1 steps, since every vertex is reachable at level k; the
     spread accepts whatever coin state the gather phase left, since its
-    first coin operation is free.
+    first coin operation is free.  The sequence carries the walk's 2k + r
+    bound as ``bound``.
     """
     report = analyze(spec)
     if not report.controllable:
@@ -282,4 +287,4 @@ def arbitrary_transfer(spec: WalkSpec, psi1: WalkState, psi2: WalkState) -> Cont
     kk, jstar = report.kappa, report.kappa_vertex
     seq1, gamma = concentrate_to_node(spec, jstar, psi1, kk)
     seq2 = reach_full_state(spec, jstar, gamma, psi2, kk)
-    return ControlSequence(seq1.ops + seq2.ops, seq1.meta + seq2.meta)
+    return ControlSequence(seq1.ops + seq2.ops, seq1.meta + seq2.meta, report.step_bound)

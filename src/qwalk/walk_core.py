@@ -60,22 +60,19 @@ class CoinOp:
     blocks: np.ndarray
 
     def __post_init__(self):
-        blocks = np.asarray(self.blocks, dtype=np.complex128)
+        blocks = np.array(self.blocks, dtype=np.complex128)  # the caller's stays writable
         if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
             raise DimensionMismatchError(f"blocks must be (n, d, d), got {blocks.shape}")
-        eye = np.eye(blocks.shape[1])
-        polished = None
-        for j, q in enumerate(blocks):
-            err = np.abs(q.conj().T @ q - eye).max()
-            if not err <= UNITARY_TOL:
-                raise NotUnitError(f"coin block at vertex {j} is not unitary (err {err:.2e})")
-            if err > 1e-14:  # nearest unitary: polar factor via SVD
-                u, _, vh = np.linalg.svd(q)
-                if polished is None:
-                    polished = blocks.copy()
-                polished[j] = u @ vh
-        if polished is not None:
-            blocks = polished
+        gram = blocks.conj().transpose(0, 2, 1) @ blocks
+        err = np.abs(gram - np.eye(blocks.shape[1])).max(axis=(1, 2))
+        bad = np.flatnonzero(~(err <= UNITARY_TOL))  # also catches NaN
+        if bad.size:
+            j = int(bad[0])
+            raise NotUnitError(f"coin block at vertex {j} is not unitary (err {err[j]:.2e})")
+        noisy = np.flatnonzero(err > 1e-14)
+        if noisy.size:  # nearest unitary: polar factor via SVD
+            u, _, vh = np.linalg.svd(blocks[noisy])
+            blocks[noisy] = u @ vh
         blocks.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
 
@@ -89,7 +86,7 @@ class CoinOp:
 
     @classmethod
     def identity(cls, d: int, n: int) -> "CoinOp":
-        return cls(np.broadcast_to(np.eye(d, dtype=np.complex128), (n, d, d)).copy())
+        return cls(np.broadcast_to(np.eye(d, dtype=np.complex128), (n, d, d)))
 
     @classmethod
     def from_blocks(cls, d: int, n: int, mapping: dict) -> "CoinOp":

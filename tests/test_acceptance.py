@@ -142,9 +142,9 @@ def _criterion_specs():
 def test_criterion_6_randomized_equivalence_suite():
     with Timer(120.0) as t:
         for spec in _criterion_specs():
-            agreement = qw.verdicts_agree(spec)
-            assert agreement.agree, (spec.n, spec.d)
-            assert agreement.orbit_m in (1, 2)
+            report = qw.analyze(spec)
+            assert report.verdicts_agree, (spec.n, spec.d)
+            assert report.m in (1, 2)
             if spec.d * spec.n <= 16:
                 closure = qw.verify_structure(spec)
                 assert closure.match, (spec.n, spec.d, closure.dim, closure.predicted)

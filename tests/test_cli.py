@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qwalk as qw
-from qwalk import json_io
+from qwalk import controllability, json_io
 from qwalk.cli import main
 from qwalk.sampling import random_walk_state
 
@@ -126,6 +126,12 @@ def test_reach_sets(capsys, cycle5_path):
     assert doc["sets"][4] == [0, 1, 2, 3, 4]
 
 
+def test_reach_negative_level_is_invalid(capsys, cycle5_path):
+    code, out = run_cli(capsys, "reach", "--spec", cycle5_path, "--node", "0", "--k", "-3")
+    assert code == 1
+    assert json.loads(out)["error"] == "IndexOutOfRangeError"
+
+
 def test_lie_check(capsys, cycle4_path):
     code, out = run_cli(capsys, "lie-check", "--spec", cycle4_path)
     doc = json.loads(out)
@@ -196,6 +202,17 @@ def test_usage_error_is_invalid_input(capsys, cycle5_path):
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e3", "0"])
+def test_bad_closure_tolerance_is_invalid(capsys, tmp_path, n, tol):
+    # a tolerance outside (0, 1) made NaN basis rows or an empty span before
+    path = tmp_path / "cycle.json"
+    json_io.write_json(json_io.spec_to_dict(qw.cycle_shift(n)), str(path))
+    code, out = run_cli(capsys, "lie-check", "--spec", str(path), "--tol", tol)
+    assert code == 1
+    assert json.loads(out)["error"] == "ToleranceDegenerateError"
+
+
 @pytest.mark.parametrize("command", ["synthesize", "simulate"])
 def test_non_unit_input_is_invalid(capsys, tmp_path, cycle5_path, command):
     # a state of norm 1.58 for synthesize, a non-unitary coin for simulate
@@ -243,6 +260,27 @@ def test_malformed_sequence_or_state_is_invalid(capsys, tmp_path, cycle5_path, w
     )
     assert code == 1
     assert json.loads(out)["error"] == "SpecValidationError"
+
+
+def test_synthesize_analyzes_the_walk_once(capsys, monkeypatch, tmp_path, cycle5_path):
+    calls = []
+    kappa = controllability.kappa
+
+    def counting_kappa(spec):
+        calls.append(None)
+        return kappa(spec)
+
+    monkeypatch.setattr(controllability, "kappa", counting_kappa)
+    c5 = qw.cycle_shift(5)
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    json_io.write_json(json_io.state_to_dict(qw.basis_state(c5, 0, 0)), str(p1))
+    json_io.write_json(json_io.state_to_dict(qw.basis_state(c5, 1, 3)), str(p2))
+    code, out = run_cli(
+        capsys, "synthesize", "--spec", cycle5_path, "--state", str(p1), "--target", str(p2)
+    )
+    assert code == 0
+    assert json.loads(out)["bound"] == 13
+    assert len(calls) == 1
 
 
 def test_synthesize_not_controllable(capsys, tmp_path, cycle4_path):

@@ -27,7 +27,7 @@ def all_pairs_components(spec):
     adj = [set() for _ in range(spec.n)]
     for l in range(1, spec.d + 1):
         for m in range(l + 1, spec.d + 1):
-            for x, y in qw.joint_orbit(spec, l, m).pairs:
+            for x, y in qw.joint_orbit(spec, l, m):
                 adj[x].add(y)
                 adj[y].add(x)
     return connected_components(adj)
@@ -50,13 +50,14 @@ def test_joint_orbit_equal_labels_is_diagonal(c5, fig):
     for spec in (c5, fig):
         for l in range(1, spec.d + 1):
             orbit = qw.joint_orbit(spec, l, l)
-            assert orbit.pairs == {(j, j) for j in range(spec.n)}
+            assert orbit == {(j, j) for j in range(spec.n)}
+            assert isinstance(orbit, frozenset)
 
 
 def test_joint_orbit_contains_diagonal(fig):
     for l in range(1, 4):
         for m in range(1, 4):
-            assert {(j, j) for j in range(6)} <= qw.joint_orbit(fig, l, m).pairs
+            assert {(j, j) for j in range(6)} <= qw.joint_orbit(fig, l, m)
 
 
 def _mixed_cycle_walk():
@@ -73,14 +74,14 @@ def test_joint_orbit_matches_bruteforce(c5, fig):
     for spec in (c5, fig, qw.cycle_shift(4), mixed):
         for l in range(1, spec.d + 1):
             for m in range(1, spec.d + 1):
-                assert qw.joint_orbit(spec, l, m).pairs == brute_joint_orbit(spec, l, m)
+                assert qw.joint_orbit(spec, l, m) == brute_joint_orbit(spec, l, m)
 
 
 def test_joint_orbit_examples(c5, fig):
     # opposite cycle directions: pairs (j+k, j-k), so (2, 3) arises at k=2, j=0
-    assert (2, 3) in qw.joint_orbit(c5, 1, 2).pairs
+    assert (2, 3) in qw.joint_orbit(c5, 1, 2)
     # forward shift vs cross pairing at k=1, j=0: (1, 3)
-    assert (1, 3) in qw.joint_orbit(fig, 1, 3).pairs
+    assert (1, 3) in qw.joint_orbit(fig, 1, 3)
 
 
 def test_joint_orbit_index_errors(c5):
@@ -171,6 +172,19 @@ def test_reachable_sets_start(c5):
         qw.reachable_sets(c5, 7, 1)
 
 
+def test_negative_level_is_refused(c5):
+    with pytest.raises(qw.IndexOutOfRangeError, match="level -1"):
+        qw.reachable_sets(c5, 0, -1)
+    target = qw.TargetSpread((0,), np.ones(1))
+    with pytest.raises(qw.IndexOutOfRangeError):
+        qw.spread_from_node(c5, 0, 0, target, -1)
+    state = qw.basis_state(c5, 0, 0)
+    with pytest.raises(qw.IndexOutOfRangeError):
+        qw.reach_full_state(c5, 0, 0, state, -1)
+    with pytest.raises(qw.IndexOutOfRangeError):
+        qw.concentrate_to_node(c5, 0, state, -1)
+
+
 def test_k_of_values(c4, c5, fig):
     assert qw.k_of(c5, 0) == 4
     assert qw.k_of(fig, 0) == 3
@@ -227,16 +241,58 @@ def test_verdicts_agree_on_builtins():
     gallery += [qw.cycle_exchange(n) for n in (4, 6, 8)]
     gallery += [qw.figure1(), qw.complete(4), qw.torus(3, 3)]
     for spec in gallery:
-        rep = qw.verdicts_agree(spec)
-        assert rep.agree, spec
+        rep = qw.analyze(spec)
+        assert rep.verdicts_agree, spec
         assert rep.partitions_match
+        assert rep.reach_controllable == rep.controllable == (rep.parity_m == 1)
 
 
 def test_verdicts_agree_even_cycle_partitions():
-    rep = qw.verdicts_agree(qw.cycle_shift(6))
-    assert rep.agree and rep.orbit_m == 2 and rep.parity_m == 2
+    rep = qw.analyze(qw.cycle_shift(6))
+    assert rep.verdicts_agree and rep.m == 2 and rep.parity_m == 2
     assert not rep.reach_controllable
     assert rep.partitions_match
+
+
+def test_report_names_the_criterion_that_disagrees(monkeypatch):
+    # a parity split that differs from the orbit components
+    fake = controllability.ParityReport(m=2, witness=None, even=(0, 1, 2), odd=(3, 4, 5))
+    monkeypatch.setattr(controllability, "parity_check", lambda spec, j=0: fake)
+    rep = qw.analyze(qw.cycle_shift(6))
+    assert (rep.m, rep.parity_m, rep.reach_controllable) == (2, 2, False)
+    assert not rep.partitions_match and not rep.verdicts_agree
+    monkeypatch.undo()
+    # a reachability search that finds no covering level on a controllable walk
+    monkeypatch.setattr(controllability, "kappa", lambda spec: None)
+    rep = qw.analyze(qw.cycle_shift(5))
+    assert (rep.m, rep.parity_m, rep.partitions_match) == (1, 1, True)
+    assert not rep.reach_controllable and not rep.verdicts_agree
+    assert rep.kappa is None and rep.step_bound is None
+
+
+def _round_robin(n):
+    """The round-robin 1-factorization of K_n (n even): n - 1 perfect
+    matchings, round t pairing t with n - 1 and t + i with t - i mod n - 1."""
+    perms = []
+    for t in range(n - 1):
+        images = np.empty(n, dtype=np.int64)
+        pairs = [(t, n - 1)] + [((t + i) % (n - 1), (t - i) % (n - 1)) for i in range(1, n // 2)]
+        for a, b in pairs:
+            images[a], images[b] = b, a
+        perms.append(images)
+    return qw.validate(n, perms)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_complete_graph_verdict_ignores_its_decomposition(n):
+    # the circulant j -> j + k and the round-robin matchings decompose the
+    # same edge set of K_n; the shift orders differ, so step_bound does too
+    circulant, matchings = qw.analyze(qw.complete(n)), qw.analyze(_round_robin(n))
+    for field in ("components", "controllable", "kappa", "predicted_lie_dim"):
+        assert getattr(matchings, field) == getattr(circulant, field), field
+    assert matchings.verdicts_agree
+    if n == 4:
+        assert qw.verify_structure(_round_robin(4)).dim == 144
 
 
 def test_product_of_controllable_walks_is_controllable():
@@ -279,8 +335,8 @@ def test_random_specs_properties():
         comps = connected_components(reduced_connectivity_graph(spec))
         assert len(comps) in (1, 2)
         assert comps == all_pairs_components(spec)
-        rep = qw.verdicts_agree(spec)
-        assert rep.agree
+        rep = qw.analyze(spec)
+        assert rep.verdicts_agree
         assert qw.kappa(spec) == boolean_power_kappa(spec)
         if len(comps) == 2:
             par = qw.parity_check(spec, 0)

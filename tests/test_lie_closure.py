@@ -100,7 +100,7 @@ def test_generator_basis_layout(fig):
             mb, sb = divmod(b, 6)
             if la == mb:
                 continue
-            if (ra, sb) in qw.joint_orbit(fig, la + 1, mb + 1).pairs:
+            if (ra, sb) in qw.joint_orbit(fig, la + 1, mb + 1):
                 admissible.append([[a, b], [b, a]])
     supports = [np.argwhere(mat).tolist() for mat in gb.mats[side:]]
     assert supports == [pair for pair in admissible for _ in range(2)]
@@ -198,6 +198,14 @@ def test_cap_exceeded():
 def test_empty_basis_rejected():
     with pytest.raises(ValueError):
         qw.lie_closure_dim(GeneratorBasis(mats=[], side=4))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, 1.0, float("inf"), 1e3])
+def test_tolerance_outside_unit_interval_raises(c5, tol):
+    with pytest.raises(qw.ToleranceDegenerateError, match="not in"):
+        qw.lie_closure_dim(qw.generator_basis(c5), tol=tol)
+    with pytest.raises(qw.ToleranceDegenerateError, match="not in"):
+        qw.verify_structure(c5, tol=tol)
 
 
 def test_ambiguous_rank_decision_raises():

@@ -148,6 +148,26 @@ def test_coin_unitarity_validation():
         qw.CoinOp(bad)
 
 
+def test_coin_polish_snaps_noisy_blocks_and_keeps_the_input():
+    rng = np.random.default_rng(3)
+    noisy = np.stack([np.eye(3)] + [random_unitary(rng, 3).round(12) for _ in range(3)])
+    before = noisy.copy()
+    coin = qw.CoinOp(noisy)
+    assert np.array_equal(noisy, before) and noisy.flags.writeable
+    assert np.array_equal(coin.blocks[0], np.eye(3))
+    for q, ref in zip(coin.blocks[1:], noisy[1:]):
+        # reference: the polar factor of each block on its own
+        u, _, vh = np.linalg.svd(ref)
+        assert np.abs(q - u @ vh).max() < 1e-15
+        assert np.abs(q.conj().T @ q - np.eye(3)).max() < 1e-14
+    assert np.abs(coin.blocks - noisy).max() < 1e-10
+    # of two bad blocks, the error names the first
+    noisy[2, 0, 0] += 1e-3
+    noisy[3, 0, 0] += 1.0
+    with pytest.raises(qw.NotUnitError, match=r"vertex 2 is not unitary \(err \d\.\d\de-0"):
+        qw.CoinOp(noisy)
+
+
 @pytest.mark.parametrize(
     "build, error",
     [
