@@ -136,14 +136,24 @@ def _step(spec: WalkSpec, mask: np.ndarray) -> np.ndarray:
 def reachable_sets(spec: WalkSpec, j: int, kmax: int) -> list[set[int]]:
     """Exact image sets: vertices reachable from j in exactly 0, 1, ..., kmax
     steps.  Not monotone in general.  A negative kmax raises
-    IndexOutOfRangeError."""
+    IndexOutOfRangeError.
+
+    The next set depends only on the current one, so once a set equals the
+    one two levels back the sets alternate between the last two; stepping
+    stops there and the later levels repeat those two set objects.
+    """
     _check_vertex(spec, j)
     if kmax < 0:
         raise IndexOutOfRangeError(f"level {kmax} is negative")
     mask = np.zeros(spec.n, dtype=bool)
     mask[j] = True
     sets = [{j}]
-    for _ in range(kmax):
+    older = newer = None
+    while len(sets) <= kmax:
+        if older is not None and np.array_equal(mask, older):
+            rest = kmax + 1 - len(sets)
+            return sets + sets[-2:] * (rest // 2) + sets[-2:-1] * (rest % 2)
+        older, newer = newer, mask
         mask = _step(spec, mask)
         sets.append(set(np.flatnonzero(mask).tolist()))
     return sets

@@ -1,8 +1,9 @@
 """JSON (de)serialization for specs, states, coins, sequences and reports.
 
-All floats are rounded to 12 significant digits before dumping so identical
-inputs produce byte-identical output.  Every emitted document carries a
-"schema" version field; it is optional on input.
+Documents hold states and coins as complex numpy arrays; ``dumps`` writes
+each complex number as an [re, im] pair with every float rounded to 12
+significant digits, so identical inputs produce byte-identical output.  Every
+emitted document carries a "schema" version field; it is optional on input.
 """
 
 from __future__ import annotations
@@ -23,14 +24,6 @@ SCHEMA_VERSION = 1
 def round_float(x) -> float:
     """``x`` rounded to the 12 significant digits of every emitted float."""
     return float(f"{float(x):.12g}")
-
-
-def _pair(z) -> list:
-    return [round_float(z.real), round_float(z.imag)]
-
-
-def _matrix(m) -> list:
-    return [[_pair(z) for z in row] for row in np.asarray(m)]
 
 
 def _from_pairs(pairs, key: str) -> np.ndarray:
@@ -83,7 +76,7 @@ def state_to_dict(state: WalkState) -> dict:
         "schema": SCHEMA_VERSION,
         "d": state.d,
         "n": state.n,
-        "amps": [_pair(z) for z in state.amps],
+        "amps": state.amps,
     }
 
 
@@ -94,10 +87,6 @@ def state_from_dict(data: dict) -> WalkState:
     return WalkState(d, n, _from_pairs(data.get("amps"), "amps"))
 
 
-def coin_to_list(coin: CoinOp) -> list:
-    return [_matrix(q) for q in coin.blocks]
-
-
 def coin_from_list(data) -> CoinOp:
     return CoinOp(_from_pairs(data, "coins"))
 
@@ -105,7 +94,7 @@ def coin_from_list(data) -> CoinOp:
 def sequence_to_dict(seq: ControlSequence, **extra) -> dict:
     doc = {
         "schema": SCHEMA_VERSION,
-        "steps": [{"phase": tag, "coins": coin_to_list(op)} for op, tag in zip(seq.ops, seq.meta)],
+        "steps": [{"phase": tag, "coins": op.blocks} for op, tag in zip(seq.ops, seq.meta)],
     }
     doc.update(extra)
     return doc
@@ -125,7 +114,9 @@ def sequence_from_dict(data: dict) -> ControlSequence:
 
 
 def report_to_dict(report: ControllabilityReport) -> dict:
-    return {
+    """The report's document; when the criteria disagree it also carries
+    the reachability and parity verdicts beside the orbit count ``m``."""
+    doc = {
         "schema": SCHEMA_VERSION,
         "m": report.m,
         "components": [list(c) for c in report.components],
@@ -135,6 +126,11 @@ def report_to_dict(report: ControllabilityReport) -> dict:
         "step_bound": report.step_bound,
         "verdicts_agree": report.verdicts_agree,
     }
+    if not report.verdicts_agree:
+        doc["reach_controllable"] = report.reach_controllable
+        doc["parity_m"] = report.parity_m
+        doc["partitions_match"] = report.partitions_match
+    return doc
 
 
 def read_json(path: str) -> dict:
@@ -142,8 +138,74 @@ def read_json(path: str) -> dict:
         return json.load(fh)
 
 
+# One shared encoder for scalars and flat scalar lists.  Its item separator
+# holds the only raw newlines in its output: those inside strings are escaped.
+_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",\n", ": "))
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
+def _wrap(items: list, level: int, brackets: str) -> str:
+    """The indent-2 layout of already rendered items at nesting ``level``."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+
+
+def _template(shape: tuple, level: int) -> str:
+    """Layout of a complex array of ``shape`` with one %s per float, each
+    complex number an [re, im] pair."""
+    if not shape:
+        return _wrap(["%s", "%s"], level, "[]")
+    return _wrap([_template(shape[1:], level + 1)] * shape[0], level, "[]")
+
+
+def _array(a: np.ndarray, level: int, slabs: dict) -> str:
+    """A complex array at nesting ``level``, rendered a (d, d) slab (or a
+    whole vector) at a time.  ``slabs`` maps (shape, level) to the slab
+    template and (shape, level, raw bytes) to the slab text: equal bytes, not
+    equal values, since -0.0 == 0.0 prints differently."""
+    if a.ndim > 2:
+        return _wrap([_array(s, level + 1, slabs) for s in a], level, "[]")
+    key = (a.shape, level, a.tobytes())
+    text = slabs.get(key)
+    if text is None:
+        template = slabs.get(key[:2])
+        if template is None:
+            template = slabs[key[:2]] = _template(a.shape, level)
+        floats = a.reshape(-1).view(np.float64).tolist()
+        text = slabs[key] = template % tuple(map(float.__repr__, map(round_float, floats)))
+    return text
+
+
+def _render(obj, level: int, slabs: dict) -> str:
+    if isinstance(obj, dict):
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_ENCODER.encode(key) + ": " + _render(value, level + 1, slabs))
+        return _wrap(items, level, "{}")
+    if isinstance(obj, (list, tuple)):
+        if not obj or any(isinstance(v, _CONTAINERS) for v in obj):
+            return _wrap([_render(v, level + 1, slabs) for v in obj], level, "[]")
+        inner = _ENCODER.encode(obj)[1:-1].replace("\n", "\n" + "  " * (level + 1))
+        return _wrap([inner], level, "[]")
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind != "c":
+            raise TypeError(f"only complex arrays are written, not {obj.dtype}")
+        if not np.isfinite(obj).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        return _array(np.asarray(obj, dtype=np.complex128, order="C"), level, slabs)
+    return _ENCODER.encode(obj)
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False)
+    """The standard library's indent-2 text of ``obj`` (NaN and infinity
+    refused), where every complex array is written as nested lists of
+    [round_float(re), round_float(im)] pairs.  Keys must be strings.  Slab
+    text is shared within one call only."""
+    return _render(obj, 0, {})
 
 
 def write_json(obj, path: str) -> None:

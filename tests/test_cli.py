@@ -111,6 +111,28 @@ def test_analyze_uncontrollable_report(capsys, cycle4_path):
     assert doc["kappa"] is None and doc["step_bound"] is None
 
 
+def test_analyze_exit_2_names_the_disagreeing_criterion(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "cycle6.json"
+    json_io.write_json(json_io.spec_to_dict(qw.cycle_shift(6)), str(path))
+    _, agreeing = run_cli(capsys, "analyze", "--spec", str(path))
+    assert "parity_m" not in json.loads(agreeing)
+    # a parity split that differs from the orbit components
+    fake = controllability.ParityReport(m=2, witness=None, even=(0, 1, 2), odd=(3, 4, 5))
+    monkeypatch.setattr(controllability, "parity_check", lambda spec, j=0: fake)
+    code, out = run_cli(capsys, "analyze", "--spec", str(path))
+    doc = json.loads(out)
+    assert code == 2
+    assert doc == {
+        **json.loads(agreeing),
+        "verdicts_agree": False,
+        "reach_controllable": False,
+        "parity_m": 2,
+        "partitions_match": False,
+    }
+    explained = ["verdicts_agree", "reach_controllable", "parity_m", "partitions_match"]
+    assert list(doc)[-4:] == explained
+
+
 def test_output_is_byte_identical(capsys, cycle5_path):
     _, first = run_cli(capsys, "analyze", "--spec", cycle5_path)
     _, second = run_cli(capsys, "analyze", "--spec", cycle5_path)
@@ -318,8 +340,12 @@ def test_simulate_figure1_uniform_spread(capsys, tmp_path):
     assert np.abs(probs - 1 / 6).max() < 1e-9
 
 
+def _text_round_trip(seq):
+    return json_io.sequence_from_dict(json.loads(json_io.dumps(json_io.sequence_to_dict(seq))))
+
+
 def test_replay_survives_rounded_coin_blocks(tmp_path):
-    # serialized coin blocks are rounded to 12 significant digits; replaying
+    # coin blocks are written rounded to 12 significant digits; replaying
     # many such steps must not drift the state norm past its tolerance
     c5 = qw.cycle_shift(5)
     rng = np.random.default_rng(20)
@@ -327,7 +353,7 @@ def test_replay_survives_rounded_coin_blocks(tmp_path):
     from qwalk.sampling import random_coin_op
 
     for _ in range(40):
-        coin = json_io.coin_from_list(json_io.coin_to_list(random_coin_op(rng, c5)))
+        (coin,) = _text_round_trip(qw.ControlSequence((random_coin_op(rng, c5),), ("step",)))
         state = qw.step(state, coin, c5)
     assert abs(np.linalg.norm(state.amps) - 1) < 1e-12
 
@@ -339,11 +365,11 @@ def test_json_round_trips(tmp_path):
     )
     rng = np.random.default_rng(0)
     state = random_walk_state(rng, fig)
-    back = json_io.state_from_dict(json_io.state_to_dict(state))
+    back = json_io.state_from_dict(json.loads(json_io.dumps(json_io.state_to_dict(state))))
     assert np.abs(back.amps - state.amps).max() < 1e-11
     target = qw.TargetSpread(tuple(range(6)), np.full(6, 1 / np.sqrt(6)))
     seq, _ = qw.spread_from_node(fig, 0, 0, target, 3)
-    seq2 = json_io.sequence_from_dict(json_io.sequence_to_dict(seq))
+    seq2 = _text_round_trip(seq)
     assert seq2.meta == seq.meta
     out1 = qw.apply_sequence(qw.basis_state(fig, 0, 0), seq, fig)
     out2 = qw.apply_sequence(qw.basis_state(fig, 0, 0), seq2, fig)

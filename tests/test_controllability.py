@@ -217,6 +217,40 @@ def test_non_coverable_search_stops_on_repeat(monkeypatch, spec, diameter):
         assert len(calls) <= diameter + 2
 
 
+@pytest.mark.parametrize(
+    "spec, diameter",
+    [(qw.cycle_shift(5), 2), (qw.cycle_shift(6), 3), (qw.torus(3, 5), 3), (qw.torus(4, 4), 4)],
+    ids=["cycle5", "cycle6", "torus3x5", "torus4x4"],
+)
+def test_reachable_sets_stop_stepping_on_repeat(monkeypatch, spec, diameter):
+    # the sets settle at the covering level, or on a bipartite walk at the
+    # diameter; from two levels later they alternate and are filled in, not
+    # stepped, so a huge k costs nothing
+    settle = qw.k_of(spec, 0) or diameter
+    def stepped(kmax):
+        mask = np.zeros(spec.n, dtype=bool)
+        mask[0] = True
+        sets = [{0}]
+        for _ in range(kmax):
+            mask = controllability._step(spec, mask)
+            sets.append(set(np.flatnonzero(mask).tolist()))
+        return sets
+
+    for kmax in range(4 * spec.n):
+        assert qw.reachable_sets(spec, 0, kmax) == stepped(kmax)
+    calls = []
+    step = controllability._step
+
+    def counting_step(walk, mask):
+        calls.append(None)
+        return step(walk, mask)
+
+    monkeypatch.setattr(controllability, "_step", counting_step)
+    sets = qw.reachable_sets(spec, 0, 50_000)
+    assert len(sets) == 50_001 and sets[-1] == sets[-3]
+    assert len(calls) <= settle + 2
+
+
 def test_repeat_with_coverable_parity_is_a_conflict(monkeypatch):
     c6 = qw.cycle_shift(6)
     fake = controllability.ParityReport(m=1, witness=0, even=(), odd=())
