@@ -25,7 +25,6 @@ are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 
 import numpy as np
 
@@ -133,30 +132,40 @@ def _step(spec: WalkSpec, mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _levels(spec: WalkSpec, mask: np.ndarray):
+    """Yield ``mask`` and the masks one, two, ... steps on, stopping before
+    the first mask that equals the one two levels back.  The next mask
+    depends only on the current one, so from there the masks alternate
+    between the last two yielded.  The adjacency is symmetric, so every row
+    settles with period 1 or 2 and the stop always comes.
+    """
+    older = newer = None
+    while older is None or not np.array_equal(mask, older):
+        yield mask
+        older, newer = newer, mask
+        mask = _step(spec, mask)
+
+
 def reachable_sets(spec: WalkSpec, j: int, kmax: int) -> list[set[int]]:
     """Exact image sets: vertices reachable from j in exactly 0, 1, ..., kmax
     steps.  Not monotone in general.  A negative kmax raises
     IndexOutOfRangeError.
 
-    The next set depends only on the current one, so once a set equals the
-    one two levels back the sets alternate between the last two; stepping
-    stops there and the later levels repeat those two set objects.
+    Stepping stops once the sets repeat with period 2 (see ``_levels``);
+    the later levels repeat the last two set objects.
     """
     _check_vertex(spec, j)
     if kmax < 0:
         raise IndexOutOfRangeError(f"level {kmax} is negative")
-    mask = np.zeros(spec.n, dtype=bool)
-    mask[j] = True
-    sets = [{j}]
-    older = newer = None
-    while len(sets) <= kmax:
-        if older is not None and np.array_equal(mask, older):
-            rest = kmax + 1 - len(sets)
-            return sets + sets[-2:] * (rest // 2) + sets[-2:-1] * (rest % 2)
-        older, newer = newer, mask
-        mask = _step(spec, mask)
+    start = np.zeros(spec.n, dtype=bool)
+    start[j] = True
+    sets = []
+    for mask in _levels(spec, start):
         sets.append(set(np.flatnonzero(mask).tolist()))
-    return sets
+        if len(sets) > kmax:
+            return sets
+    rest = kmax + 1 - len(sets)
+    return sets + sets[-2:] * (rest // 2) + sets[-2:-1] * (rest % 2)
 
 
 def parity_check(spec: WalkSpec, j: int = 0) -> ParityReport:
@@ -181,30 +190,24 @@ def _covering_level(spec: WalkSpec, starts: list[int]) -> tuple[int, int] | None
     """Least k at which some start reaches every vertex in exactly k steps,
     with the least such start; None when the walk is not coverable.
 
-    All starts advance together as the rows of one boolean mask.  The next
-    mask depends only on the current one, so once a mask equals the one two
-    levels back the masks alternate between two states that have both been
-    checked, and no later level can cover.  On a connected bipartite walk
-    the exact-k sets settle on the alternating colour classes, so the
-    repeat comes within diameter + 2 levels.
+    All starts advance together as the rows of one boolean mask.  Once the
+    masks repeat (see ``_levels``) they alternate between two states that
+    have both been checked, and no later level can cover.  On a connected
+    bipartite walk the exact-k sets settle on the alternating colour
+    classes, so the repeat comes within diameter + 2 levels.
     """
-    mask = np.zeros((len(starts), spec.n), dtype=bool)
-    mask[np.arange(len(starts)), starts] = True
-    older = newer = None
-    for k in count():
+    start = np.zeros((len(starts), spec.n), dtype=bool)
+    start[np.arange(len(starts)), starts] = True
+    for k, mask in enumerate(_levels(spec, start)):
         full = np.flatnonzero(mask.all(axis=1))
         if full.size:
             return k, starts[int(full[0])]
-        if older is not None and np.array_equal(mask, older):
-            break
-        older, newer = newer, mask
-        mask = _step(spec, mask)
     # Parity is a property of the whole connected graph, so one check
     # answers for every start.
     if parity_check(spec, starts[0]).m == 1:
         where = f"vertex {starts[0]}" if len(starts) == 1 else "any vertex"
         raise CriterionConflictError(
-            f"reachable sets from {where} repeat at level {k} without covering, "
+            f"reachable sets from {where} repeat at level {k + 1} without covering, "
             "but the parity test reports a coverable walk"
         )
     return None

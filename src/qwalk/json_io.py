@@ -138,10 +138,7 @@ def read_json(path: str) -> dict:
         return json.load(fh)
 
 
-# One shared encoder for scalars and flat scalar lists.  Its item separator
-# holds the only raw newlines in its output: those inside strings are escaped.
-_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",\n", ": "))
-_CONTAINERS = (dict, list, tuple, np.ndarray)
+_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
 def _wrap(items: list, level: int, brackets: str) -> str:
@@ -163,8 +160,9 @@ def _template(shape: tuple, level: int) -> str:
 def _array(a: np.ndarray, level: int, slabs: dict) -> str:
     """A complex array at nesting ``level``, rendered a (d, d) slab (or a
     whole vector) at a time.  ``slabs`` maps (shape, level) to the slab
-    template and (shape, level, raw bytes) to the slab text: equal bytes, not
-    equal values, since -0.0 == 0.0 prints differently."""
+    template and (shape, level, raw bytes) to the slab text, since most
+    slabs of a control sequence repeat (identity blocks).  Equal bytes, not
+    equal values: -0.0 == 0.0 prints differently."""
     if a.ndim > 2:
         return _wrap([_array(s, level + 1, slabs) for s in a], level, "[]")
     key = (a.shape, level, a.tobytes())
@@ -187,10 +185,7 @@ def _render(obj, level: int, slabs: dict) -> str:
             items.append(_ENCODER.encode(key) + ": " + _render(value, level + 1, slabs))
         return _wrap(items, level, "{}")
     if isinstance(obj, (list, tuple)):
-        if not obj or any(isinstance(v, _CONTAINERS) for v in obj):
-            return _wrap([_render(v, level + 1, slabs) for v in obj], level, "[]")
-        inner = _ENCODER.encode(obj)[1:-1].replace("\n", "\n" + "  " * (level + 1))
-        return _wrap([inner], level, "[]")
+        return _wrap([_render(v, level + 1, slabs) for v in obj], level, "[]")
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind != "c":
             raise TypeError(f"only complex arrays are written, not {obj.dtype}")
