@@ -8,6 +8,7 @@ standard output as JSON except `demo`, which prints a fixed-width table.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -240,7 +241,10 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls:
+    parsing leaves it unchanged, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="qwalk",
         description="Coined quantum walks: validation, controllability, synthesis.",

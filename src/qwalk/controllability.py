@@ -146,6 +146,26 @@ def _levels(spec: WalkSpec, mask: np.ndarray):
         mask = _step(spec, mask)
 
 
+def reachable_masks(spec: WalkSpec, j: int, kmax: int) -> list[np.ndarray]:
+    """``reachable_sets`` as boolean vertex masks of shape (n,).
+
+    Stepping stops once the masks repeat with period 2 (see ``_levels``);
+    the later levels repeat the last two mask objects.
+    """
+    _check_vertex(spec, j)
+    if kmax < 0:
+        raise IndexOutOfRangeError(f"level {kmax} is negative")
+    start = np.zeros(spec.n, dtype=bool)
+    start[j] = True
+    masks = []
+    for mask in _levels(spec, start):
+        masks.append(mask)
+        if len(masks) > kmax:
+            return masks
+    rest = kmax + 1 - len(masks)
+    return masks + masks[-2:] * (rest // 2) + masks[-2:-1] * (rest % 2)
+
+
 def reachable_sets(spec: WalkSpec, j: int, kmax: int) -> list[set[int]]:
     """Exact image sets: vertices reachable from j in exactly 0, 1, ..., kmax
     steps.  Not monotone in general.  A negative kmax raises
@@ -154,18 +174,12 @@ def reachable_sets(spec: WalkSpec, j: int, kmax: int) -> list[set[int]]:
     Stepping stops once the sets repeat with period 2 (see ``_levels``);
     the later levels repeat the last two set objects.
     """
-    _check_vertex(spec, j)
-    if kmax < 0:
-        raise IndexOutOfRangeError(f"level {kmax} is negative")
-    start = np.zeros(spec.n, dtype=bool)
-    start[j] = True
-    sets = []
-    for mask in _levels(spec, start):
-        sets.append(set(np.flatnonzero(mask).tolist()))
-        if len(sets) > kmax:
-            return sets
-    rest = kmax + 1 - len(sets)
-    return sets + sets[-2:] * (rest // 2) + sets[-2:-1] * (rest % 2)
+    masks = reachable_masks(spec, j, kmax)
+    sets = {}
+    for mask in masks:
+        if id(mask) not in sets:
+            sets[id(mask)] = set(np.flatnonzero(mask).tolist())
+    return [sets[id(mask)] for mask in masks]
 
 
 def parity_check(spec: WalkSpec, j: int = 0) -> ParityReport:

@@ -87,10 +87,6 @@ def state_from_dict(data: dict) -> WalkState:
     return WalkState(d, n, _from_pairs(data.get("amps"), "amps"))
 
 
-def coin_from_list(data) -> CoinOp:
-    return CoinOp(_from_pairs(data, "coins"))
-
-
 def sequence_to_dict(seq: ControlSequence, **extra) -> dict:
     doc = {
         "schema": SCHEMA_VERSION,
@@ -108,7 +104,7 @@ def sequence_from_dict(data: dict) -> ControlSequence:
         raise SpecValidationError(f'"steps" must be a list, got {type(steps).__name__}')
     ops, meta = [], []
     for entry in steps:
-        ops.append(coin_from_list(_object(entry, "step").get("coins")))
+        ops.append(CoinOp(_from_pairs(_object(entry, "step").get("coins"), "coins")))
         meta.append(entry.get("phase", "step"))
     return ControlSequence(tuple(ops), tuple(meta))
 

@@ -1,9 +1,10 @@
 """Constructive state transfer: coin sequences that spread, reach and gather.
 
-All constructions are recursive over reachability levels and deterministic:
-ties in the choice of a predecessor break toward the smallest vertex, then
-the smallest coin value.  Vertices untouched by a partial coin step get the
-identity block.
+All constructions go level by level over the exact reachable sets and are
+deterministic: each vertex steps to or from its least (vertex, coin) pair
+in the neighbouring level, the smallest vertex first, then the smallest coin
+value.  Each level's coin blocks come from one batched completion, and
+vertices untouched by a partial coin step get the identity block.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllability import analyze, reachable_sets
+from .controllability import analyze, reachable_masks
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -90,35 +91,71 @@ def _coin_vector(d: int, c0) -> np.ndarray:
     return vec
 
 
-def _reflector_to_e1(x: np.ndarray) -> np.ndarray:
-    """Unitary sending x (unit norm) exactly to the first basis vector.
+def _reflectors(x: np.ndarray) -> np.ndarray:
+    """Per row x (unit norm) of a (B, d) array, a unitary sending x exactly
+    to the first basis vector; (B, d, d).
 
     Sign-stabilized Householder reflection with the residual phase folded
-    into a diagonal factor; never degenerate.
+    into a diagonal factor; never degenerate.  Every row gets the arithmetic
+    of a one-row call: the denominator stays one ``vdot`` per row, since a
+    batched sum can differ from it in the last ulp, and such noise, passed
+    on to a later level's x[0] == 0, turns on the phase branch and changes
+    the blocks built from it by up to 2.
     """
-    d = x.size
-    phase = np.exp(1j * np.angle(x[0])) if abs(x[0]) > 0 else 1.0
-    w = x.astype(np.complex128).copy()
-    w[0] += phase
-    u = np.eye(d, dtype=np.complex128) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real
-    u[0, :] *= -np.conj(phase)
+    d = x.shape[1]
+    lead = x[:, 0]
+    phase = np.ones(len(x), dtype=np.complex128)
+    turned = lead != 0
+    phase[turned] = np.exp(1j * np.angle(lead[turned]))
+    w = x.astype(np.complex128)
+    w[:, 0] += phase
+    norms = np.array([np.vdot(row, row).real for row in w])
+    outer = w[:, :, None] * w.conj()[:, None, :]
+    u = np.eye(d, dtype=np.complex128) - 2.0 * outer / norms[:, None, None]
+    u[:, 0, :] *= -np.conj(phase)[:, None]
     return u
 
 
-def unitary_completion(src, dst) -> np.ndarray:
-    """A d x d unitary Q with Q @ src = dst, for unit vectors src and dst.
+def _completions(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Per row pair of the (B, d) arrays src and dst (unit rows), a d x d
+    unitary Q with Q @ src = dst; (B, d, d).
 
     Composes two Householder-style reflections through the first basis
     vector (src -> e1, then e1 -> dst).
     """
+    for name, rows in (("src", src), ("dst", dst)):
+        norms = np.linalg.norm(rows, axis=1)
+        if not np.all(np.abs(norms - 1.0) <= NORM_TOL):  # also rejects NaN
+            raise NotUnitError(f"{name} is not a unit vector")
+    return _reflectors(dst).conj().transpose(0, 2, 1) @ _reflectors(src)
+
+
+def unitary_completion(src, dst) -> np.ndarray:
+    """A d x d unitary Q with Q @ src = dst, for unit vectors src and dst:
+    the one-row case of the batched completion the constructions use."""
     src = np.asarray(src, dtype=np.complex128).reshape(-1)
     dst = np.asarray(dst, dtype=np.complex128).reshape(-1)
     if src.size != dst.size:
         raise DimensionMismatchError(f"sizes differ: {src.size} vs {dst.size}")
-    for name, vec in (("src", src), ("dst", dst)):
-        if not abs(float(np.linalg.norm(vec)) - 1.0) <= NORM_TOL:
-            raise NotUnitError(f"{name} is not a unit vector")
-    return _reflector_to_e1(dst).conj().T @ _reflector_to_e1(src)
+    return _completions(src[None], dst[None])[0]
+
+
+def _coin_op(d: int, n: int, vertices, blocks) -> CoinOp:
+    """Identity coin everywhere except blocks[i] at vertices[i]."""
+    full = np.broadcast_to(np.eye(d, dtype=np.complex128), (n, d, d)).copy()
+    full[vertices] = blocks
+    return CoinOp(full)
+
+
+def _least_steps(ends: np.ndarray, members: np.ndarray):
+    """For each column of ends, the (d, B) vertices that each coin's step
+    leads to, the least (vertex, coin) whose vertex lies in the boolean
+    mask members.  Returns (coins, vertices); -1 where no vertex does."""
+    d = len(ends)
+    key = np.where(members[ends], ends * d + np.arange(d)[:, None], members.size * d)
+    coins = key.argmin(axis=0)
+    cols = np.arange(ends.shape[1])
+    return coins, np.where(members[ends[coins, cols]], ends[coins, cols], -1)
 
 
 def _strip_zeros(nodes, coeffs):
@@ -128,39 +165,41 @@ def _strip_zeros(nodes, coeffs):
     return tuple(v for v, _ in kept), np.array([a for _, a in kept], dtype=np.complex128)
 
 
-def _spread(spec, j, c0vec, nodes, coeffs, k, nsets, inv_maps):
-    """Recursive core of spread_from_node; returns (ops, coin states)."""
+def _spread(spec, c0vec, nodes, coeffs, masks):
+    """Core of spread_from_node; returns (ops, coin states of nodes).
+
+    Walks down the levels grouping each level's nodes under their least
+    (predecessor, coin), whose weight is the group's norm, then builds the
+    coin steps on the way up, one batched completion per level.  The
+    weights keep the scalar arithmetic of a per-node sum: libm's pow for
+    the squares, in node order (the array square x * x differs from pow in
+    the last ulp), and a / gamma stays a complex division at the top level
+    and a real one below.
+    """
     d, n = spec.d, spec.n
-    if k == 0:
-        assert tuple(nodes) == (j,)  # guaranteed by the reachability check
-        phase = complex(coeffs[0])
-        return [], {j: np.conj(phase) * c0vec}
-    prev = nsets[k - 1]
-    groups: dict[int, list] = {}
-    for v, a in zip(nodes, coeffs):
-        for w, coin in sorted((int(inv_maps[c][v]), c) for c in range(d)):
-            if w in prev:
-                groups.setdefault(w, []).append((v, a, coin))
-                break
-        else:  # impossible: v in nsets[k] means it has a predecessor
+    inv = np.empty((d, n), dtype=np.intp)
+    inv[np.arange(d)[:, None], np.stack([p.map for p in spec.perms])] = np.arange(n)
+    nodes = np.asarray(nodes, dtype=np.intp)
+    levels = []
+    for k in range(len(masks) - 1, 0, -1):
+        coins, preds = _least_steps(inv[:, nodes], masks[k - 1])
+        if (preds < 0).any():  # impossible: nodes in the level-k mask have predecessors
+            v = int(nodes[np.argmax(preds < 0)])
             raise UnreachableError(f"no predecessor for vertex {v} at level {k}")
-    zs = sorted(groups)
-    gammas = np.array(
-        [np.sqrt(sum(abs(a) ** 2 for _, a, _ in groups[z])) for z in zs]
-    )
-    ops, deltas = _spread(spec, j, c0vec, tuple(zs), gammas, k - 1, nsets, inv_maps)
-    blocks = {}
-    coin_states = {}
-    for z, gamma in zip(zs, gammas):
-        dst = np.zeros(d, dtype=np.complex128)
-        for v, a, coin in groups[z]:
-            dst[coin] += a / gamma
-            evec = np.zeros(d, dtype=np.complex128)
-            evec[coin] = 1.0
-            coin_states[v] = evec
-        blocks[z] = unitary_completion(deltas[z], dst)
-    ops.append(CoinOp.from_blocks(d, n, blocks))
-    return ops, coin_states
+        zs, group = np.unique(preds, return_inverse=True)
+        weights = np.bincount(group, weights=[abs(a) ** 2 for a in coeffs], minlength=len(zs))
+        gammas = np.sqrt(weights)
+        levels.append((coins, zs, group, coeffs / gammas[group]))
+        nodes, coeffs = zs, gammas
+    states = (np.conj(complex(coeffs[0])) * c0vec)[None]  # the one node of level 0
+    ops = []
+    eye = np.eye(d, dtype=np.complex128)
+    for coins, zs, group, scaled in reversed(levels):
+        dst = np.zeros((len(zs), d), dtype=np.complex128)
+        dst[group, coins] += scaled
+        ops.append(_coin_op(d, n, zs, _completions(states, dst)))
+        states = eye[coins]
+    return ops, states
 
 
 def spread_from_node(spec: WalkSpec, j: int, c0, target: TargetSpread, k: int):
@@ -173,17 +212,19 @@ def spread_from_node(spec: WalkSpec, j: int, c0, target: TargetSpread, k: int):
     """
     if not 0 <= j < spec.n:
         raise IndexOutOfRangeError(f"vertex {j} out of range 0..{spec.n - 1}")
+    outside = [v for v in target.nodes if not 0 <= v < spec.n]
+    if outside:
+        raise IndexOutOfRangeError(f"target nodes {outside} out of range 0..{spec.n - 1}")
     c0vec = _coin_vector(spec.d, c0)
     nodes, coeffs = _strip_zeros(target.nodes, target.coeffs)
-    nsets = reachable_sets(spec, j, k)
-    missing = [v for v in nodes if v not in nsets[k]]
+    masks = reachable_masks(spec, j, k)
+    missing = [v for v in nodes if not masks[k][v]]
     if missing:
         raise UnreachableError(
             f"nodes {missing} are not reachable from {j} in exactly {k} steps"
         )
-    inv_maps = [p.inverse().map for p in spec.perms]
-    ops, states = _spread(spec, j, c0vec, nodes, coeffs, k, nsets, inv_maps)
-    return ControlSequence(tuple(ops), ("spread",) * len(ops)), states
+    ops, states = _spread(spec, c0vec, nodes, coeffs, masks)
+    return ControlSequence(tuple(ops), ("spread",) * len(ops)), dict(zip(nodes, states))
 
 
 def reach_full_state(spec: WalkSpec, j: int, c0, target: WalkState, k: int) -> ControlSequence:
@@ -204,16 +245,11 @@ def reach_full_state(spec: WalkSpec, j: int, c0, target: WalkState, k: int) -> C
     maps = np.stack([p.map for p in spec.perms])
     pre = target.table()[coins, maps]  # (S^-1 x)[c, v] = x[c, P_c v]
     norms = np.linalg.norm(pre, axis=0)
-    nodes = tuple(int(v) for v in np.flatnonzero(norms > ZERO_COEFF))
-    betas = norms[list(nodes)]
-    seq, coin_states = spread_from_node(
-        spec, j, c0, TargetSpread(nodes, betas), k
-    )
-    mix_blocks = {
-        v: unitary_completion(coin_states[v], pre[:, v] / beta)
-        for v, beta in zip(nodes, betas)
-    }
-    mix = CoinOp.from_blocks(spec.d, spec.n, mix_blocks)
+    nodes = np.flatnonzero(norms > ZERO_COEFF)
+    betas = norms[nodes]
+    seq, coin_states = spread_from_node(spec, j, c0, TargetSpread(nodes, betas), k)
+    src = np.array([coin_states[v] for v in nodes.tolist()])
+    mix = _coin_op(spec.d, spec.n, nodes, _completions(src, (pre[:, nodes] / betas).T))
     return ControlSequence(seq.ops + (mix,), seq.meta + ("mix",))
 
 
@@ -221,46 +257,38 @@ def concentrate_to_node(spec: WalkSpec, j: int, state: WalkState, k: int):
     """Steer a state supported on the level-k reachable set of j onto node j.
 
     At each level every support node's coin vector is rotated onto the coin
-    value whose permutation moves it one level closer to j.  Returns
-    (sequence of length <= k, final coin vector at j).
+    value whose permutation moves it one level closer to j, the least
+    (next vertex, coin) first.  Returns (sequence of length <= k, final
+    coin vector at j).
     """
     if not 0 <= j < spec.n:
         raise IndexOutOfRangeError(f"vertex {j} out of range 0..{spec.n - 1}")
     if state.d != spec.d or state.n != spec.n:
         raise DimensionMismatchError("state does not match the walk dimensions")
-    nsets = reachable_sets(spec, j, k)
-    support = {
-        int(v)
-        for v in np.flatnonzero(np.linalg.norm(state.table(), axis=0) > ZERO_COEFF)
-    }
-    missing = sorted(support - nsets[k])
+    masks = reachable_masks(spec, j, k)
+    support = np.flatnonzero(np.linalg.norm(state.table(), axis=0) > ZERO_COEFF)
+    missing = support[~masks[k][support]].tolist()
     if missing:
         raise UnreachableError(
             f"nodes {missing} are not reachable from {j} in exactly {k} steps"
         )
+    maps = np.stack([p.map for p in spec.perms])
+    eye = np.eye(spec.d, dtype=np.complex128)
     ops = []
     current = state
     for level in range(k, 0, -1):
         table = current.table()
-        support = {
-            int(v) for v in np.flatnonzero(np.linalg.norm(table, axis=0) > ZERO_COEFF)
-        }
-        if support == {j}:
+        support = np.flatnonzero(np.linalg.norm(table, axis=0) > ZERO_COEFF)
+        if support.tolist() == [j]:
             break
-        prev = nsets[level - 1]
-        blocks = {}
-        for v in sorted(support):
-            col = table[:, v]
-            gamma = float(np.linalg.norm(col))
-            for w, coin in sorted((int(p.map[v]), c) for c, p in enumerate(spec.perms)):
-                if w in prev:
-                    break
-            else:  # impossible for v in nsets[level]
-                raise UnreachableError(f"no step from {v} toward {j} at level {level}")
-            evec = np.zeros(spec.d, dtype=np.complex128)
-            evec[coin] = 1.0
-            blocks[v] = unitary_completion(col / gamma, evec)
-        op = CoinOp.from_blocks(spec.d, spec.n, blocks)
+        coins, nexts = _least_steps(maps[:, support], masks[level - 1])
+        if (nexts < 0).any():  # impossible for support in the level mask
+            v = int(support[np.argmax(nexts < 0)])
+            raise UnreachableError(f"no step from {v} toward {j} at level {level}")
+        # one norm per column: a norm along an axis differs in the last ulp
+        gammas = np.array([float(np.linalg.norm(table[:, v])) for v in support])
+        src = (table[:, support] / gammas).T
+        op = _coin_op(spec.d, spec.n, support, _completions(src, eye[coins]))
         ops.append(op)
         current = step(current, op, spec)
     final_coin = current.table()[:, j].copy()

@@ -1,6 +1,10 @@
 """Command-line surface: exit codes, JSON schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,3 +391,24 @@ def test_out_flag_writes_file(capsys, tmp_path, cycle5_path):
     out_path = tmp_path / "report.json"
     _, printed = run_cli(capsys, "analyze", "--spec", cycle5_path, "--out", str(out_path))
     assert out_path.read_text() == printed
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, tmp_path, cycle5_path):
+    # the parser is built once per process and shared by later main calls
+    c5 = qw.cycle_shift(5)
+    rng = np.random.default_rng(2)
+    p1, p2 = tmp_path / "psi1.json", tmp_path / "psi2.json"
+    for path in (p1, p2):
+        json_io.write_json(json_io.state_to_dict(random_walk_state(rng, c5)), str(path))
+    argvs = [
+        ["analyze", "--spec", cycle5_path],
+        ["synthesize", "--spec", cycle5_path, "--state", str(p1), "--target", str(p2)],
+        ["analyze", "--spec", cycle5_path, "--bogus"],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for argv in argvs:
+        fresh = subprocess.run([sys.executable, "-m", "qwalk.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout)
+    assert main(argvs[0]) == 0  # a success after the usage error

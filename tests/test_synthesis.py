@@ -247,3 +247,193 @@ def test_sequence_meta_matches_phases(c5):
     seq = qw.arbitrary_transfer(c5, random_walk_state(rng, c5), random_walk_state(rng, c5))
     assert set(seq.meta) <= {"concentrate", "spread", "mix"}
     assert len(seq.meta) == len(seq.ops)
+
+
+def test_spread_target_node_out_of_range(fig):
+    # checked before any mask is indexed, where -1 would wrap to vertex n - 1
+    for node in (-1, fig.n, 99):
+        target = qw.TargetSpread((node, 1), np.array([0.6, 0.8]))
+        with pytest.raises(qw.IndexOutOfRangeError, match=str(node)):
+            qw.spread_from_node(fig, 0, 0, target, 1)
+
+
+# Reference construction: one sorted predecessor scan per vertex and one
+# completion per block, as the constructions were written before each level
+# was built in one batched pass.  The batched code must match it bit for bit.
+
+
+def _ref_reflector_to_e1(x):
+    d = x.size
+    phase = np.exp(1j * np.angle(x[0])) if abs(x[0]) > 0 else 1.0
+    w = x.astype(np.complex128).copy()
+    w[0] += phase
+    u = np.eye(d, dtype=np.complex128) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real
+    u[0, :] *= -np.conj(phase)
+    return u
+
+
+def _ref_completion(src, dst):
+    src = np.asarray(src, dtype=np.complex128).reshape(-1)
+    dst = np.asarray(dst, dtype=np.complex128).reshape(-1)
+    return _ref_reflector_to_e1(dst).conj().T @ _ref_reflector_to_e1(src)
+
+
+def _ref_spread(spec, j, c0vec, nodes, coeffs, k, nsets, inv_maps):
+    d, n = spec.d, spec.n
+    if k == 0:
+        return [], {j: np.conj(complex(coeffs[0])) * c0vec}
+    groups = {}
+    for v, a in zip(nodes, coeffs):
+        for w, coin in sorted((int(inv_maps[c][v]), c) for c in range(d)):
+            if w in nsets[k - 1]:
+                groups.setdefault(w, []).append((v, a, coin))
+                break
+    zs = sorted(groups)
+    gammas = np.array([np.sqrt(sum(abs(a) ** 2 for _, a, _ in groups[z])) for z in zs])
+    ops, deltas = _ref_spread(spec, j, c0vec, tuple(zs), gammas, k - 1, nsets, inv_maps)
+    blocks, coin_states = {}, {}
+    for z, gamma in zip(zs, gammas):
+        dst = np.zeros(d, dtype=np.complex128)
+        for v, a, coin in groups[z]:
+            dst[coin] += a / gamma
+            coin_states[v] = np.eye(d, dtype=np.complex128)[coin]
+        blocks[z] = _ref_completion(deltas[z], dst)
+    ops.append(qw.CoinOp.from_blocks(d, n, blocks))
+    return ops, coin_states
+
+
+def _ref_spread_from_node(spec, j, c0vec, nodes, coeffs, k):
+    kept = [(v, a) for v, a in zip(nodes, coeffs) if abs(a) > 1e-14]
+    nodes = tuple(v for v, _ in kept)
+    coeffs = np.array([a for _, a in kept], dtype=np.complex128)
+    nsets = qw.reachable_sets(spec, j, k)
+    inv_maps = [p.inverse().map for p in spec.perms]
+    return _ref_spread(spec, j, c0vec, nodes, coeffs, k, nsets, inv_maps)
+
+
+def _ref_reach(spec, j, c0vec, target, k):
+    maps = np.stack([p.map for p in spec.perms])
+    pre = target.table()[np.arange(spec.d)[:, None], maps]
+    norms = np.linalg.norm(pre, axis=0)
+    nodes = tuple(int(v) for v in np.flatnonzero(norms > 1e-14))
+    betas = norms[list(nodes)]
+    ops, coin_states = _ref_spread_from_node(spec, j, c0vec, nodes, betas, k)
+    mix = {v: _ref_completion(coin_states[v], pre[:, v] / b) for v, b in zip(nodes, betas)}
+    return ops + [qw.CoinOp.from_blocks(spec.d, spec.n, mix)]
+
+
+def _ref_concentrate(spec, j, state, k):
+    nsets = qw.reachable_sets(spec, j, k)
+    ops, current = [], state
+    for level in range(k, 0, -1):
+        table = current.table()
+        support = set(np.flatnonzero(np.linalg.norm(table, axis=0) > 1e-14).tolist())
+        if support == {j}:
+            break
+        blocks = {}
+        for v in sorted(support):
+            col = table[:, v]
+            gamma = float(np.linalg.norm(col))
+            for w, coin in sorted((int(p.map[v]), c) for c, p in enumerate(spec.perms)):
+                if w in nsets[level - 1]:
+                    break
+            blocks[v] = _ref_completion(col / gamma, np.eye(spec.d, dtype=complex)[coin])
+        ops.append(qw.CoinOp.from_blocks(spec.d, spec.n, blocks))
+        current = qw.step(current, ops[-1], spec)
+    return ops, current.table()[:, j].copy()
+
+
+def _ref_transfer(spec, psi1, psi2):
+    report = qw.analyze(spec)
+    gather, gamma = _ref_concentrate(spec, report.kappa_vertex, psi1, report.kappa)
+    return gather + _ref_reach(spec, report.kappa_vertex, gamma, psi2, report.kappa)
+
+
+def _same_bits(ops, ref):
+    """Equal shapes and bytes, so signed zeros count too."""
+    return len(ops) == len(ref) and all(
+        a.blocks.shape == b.blocks.shape and a.blocks.tobytes() == b.blocks.tobytes()
+        for a, b in zip(ops, ref)
+    )
+
+
+def _state_pairs(rng, spec):
+    """A Haar pair, a pair of basis states and a pair of two-vertex states."""
+    size = spec.d * spec.n
+    haar = (random_walk_state(rng, spec), random_walk_state(rng, spec))
+    basis = tuple(qw.basis_state(spec, int(rng.integers(spec.d)), int(rng.integers(spec.n)))
+                  for _ in range(2))
+    two = []
+    for _ in range(2):
+        amps = np.zeros(size, dtype=complex)
+        vertices = rng.choice(spec.n, size=2, replace=False)
+        amps[rng.integers(spec.d, size=2) * spec.n + vertices] = random_state_vector(rng, 2)
+        two.append(qw.WalkState(spec.d, spec.n, amps))
+    return haar, basis, tuple(two)
+
+
+def _transfer_specs():
+    specs = [qw.figure1(), qw.cycle_shift(31), qw.torus(5, 5), qw.complete(12)]
+    rng = np.random.default_rng(58)
+    while len(specs) < 24:
+        spec = random_spec(rng)
+        if qw.analyze(spec).controllable:
+            specs.append(spec)
+    return specs
+
+
+def test_batched_construction_matches_per_block_reference():
+    rng = np.random.default_rng(8)
+    for spec in _transfer_specs():
+        for psi1, psi2 in _state_pairs(rng, spec):
+            seq = qw.arbitrary_transfer(spec, psi1, psi2)
+            assert _same_bits(seq.ops, _ref_transfer(spec, psi1, psi2)), spec
+
+
+@pytest.mark.parametrize("seed", [69, 207, 416, 513])
+def test_batched_spread_matches_reference_on_complex_targets(seed):
+    # complex weights in random node order: each group's weight sums its
+    # squares in target order, and the top level divides complex by real.
+    # In these draws the array square x * x, in place of the scalar
+    # abs(a) ** 2 (libm's pow), would change a block.
+    rng = np.random.default_rng(seed)
+    spec, k = (qw.torus(5, 5), 4) if seed % 2 else (qw.complete(12), 2)
+    nodes = tuple(int(v) for v in rng.permutation(sorted(qw.reachable_sets(spec, 0, k)[k])))
+    coeffs = random_state_vector(rng, len(nodes))
+    seq, states = qw.spread_from_node(spec, 0, 0, qw.TargetSpread(nodes, coeffs), k)
+    c0 = np.eye(spec.d, dtype=complex)[0]
+    ref_ops, ref_states = _ref_spread_from_node(spec, 0, c0, nodes, coeffs, k)
+    assert _same_bits(seq.ops, ref_ops)
+    assert states.keys() == ref_states.keys()
+    assert all(states[v].tobytes() == ref_states[v].tobytes() for v in nodes)
+
+
+def test_unitary_completion_of_a_basis_vector_to_itself_is_the_identity():
+    for d in range(2, 8):
+        for c in range(d):
+            e = np.eye(d, dtype=complex)[c]
+            assert np.array_equal(qw.unitary_completion(e, e), np.eye(d))
+    # equal in value, not in bits: d = 2, c = 1 has -0.0 off the diagonal,
+    # which the JSON writer prints, so skipping such a completion for the
+    # identity block would change output bytes
+    e1 = np.array([0, 1], dtype=complex)
+    assert np.signbit(qw.unitary_completion(e1, e1).real).tolist() == [[False, True], [True, False]]
+
+
+def test_batched_completions_match_single_row_calls():
+    from qwalk.synthesis import _completions
+
+    rng = np.random.default_rng(19)
+    for d in range(2, 6):
+        rows = [random_state_vector(rng, d) for _ in range(12)]
+        for r in rows[:4]:  # leading entry exactly zero
+            r[0] = 0
+            r /= np.linalg.norm(r)
+        rows += list(np.eye(d, dtype=complex))
+        src = np.array(rows)
+        dst = np.array(rows[::-1])
+        dst[:3] = src[:3]  # a row sent to itself
+        batched = _completions(src, dst)
+        for q, s, t in zip(batched, src, dst):
+            assert q.tobytes() == qw.unitary_completion(s, t).tobytes()
+            assert q.tobytes() == _ref_completion(s, t).tobytes()
