@@ -11,7 +11,6 @@ from .controllability import (
     kappa,
     parity_check,
     reachable_sets,
-    reduced_connectivity_graph,
 )
 from .errors import (
     CapExceededError,

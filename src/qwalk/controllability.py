@@ -3,8 +3,8 @@
 Three mutually cross-checking criteria decide whether a walk can realize
 every unitary evolution:
 
-* joint orbits of permutation-power pairs, reduced to an N-vertex
-  connectivity graph whose connectedness is the verdict;
+* joint orbits of permutation-power pairs, whose components are read off
+  cycle residues; one component is the verdict;
 * reachability sets: some vertex must cover the whole graph with walks of
   one exact length;
 * a parity test: some vertex must be reachable in both an odd and an even
@@ -12,11 +12,9 @@ every unitary evolution:
 
 All three are facts about the N vertices and d coins, not about the shift
 order r (the lcm of the cycle lengths, which can grow exponentially in N):
-joint orbits are cycles of a permutation of the N^2 vertex pairs, and the
-reachability search stops at the first covering level, which is at most
-2N-2 on a coverable walk, or as soon as its reachable sets repeat, within
-diameter + 2 levels on a non-coverable one.  Only the 2k+r transfer bound
-reads r.
+joint orbits follow from cycle positions modulo gcds of cycle lengths, and
+the reachability search stops at the first covering level (at most 2N-2)
+or once its reachable sets repeat.  Only the 2k+r transfer bound reads r.
 
 Coin labels ``l, m`` in the joint-orbit API are 1-based (1..d); vertices
 are 0-based.
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CriterionConflictError, IndexOutOfRangeError
-from .graph_model import WalkSpec, connected_components
+from .graph_model import WalkSpec, component_labels, cycle_table
 from .walk_core import shift_order
 
 
@@ -47,7 +45,7 @@ class ParityReport:
 class ControllabilityReport:
     """The orbit criterion's verdict with the other two criteria beside it.
 
-    ``m`` counts the reduced-connectivity components; ``reach_controllable``
+    ``m`` counts the orbit criterion's components; ``reach_controllable``
     says whether some vertex covers the graph at one exact level, and
     ``parity_m`` is the parity test's block count.  ``partitions_match`` is
     False only when the orbit and parity criteria both split the vertices
@@ -100,44 +98,60 @@ def joint_orbit(spec: WalkSpec, l: int, m: int) -> frozenset:
     return frozenset(pairs)
 
 
-def reduced_connectivity_graph(spec: WalkSpec) -> list[set[int]]:
-    """Adjacency sets of the N-vertex graph deciding controllability.
+def _orbit_labels(spec: WalkSpec) -> np.ndarray:
+    """Each vertex's least fellow in the orbit criterion's components.
 
-    For every coin m = 2..d, each pair (x, y) of the (1, m) joint orbit
-    joins x and y.  These d-1 orbits give the same components as all
-    d(d-1)/2 coin pairs l < m: for any j and k the (l, m) pair
-    (P_l^k j, P_m^k j) joins two vertices that the (1, l) and (1, m) pairs
-    both join to P_1^k j, and the (1, m) graph is a subgraph of the
-    all-pairs one.  The returned sets are therefore a spanning subgraph of
-    the all-pairs graph with the same components, built in O(d N^2).
+    The (1, m) joint orbits, m = 2..d, join what all pairs l < m join: the
+    (l, m) pair (P_l^k j, P_m^k j) has both ends joined to P_1^k j.  Let
+    cycles A of P_1 and B of P_m meet at j, with g the gcd of their lengths.
+    By the Chinese remainder theorem the orbit of (j, j) joins A[u] to B[v]
+    exactly when u - v = pos_A(j) - pos_B(j) (mod g); all meeting points
+    together, when u - v = delta (mod g'), g' the gcd of g and the offsets'
+    differences.  A cycle's positions are so joined modulo G, the gcd of g'
+    over the cycles it meets: each vertex links to a node per (cycle,
+    position mod G), and each meeting pair links A[c] to B[c - delta] for c
+    below lcm(G_A, G_B).
     """
-    adj: list[set[int]] = [set() for _ in range(spec.n)]
-    for m in range(2, spec.d + 1):
-        for x, y in joint_orbit(spec, 1, m):
-            if x != y:
-                adj[x].add(y)
-                adj[y].add(x)
-    return adj
+    n, d = spec.n, spec.d
+    root, pos, size = cycle_table(spec.maps)
+    vertex = np.arange(d * n) % n
+    # Rows (m >= 2, j) sorted by meeting pair, the pair's key above the
+    # offset pos_A - pos_B + n in one integer; root[j] is j's P_1 cycle.
+    key, delta = np.divmod(np.sort(
+        (root[n:] * n + root[vertex[n:]]) * 2 * n + pos[vertex[n:]] - pos[n:] + n), 2 * n)
+    new = np.concatenate(([True], key[1:] != key[:-1]))
+    starts = np.flatnonzero(new)
+    pb, pa = np.divmod(key[starts], n)
+    first = delta[starts]
+    spread = np.gcd.reduceat(delta - first[np.cumsum(new) - 1], starts)
+    gp = np.gcd(np.gcd(size[pa], size[pb]), spread)
+    mod = np.zeros(d * n, dtype=np.int64)  # G, indexed by a cycle's root
+    np.gcd.at(mod, pa, gp)
+    np.gcd.at(mod, pb, gp)
+    node = n + np.cumsum(mod) - mod  # the first node of each cycle
+    links = np.lcm(mod[pa], mod[pb])
+    pair = np.repeat(np.arange(starts.size), links)
+    c = np.arange(pair.size) - (np.cumsum(links) - links)[pair]
+    pa, pb = pa[pair], pb[pair]
+    u = np.concatenate((vertex, node[pa] + c % mod[pa]))
+    v = np.concatenate((node[root] + pos % mod[root], node[pb] + (c - first[pair] + n) % mod[pb]))
+    return component_labels(n + int(mod.sum()), u, v)[:n]
 
 
 def _step(spec: WalkSpec, mask: np.ndarray) -> np.ndarray:
-    """Advance a boolean vertex mask of shape (n,) or (starts, n) one level:
-    the vertices reachable in exactly one more step.  y is reachable when
-    some P_c^-1 y is in the mask; the adjacency is symmetric, so the
-    P_c^-1 y over all coins are the P_c y, and the gather out |= mask[P_c]
-    gives the same set without building the inverses."""
-    out = np.zeros_like(mask)
-    for p in spec.perms:
-        out |= mask[..., p.map]
+    """Advance a boolean (n,) mask, or (n, words) packed start bits, one
+    level: row y ORs rows P_c y, as the P_c^-1 y are the P_c y by symmetry."""
+    out = mask[spec.maps[0]]
+    for p in spec.maps[1:]:
+        out |= mask[p]
     return out
 
 
 def _levels(spec: WalkSpec, mask: np.ndarray):
     """Yield ``mask`` and the masks one, two, ... steps on, stopping before
-    the first mask that equals the one two levels back.  The next mask
-    depends only on the current one, so from there the masks alternate
-    between the last two yielded.  The adjacency is symmetric, so every row
-    settles with period 1 or 2 and the stop always comes.
+    the first mask that equals the one two levels back; from there they
+    alternate between the last two yielded.  The adjacency is symmetric, so
+    every row settles with period 1 or 2 and the stop always comes.
     """
     older = newer = None
     while older is None or not np.array_equal(mask, older):
@@ -191,11 +205,8 @@ def parity_check(spec: WalkSpec, j: int = 0) -> ParityReport:
     """
     _check_vertex(spec, j)
     n = spec.n
-    nbrs = [spec.neighbors(v) for v in range(n)]
-    cover = [[u + n for u in nb] for nb in nbrs] + nbrs
-    comp = next(c for c in connected_components(cover) if j in c)
-    even = tuple(v for v in comp if v < n)
-    odd = tuple(v - n for v in comp if v >= n)
+    label = component_labels(2 * n, np.arange(spec.d * n) % n, n + spec.maps.ravel())
+    even, odd = (tuple(np.flatnonzero(h == label[j]).tolist()) for h in (label[:n], label[n:]))
     both = set(even) & set(odd)
     return ParityReport(m=1 if both else 2, witness=min(both, default=None), even=even, odd=odd)
 
@@ -204,18 +215,19 @@ def _covering_level(spec: WalkSpec, starts: list[int]) -> tuple[int, int] | None
     """Least k at which some start reaches every vertex in exactly k steps,
     with the least such start; None when the walk is not coverable.
 
-    All starts advance together as the rows of one boolean mask.  Once the
-    masks repeat (see ``_levels``) they alternate between two states that
-    have both been checked, and no later level can cover.  On a connected
-    bipartite walk the exact-k sets settle on the alternating colour
-    classes, so the repeat comes within diameter + 2 levels.
+    All starts advance together as the bits of one (n, words) uint64 mask,
+    bit i of row v set when starts[i] reaches v; a start covers when its
+    bit survives the AND over the rows.  Once the masks repeat (see
+    ``_levels``) no later level can cover; on a bipartite walk that comes
+    within diameter + 2 levels.
     """
-    start = np.zeros((len(starts), spec.n), dtype=bool)
-    start[np.arange(len(starts)), starts] = True
-    for k, mask in enumerate(_levels(spec, start)):
-        full = np.flatnonzero(mask.all(axis=1))
-        if full.size:
-            return k, starts[int(full[0])]
+    bit = np.arange(len(starts))
+    start = np.zeros((spec.n, -(-len(starts) // 64) * 8), dtype=np.uint8)
+    np.bitwise_or.at(start, (starts, bit >> 3), (1 << (bit & 7)).astype(np.uint8))
+    for k, mask in enumerate(_levels(spec, start.view(np.uint64))):
+        full = np.bitwise_and.reduce(mask, axis=0)
+        if full.any():
+            return k, starts[int(np.argmax(np.unpackbits(full.view(np.uint8), bitorder="little")))]
     # Parity is a property of the whole connected graph, so one check
     # answers for every start.
     if parity_check(spec, starts[0]).m == 1:
@@ -230,14 +242,11 @@ def _covering_level(spec: WalkSpec, starts: list[int]) -> tuple[int, int] | None
 def k_of(spec: WalkSpec, j: int) -> int | None:
     """Least k with every vertex reachable from j in exactly k steps.
 
-    Returns None when the exact-k reachable sets repeat without covering
-    and the parity test confirms the walk is not coverable.  A coverable
-    walk is connected and not bipartite, so its symmetric adjacency matrix
-    is primitive, and the exponent of a primitive symmetric N x N matrix is
-    at most 2N-2 (J.-Y. Shao, 1987): the search stops at a covering level
-    of at most 2N-2.  Sets that repeat on a walk whose parity test says it
-    is coverable raise CriterionConflictError, an internal assertion rather
-    than an outcome.
+    None when the exact-k sets repeat without covering and the parity test
+    confirms the walk is not coverable.  A coverable walk has a primitive
+    symmetric adjacency matrix, whose exponent is at most 2N-2 (J.-Y. Shao,
+    1987).  Sets that repeat on a walk whose parity test says it is
+    coverable raise CriterionConflictError, an internal assertion.
     """
     _check_vertex(spec, j)
     found = _covering_level(spec, [j])
@@ -255,7 +264,7 @@ def kappa(spec: WalkSpec) -> tuple[int, int] | None:
 def analyze(spec: WalkSpec) -> ControllabilityReport:
     """Full controllability report.
 
-    Components come from the reduced connectivity graph; the predicted
+    Components come from the joint orbits' cycle residues; the predicted
     operator-algebra dimension is sum((d*v_j)^2) over component sizes v_j:
     the algebra splits into one full unitary block per component (every
     block's phase direction is independently reachable through per-vertex
@@ -264,7 +273,9 @@ def analyze(spec: WalkSpec) -> ControllabilityReport:
     for controllable walks.  Each criterion runs once, and the report
     carries all three verdicts side by side.
     """
-    comps = connected_components(reduced_connectivity_graph(spec))
+    label = _orbit_labels(spec)
+    roots = np.flatnonzero(label == np.arange(spec.n))
+    comps = [np.flatnonzero(label == v).tolist() for v in roots]
     kap = kappa(spec)
     par = parity_check(spec, 0)
     sizes = tuple(len(c) for c in comps)

@@ -8,9 +8,7 @@ cycle notation such as ``"(0 1 2)(3 4)"`` is accepted as input sugar.
 
 from __future__ import annotations
 
-import math
 import re
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,9 +93,6 @@ class Permutation:
     def __call__(self, j: int) -> int:
         return int(self.map[j])
 
-    def __len__(self) -> int:
-        return self.n
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and np.array_equal(self.map, other.map)
 
@@ -107,74 +102,27 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation({self.map.tolist()})"
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Right-to-left composition: ``p.compose(q)`` applies ``q`` first,
-        i.e. ``p.compose(q)(j) == p(q(j))``."""
-        if self.n != other.n:
-            raise LengthMismatchError(f"sizes differ: {self.n} vs {other.n}")
-        return Permutation(self.map[other.map])
-
     def inverse(self) -> "Permutation":
         inv = np.empty(self.n, dtype=np.int64)
         inv[self.map] = np.arange(self.n)
         return Permutation(inv)
 
-    def power(self, k: int) -> "Permutation":
-        """k-th power; negative exponents allowed."""
-        k %= self.order()
-        result = np.arange(self.n)
-        square = self.map
-        while k:
-            if k & 1:
-                result = square[result]
-            square = square[square]
-            k >>= 1
-        return Permutation(result)
-
-    def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Disjoint cycles covering every vertex, fixed points as singletons.
-
-        Each cycle starts at its smallest element; cycles are sorted by that
-        element.
-        """
-        seen = np.zeros(self.n, dtype=bool)
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            v = int(self.map[start])
-            while v != start:
-                cyc.append(v)
-                seen[v] = True
-                v = int(self.map[v])
-            out.append(tuple(cyc))
-        return out
-
-    def cycle_notation(self) -> str:
-        """Display form; fixed points omitted, identity prints ``()``."""
-        parts = ["(" + " ".join(map(str, c)) + ")" for c in self.cycles() if len(c) > 1]
-        return "".join(parts) or "()"
-
 
 @dataclass(frozen=True, eq=False)
 class WalkSpec:
-    """A validated walk: vertex count, defining permutations, adjacency."""
+    """A validated walk: vertex count, defining permutations, and their
+    images as one read-only (d, N) array, ``maps[c, v] = P_c v``."""
 
     n: int
     perms: tuple[Permutation, ...]
-    adjacency: np.ndarray
+    maps: np.ndarray
 
     @property
     def d(self) -> int:
         return len(self.perms)
 
     def neighbors(self, j: int) -> list[int]:
-        return np.flatnonzero(self.adjacency[j]).tolist()
+        return np.sort(self.maps[:, j]).tolist()
 
     def __repr__(self) -> str:
         return f"WalkSpec(n={self.n}, d={self.d})"
@@ -192,24 +140,40 @@ def _as_permutation(raw, n: int, index: int) -> Permutation:
     return p
 
 
-def connected_components(adj: Sequence[Iterable[int]]) -> list[list[int]]:
-    """Sorted components of an adjacency-set graph, ordered by least vertex."""
-    n = len(adj)
-    unseen = set(range(n))
-    comps = []
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for u in adj[v]:
-                if u not in comp:
-                    comp.add(u)
-                    frontier.append(u)
-        unseen -= comp
-        comps.append(sorted(comp))
-    return comps
+def cycle_table(maps: np.ndarray):
+    """Cycles of a (k, N) permutation stack, as three flat arrays over the
+    entries ``row * N + vertex``: the entry of the cycle's least vertex, the
+    steps on from it, and the cycle length.  Pointer doubling takes
+    ceil(log2 N) rounds, whatever the cycle lengths."""
+    k, n = maps.shape
+    jump = (maps + n * np.arange(k)[:, None]).ravel()
+    low = np.arange(k * n)
+    ahead = np.zeros(k * n, dtype=np.int64)  # steps on to low
+    for r in range((n - 1).bit_length()):
+        cand = low[jump]
+        better = cand < low
+        low = np.where(better, cand, low)
+        ahead = np.where(better, ahead[jump] + (1 << r), ahead)
+        jump = jump[jump]
+    size = np.bincount(low, minlength=k * n)[low]
+    return low, (size - ahead) % size, size
+
+
+def component_labels(count: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The least node of each node's component in the graph on
+    ``range(count)`` with edges ``u[i] - v[i]``.  Each round hooks every
+    root an edge joins to a smaller root onto the least such root, then
+    jumps pointers until every node points at its root."""
+    label = np.arange(count)
+    while True:
+        lu, lv = label[u], label[v]
+        cross = lu != lv
+        if not cross.any():
+            return label
+        u, v, lu, lv = u[cross], v[cross], lu[cross], lv[cross]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while ((up := label[label]) != label).any():
+            label = up
 
 
 def validate(n: int, perms) -> WalkSpec:
@@ -228,42 +192,34 @@ def validate(n: int, perms) -> WalkSpec:
     if d < 2:
         raise SpecValidationError(f"need at least 2 permutations, got {d}")
 
+    maps = np.stack([p.map for p in ps])
+    maps.setflags(write=False)
     idx = np.arange(n)
-    for i, p in enumerate(ps):
-        fixed = np.flatnonzero(p.map == idx)
-        if fixed.size:
-            raise SelfLoopError(f"permutation {i} fixes vertex {int(fixed[0])}")
+    if (maps == idx).any():
+        i, j = np.argwhere(maps == idx)[0].tolist()
+        raise SelfLoopError(f"permutation {i} fixes vertex {j}")
 
-    for i in range(d):
-        for k in range(i + 1, d):
-            hit = np.flatnonzero(ps[i].map == ps[k].map)
-            if hit.size:
-                j = int(hit[0])
-                raise CoinCollisionError(
-                    f"permutations {i} and {k} both send vertex {j} to {ps[i](j)}"
-                )
+    # Transition v -> P_c v has code P_c v * n + v: codes repeat where coins
+    # collide, and distinct codes equal their reverses iff the walk is symmetric.
+    codes, reverse = (maps * n + idx).ravel(), (idx * n + maps).ravel()
+    ordered = np.sort(codes)
+    if (ordered[1:] == ordered[:-1]).any():
+        # a stable column sort keeps a column's least colliding pair adjacent
+        order = np.argsort(maps, axis=0, kind="stable")
+        r, col = np.nonzero(np.diff(np.take_along_axis(maps, order, axis=0), axis=0) == 0)
+        first, later = order[r, col], order[r + 1, col]
+        at = np.lexsort((col, later, first))[0]
+        i, k, j = int(first[at]), int(later[at]), int(col[at])
+        raise CoinCollisionError(f"permutations {i} and {k} both send vertex {j} to {ps[i](j)}")
+    if not np.array_equal(ordered, np.sort(reverse)):
+        l, j = divmod(int(np.setxor1d(codes, reverse)[0]), n)
+        raise NotSymmetricError(f"transition {j} -> {l} has no reverse transition {l} -> {j}")
 
-    # Entries stay 0/1: an entry of 2 needs two permutations sending one
-    # vertex to the same image, which the collision check has rejected.
-    adjacency = np.zeros((n, n), dtype=np.int64)
-    for p in ps:
-        adjacency[p.map, idx] += 1
-
-    asym = np.argwhere(adjacency != adjacency.T)
-    if asym.size:
-        l, j = (int(v) for v in asym[0])
-        raise NotSymmetricError(
-            f"transition {j} -> {l} has no reverse transition {l} -> {j}"
-        )
-
-    comps = connected_components([np.flatnonzero(row).tolist() for row in adjacency])
-    if len(comps) > 1:
-        raise DisconnectedError(
-            f"graph is disconnected; vertices {comps[0]} form a component"
-        )
-
-    adjacency.setflags(write=False)
-    return WalkSpec(n=n, perms=tuple(ps), adjacency=adjacency)
+    label = component_labels(n, np.arange(d * n) % n, maps.ravel())
+    if label.any():
+        comp = np.flatnonzero(label == 0).tolist()
+        raise DisconnectedError(f"graph is disconnected; vertices {comp} form a component")
+    return WalkSpec(n=n, perms=tuple(ps), maps=maps)
 
 
 def product_walk(a: WalkSpec, b: WalkSpec) -> WalkSpec:
@@ -276,9 +232,7 @@ def product_walk(a: WalkSpec, b: WalkSpec) -> WalkSpec:
     n2 = b.n
     row = np.repeat(np.arange(a.n), n2)
     col = np.tile(np.arange(n2), a.n)
-    lifted = [p.map[row] * n2 + col for p in a.perms]
-    lifted += [row * n2 + q.map[col] for q in b.perms]
-    return validate(a.n * n2, lifted)
+    return validate(a.n * n2, [*a.maps[:, row] * n2 + col, *row * n2 + b.maps[:, col]])
 
 
 def cycle_shift(n: int) -> WalkSpec:

@@ -55,7 +55,7 @@ def spec_to_dict(spec: WalkSpec) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "n": spec.n,
-        "perms": [p.map.tolist() for p in spec.perms],
+        "perms": spec.maps.tolist(),
     }
 
 

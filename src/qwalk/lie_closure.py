@@ -3,7 +3,7 @@
 The admissible generators are elementary skew-Hermitian matrices supported
 on the joint-orbit pattern; repeatedly bracketing them and tracking the real
 span yields the algebra's dimension, which the structure report predicts
-from the reduced-connectivity components alone.  Skew-Hermitian matrices of
+from the orbit criterion's components alone.  Skew-Hermitian matrices of
 side s are vectorized into R^(s^2): imaginary diagonal, then real and
 imaginary parts of the upper triangle.
 """

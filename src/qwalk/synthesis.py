@@ -177,8 +177,7 @@ def _spread(spec, c0vec, nodes, coeffs, masks):
     and a real one below.
     """
     d, n = spec.d, spec.n
-    inv = np.empty((d, n), dtype=np.intp)
-    inv[np.arange(d)[:, None], np.stack([p.map for p in spec.perms])] = np.arange(n)
+    inv = np.argsort(spec.maps, axis=1)
     nodes = np.asarray(nodes, dtype=np.intp)
     levels = []
     for k in range(len(masks) - 1, 0, -1):
@@ -241,9 +240,7 @@ def reach_full_state(spec: WalkSpec, j: int, c0, target: WalkState, k: int) -> C
     """
     if target.d != spec.d or target.n != spec.n:
         raise DimensionMismatchError("target does not match the walk dimensions")
-    coins = np.arange(spec.d)[:, None]
-    maps = np.stack([p.map for p in spec.perms])
-    pre = target.table()[coins, maps]  # (S^-1 x)[c, v] = x[c, P_c v]
+    pre = np.take_along_axis(target.table(), spec.maps, 1)  # (S^-1 x)[c, v] = x[c, P_c v]
     norms = np.linalg.norm(pre, axis=0)
     nodes = np.flatnonzero(norms > ZERO_COEFF)
     betas = norms[nodes]
@@ -272,7 +269,6 @@ def concentrate_to_node(spec: WalkSpec, j: int, state: WalkState, k: int):
         raise UnreachableError(
             f"nodes {missing} are not reachable from {j} in exactly {k} steps"
         )
-    maps = np.stack([p.map for p in spec.perms])
     eye = np.eye(spec.d, dtype=np.complex128)
     ops = []
     current = state
@@ -281,7 +277,7 @@ def concentrate_to_node(spec: WalkSpec, j: int, state: WalkState, k: int):
         support = np.flatnonzero(np.linalg.norm(table, axis=0) > ZERO_COEFF)
         if support.tolist() == [j]:
             break
-        coins, nexts = _least_steps(maps[:, support], masks[level - 1])
+        coins, nexts = _least_steps(spec.maps[:, support], masks[level - 1])
         if (nexts < 0).any():  # impossible for support in the level mask
             v = int(support[np.argmax(nexts < 0)])
             raise UnreachableError(f"no step from {v} toward {j} at level {level}")

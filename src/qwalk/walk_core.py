@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotUnitError
-from .graph_model import WalkSpec
+from .graph_model import WalkSpec, cycle_table
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -115,14 +115,14 @@ class ShiftOp:
 
 def shift_matrix(spec: WalkSpec) -> ShiftOp:
     """Block form of the shift: the k-th diagonal block is the matrix of P_k."""
-    flat = np.concatenate([i * spec.n + p.map for i, p in enumerate(spec.perms)])
+    flat = (spec.maps + spec.n * np.arange(spec.d)[:, None]).ravel()
     flat.setflags(write=False)
     return ShiftOp(d=spec.d, n=spec.n, flat=flat)
 
 
 def shift_order(spec: WalkSpec) -> int:
     """Least r >= 1 with the shift's r-th power equal to the identity."""
-    return math.lcm(*(p.order() for p in spec.perms))
+    return math.lcm(*np.flatnonzero(np.bincount(cycle_table(spec.maps)[2])).tolist())
 
 
 def coin_matrix(coin: CoinOp) -> np.ndarray:
@@ -162,8 +162,7 @@ def step(state: WalkState, coin: CoinOp, spec: WalkSpec) -> WalkState:
     psi = state.table()
     mixed = np.einsum("jki,ij->kj", coin.blocks, psi)
     out = np.empty_like(mixed)
-    for i, p in enumerate(spec.perms):
-        out[i, p.map] = mixed[i]
+    out[np.arange(spec.d)[:, None], spec.maps] = mixed
     return WalkState(spec.d, spec.n, out.reshape(-1))
 
 

@@ -221,3 +221,28 @@ def test_criterion_9_large_shift_order():
         with pytest.raises(qw.UnreachableError):
             qw.reach_full_state(spec, 0, 0, psi2, 0)
     t.check("criterion 9: N=52 walk with shift order 180180 analyzed, one transfer")
+
+
+@pytest.mark.parametrize(
+    "build, kappa",
+    [(lambda: qw.complete(200), 2), (lambda: qw.torus(31, 33), 31), (lambda: qw.cycle_shift(1001), 1000)],
+    ids=["complete200", "torus31x33", "cycle1001"],
+)
+def test_ladder_walks_analyzed_in_seconds(build, kappa):
+    # the orbit criterion and the covering search cost O(dN) array work per
+    # level here; the pair walks and N x N masks they replace took 2.5-5 s
+    spec = build()
+    with Timer(5.0) as t:
+        report = qw.analyze(spec)
+    assert report.controllable and report.verdicts_agree
+    assert report.kappa == kappa
+    t.check(f"ladder: analyze on N={spec.n}, d={spec.d}")
+
+
+def test_ladder_validate_complete_1000_in_seconds():
+    idx = np.arange(1000)
+    perms = [(idx + k) % 1000 for k in range(1, 1000)]
+    with Timer(5.0) as t:
+        spec = qw.validate(1000, perms)
+    assert spec.neighbors(0) == list(range(1, 1000))
+    t.check("ladder: validate complete(1000)")

@@ -1,48 +1,101 @@
 """The three controllability criteria and their cross-checks."""
 
+import functools
+from collections import deque
+
 import numpy as np
 import pytest
 
 import qwalk as qw
 from qwalk import controllability
-from qwalk.controllability import connected_components, reduced_connectivity_graph
 from qwalk.sampling import random_spec
 
 
+def components(adj):
+    """Oracle: sorted components of an adjacency-set graph by breadth-first
+    search, ordered by least vertex."""
+    seen, comps = set(), []
+    for start in range(len(adj)):
+        if start in seen:
+            continue
+        comp, queue = {start}, deque([start])
+        while queue:
+            for u in adj[queue.popleft()]:
+                if u not in comp:
+                    comp.add(u)
+                    queue.append(u)
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
+
+
+def orbit_components(spec):
+    """The orbit criterion's components, as ``analyze`` reports them."""
+    return [list(c) for c in qw.analyze(spec).components]
+
+
 def brute_joint_orbit(spec, l, m):
-    """Oracle: enumerate (P_l^k j, P_m^k j) with naive permutation powers."""
-    r = qw.shift_order(spec)
+    """Oracle: enumerate (P_l^k j, P_m^k j) for k below the shift order,
+    stepping the powers one composition at a time."""
+    pl, pm = np.arange(spec.n), np.arange(spec.n)
     pairs = set()
-    for k in range(r):
-        pl = spec.perms[l - 1].power(k)
-        pm = spec.perms[m - 1].power(k)
-        for j in range(spec.n):
-            pairs.add((pl(j), pm(j)))
+    for _ in range(qw.shift_order(spec)):
+        pairs |= set(zip(pl.tolist(), pm.tolist()))
+        pl, pm = spec.perms[l - 1].map[pl], spec.perms[m - 1].map[pm]
     return pairs
 
 
-def all_pairs_components(spec):
-    """Oracle: components of the reduced graph built from every coin pair
-    l < m, not only the pairs (1, m)."""
+def all_pairs_components(spec, first=None):
+    """Oracle: components of the graph joined by the joint orbits of every
+    coin pair l < m, not only the pairs (1, m); with ``first=1``, of the
+    pairs (1, m) alone."""
+    orbits = [
+        qw.joint_orbit(spec, l, m)
+        for l in range(1, (first or spec.d) + 1)
+        for m in range(l + 1, spec.d + 1)
+    ]
     adj = [set() for _ in range(spec.n)]
-    for l in range(1, spec.d + 1):
-        for m in range(l + 1, spec.d + 1):
-            for x, y in qw.joint_orbit(spec, l, m):
-                adj[x].add(y)
-                adj[y].add(x)
-    return connected_components(adj)
+    for x, y in frozenset().union(*orbits):
+        adj[x].add(y)
+        adj[y].add(x)
+    return components(adj)
+
+
+def adjacency(spec):
+    """The 0/1 adjacency matrix, read off the neighbour lists."""
+    a = np.zeros((spec.n, spec.n), dtype=np.int64)
+    for j in range(spec.n):
+        a[j, spec.neighbors(j)] = 1
+    return a
 
 
 def boolean_power_kappa(spec):
     """Oracle: least (k, j) with column j of the boolean k-th power of the
     adjacency matrix all true, for k up to 3N."""
-    a = spec.adjacency > 0
-    power = np.eye(spec.n, dtype=bool)
+    a = adjacency(spec)
+    power = np.eye(spec.n, dtype=np.int64)
     for k in range(3 * spec.n + 1):
         full = np.flatnonzero(power.all(axis=0))
         if full.size:
             return k, int(full[0])
-        power = (power.astype(np.int64) @ a.astype(np.int64)) > 0
+        power = (power @ a > 0).astype(np.int64)
+    return None
+
+
+def stepped_covering_level(spec, starts):
+    """Reference for the packed covering search: every start's exact-k
+    reachable set as a row of one 0/1 (starts, n) mask, stepped by a product
+    with the adjacency matrix until the masks repeat two levels back."""
+    a = adjacency(spec)
+    mask = np.zeros((len(starts), spec.n), dtype=np.int64)
+    mask[np.arange(len(starts)), starts] = 1
+    seen = []
+    while len(seen) < 2 or not np.array_equal(mask, seen[-2]):
+        full = np.flatnonzero(mask.all(axis=1))
+        if full.size:
+            return len(seen), starts[int(full[0])]
+        seen.append(mask)
+        mask = (mask @ a > 0).astype(np.int64)
     return None
 
 
@@ -92,8 +145,8 @@ def test_joint_orbit_index_errors(c5):
 
 
 def test_reduced_graph_components_on_cycles(c4, c5):
-    assert connected_components(reduced_connectivity_graph(c5)) == [[0, 1, 2, 3, 4]]
-    assert connected_components(reduced_connectivity_graph(c4)) == [[0, 2], [1, 3]]
+    assert orbit_components(c5) == [[0, 1, 2, 3, 4]]
+    assert orbit_components(c4) == [[0, 2], [1, 3]]
 
 
 def test_first_coin_pairs_give_all_pairs_components():
@@ -101,28 +154,22 @@ def test_first_coin_pairs_give_all_pairs_components():
              _mixed_cycle_walk()]
     walks += [qw.complete(n) for n in range(3, 13)]
     for spec in walks:
-        assert connected_components(reduced_connectivity_graph(spec)) == all_pairs_components(spec)
+        assert orbit_components(spec) == all_pairs_components(spec)
 
 
-def test_analyze_walks_d_minus_one_joint_orbits(monkeypatch):
+def test_analyze_walks_no_joint_orbits(monkeypatch):
+    # the orbit criterion reads cycle residues and never enumerates an
+    # orbit's pairs; joint_orbit stays as the oracle
     calls = []
-    orbit = controllability.joint_orbit
-
-    def counting_orbit(spec, l, m):
-        calls.append((l, m))
-        return orbit(spec, l, m)
-
-    monkeypatch.setattr(controllability, "joint_orbit", counting_orbit)
-    for spec in (qw.figure1(), qw.complete(8)):
-        calls.clear()
+    monkeypatch.setattr(controllability, "joint_orbit", lambda *args: calls.append(args))
+    for spec in (qw.figure1(), qw.complete(8), _mixed_cycle_walk()):
         qw.analyze(spec)
-        assert len(calls) == spec.d - 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_complete_graphs_connected(n):
-    comps = connected_components(reduced_connectivity_graph(qw.complete(n)))
-    assert len(comps) == 1
+    assert len(orbit_components(qw.complete(n))) == 1
 
 
 def test_analyze_odd_cycle(c5):
@@ -366,7 +413,7 @@ def test_random_specs_properties():
     rng = np.random.default_rng(31)
     for _ in range(40):
         spec = random_spec(rng)
-        comps = connected_components(reduced_connectivity_graph(spec))
+        comps = orbit_components(spec)
         assert len(comps) in (1, 2)
         assert comps == all_pairs_components(spec)
         rep = qw.analyze(spec)
@@ -378,3 +425,138 @@ def test_random_specs_properties():
                 frozenset(par.even),
                 frozenset(par.odd),
             }
+
+
+def _mixed_cycles(rng, lengths):
+    """P1 with disjoint cycles of the given lengths, P2 = P1^-1 and P3 a
+    random perfect matching that avoids the cycle edges and connects the
+    graph; the shift order is the lcm of the lengths."""
+    n = sum(lengths)
+    p1 = np.concatenate([np.roll(np.arange(s, s + k), -1) for s, k in
+                         zip(np.cumsum((0,) + lengths[:-1]), lengths)])
+    p2 = np.argsort(p1)
+    while True:
+        pairs = rng.permutation(n).reshape(-1, 2)
+        p3 = np.empty(n, dtype=np.int64)
+        p3[pairs[:, 0]], p3[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+        try:
+            return qw.validate(n, [p1, p2, p3])
+        except (qw.CoinCollisionError, qw.DisconnectedError):
+            continue
+
+
+@functools.cache
+def _oracle_walks():
+    rng = np.random.default_rng(1006)
+    walks = [random_spec(rng) for _ in range(300)]
+    walks += [_mixed_cycles(rng, lengths) for lengths in ((3, 4, 5, 7, 9), (3, 4, 5, 7, 11))]
+    walks += [qw.complete(n) for n in range(4, 31)]
+    walks += [qw.torus(a, b) for a in range(3, 8) for b in range(a, 8)] + [qw.torus(9, 11)]
+    walks += [qw.cycle_exchange(n) for n in range(4, 21, 2)]
+    return walks
+
+
+def test_residue_partition_matches_all_pairs_orbits():
+    for spec in _oracle_walks():
+        # all d(d-1)/2 pairs cost d^2 N^2 steps, a second on the complete
+        # graphs past N = 16; there the (1, m) orbits stand in, which join
+        # the same components (test_first_coin_pairs_give_all_pairs_components)
+        first = 1 if spec.d == spec.n - 1 > 15 else None
+        assert orbit_components(spec) == all_pairs_components(spec, first), spec
+
+
+def test_packed_covering_search_matches_boolean_stepping():
+    for spec in _oracle_walks():
+        assert qw.kappa(spec) == stepped_covering_level(spec, list(range(spec.n))), spec
+        for j in (0, spec.n - 1):
+            found = stepped_covering_level(spec, [j])
+            assert qw.k_of(spec, j) == (None if found is None else found[0]), (spec, j)
+
+
+def test_packed_covering_search_spans_several_words():
+    # 66 starts fill two 64-bit words; relabelling this walk's one vertex
+    # that covers at level 6 as vertex 65 moves the least covering start
+    # into the second word
+    spec = _mixed_cycles(np.random.default_rng(3), (3, 4, 5, 7, 9, 11, 13, 14))
+    level, v = qw.kappa(spec)
+    sigma = np.arange(66)
+    sigma[[v, 65]] = 65, v
+    moved = qw.validate(66, [sigma[p.map[sigma]] for p in spec.perms])
+    for walk in (spec, moved):
+        assert qw.kappa(walk) == stepped_covering_level(walk, list(range(66)))
+    assert qw.kappa(moved) == (level, 65)
+
+
+def reference_validate_error(n, perms):
+    """The pairwise checks ``validate`` made before its sort-based ones,
+    for bijections of length n: the error text, or None for a valid spec."""
+    maps = [np.asarray(p) for p in perms]
+    for i, p in enumerate(maps):
+        fixed = np.flatnonzero(p == np.arange(n))
+        if fixed.size:
+            return f"SelfLoopError: permutation {i} fixes vertex {int(fixed[0])}"
+    for i in range(len(maps)):
+        for k in range(i + 1, len(maps)):
+            hit = np.flatnonzero(maps[i] == maps[k])
+            if hit.size:
+                j = int(hit[0])
+                return (f"CoinCollisionError: permutations {i} and {k} both send "
+                        f"vertex {j} to {int(maps[i][j])}")
+    adjacency = np.zeros((n, n), dtype=np.int64)
+    for p in maps:
+        adjacency[p, np.arange(n)] += 1
+    asym = np.argwhere(adjacency != adjacency.T)
+    if asym.size:
+        l, j = (int(v) for v in asym[0])
+        return f"NotSymmetricError: transition {j} -> {l} has no reverse transition {l} -> {j}"
+    comps = components([np.flatnonzero(row).tolist() for row in adjacency])
+    if len(comps) > 1:
+        return f"DisconnectedError: graph is disconnected; vertices {comps[0]} form a component"
+    return None
+
+
+def _corrupted_specs(rng):
+    """(n, perms) pairs with self-loops, several collisions, asymmetric
+    image sets or two components, from the oracle walks."""
+    walks = _oracle_walks()[::3]
+    for spec in walks:
+        n, maps = spec.n, [p.map.copy() for p in spec.perms]
+        loops = [m.copy() for m in maps]
+        for _ in range(int(rng.integers(1, 4))):
+            p, j = loops[int(rng.integers(spec.d))], int(rng.integers(n))
+            k = int(np.flatnonzero(p == j)[0])
+            p[k], p[j] = p[j], j
+        yield n, loops
+        # P_k = P_i tau, with tau fixing about half the vertices: collisions
+        # at every fixed point, between two or three coin pairs
+        clash = [m.copy() for m in maps]
+        for _ in range(2):
+            i, k = rng.choice(spec.d, 2, replace=False)
+            tau = np.arange(n)
+            moved = rng.choice(n, n // 2, replace=False)
+            tau[moved] = rng.permutation(moved)
+            clash[k] = clash[i][tau]
+        yield n, clash
+        # a last permutation that fixes nothing and collides with none of
+        # the others; a dense walk may leave no room for one
+        for _ in range(50):
+            last = rng.permutation(n)
+            if not any((last == m).any() for m in [np.arange(n)] + maps[:-1]):
+                yield n, maps[:-1] + [last]
+                break
+        relabel = rng.permutation(2 * n)
+        yield 2 * n, [relabel[np.concatenate([m, m + n])[np.argsort(relabel)]] for m in maps]
+
+
+def test_validate_errors_match_pairwise_reference():
+    rng = np.random.default_rng(2405)
+    seen = set()
+    for n, perms in _corrupted_specs(rng):
+        try:
+            qw.validate(n, perms)
+            got = None
+        except qw.SpecValidationError as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        assert got == reference_validate_error(n, perms)
+        seen.add(None if got is None else got.split(":")[0])
+    assert {"SelfLoopError", "CoinCollisionError", "NotSymmetricError", "DisconnectedError"} <= seen

@@ -1,17 +1,59 @@
 """Walk validation, permutation algebra, named walks and products."""
 
+import math
+
 import numpy as np
 import pytest
 
 import qwalk as qw
-from qwalk.graph_model import Permutation
+from qwalk.graph_model import Permutation, cycle_table
 from qwalk.sampling import random_spec
+
+
+def cycles(p):
+    """p's cycles read off the package's cycle table, fixed points as
+    singletons: each from its least vertex, sorted by that vertex."""
+    root, pos, _ = cycle_table(p.map[None])
+    by_cycle = np.lexsort((pos, root))
+    cuts = np.flatnonzero(np.diff(root[by_cycle])) + 1
+    return [tuple(c.tolist()) for c in np.split(by_cycle, cuts)]
+
+
+def order(p):
+    return math.lcm(*(len(c) for c in cycles(p)))
+
+
+def compose(p, q):
+    """Right-to-left composition: compose(p, q)(j) == p(q(j))."""
+    return Permutation(p.map[q.map])
+
+
+def power(p, k):
+    """k-th power by repeated composition; negative exponents allowed."""
+    result = Permutation.identity(p.n)
+    for _ in range(k % order(p)):
+        result = compose(p, result)
+    return result
+
+
+def cycle_notation(p):
+    """Display form; fixed points omitted, identity prints ``()``."""
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles(p) if len(c) > 1) or "()"
+
+
+def adjacency(spec):
+    """N x N counts of the coins joining each vertex to each other, read off
+    the neighbour lists: entry (j, u) counts u among the neighbours of j."""
+    a = np.zeros((spec.n, spec.n), dtype=np.int64)
+    for j in range(spec.n):
+        np.add.at(a[j], spec.neighbors(j), 1)
+    return a
 
 
 def test_figure1_is_valid(fig):
     assert fig.n == 6 and fig.d == 3
-    assert fig.adjacency.sum(axis=0).tolist() == [3] * 6
-    assert fig.adjacency.sum(axis=1).tolist() == [3] * 6
+    assert adjacency(fig).sum(axis=0).tolist() == [3] * 6
+    assert adjacency(fig).sum(axis=1).tolist() == [3] * 6
 
 
 def test_cycle5_is_valid(c5):
@@ -62,44 +104,39 @@ def test_validate_length_and_count_errors():
 
 def test_compose_with_inverse_is_identity():
     p = Permutation([1, 2, 0])
-    assert p.compose(p.inverse()) == Permutation.identity(3)
-    assert p.inverse().compose(p) == Permutation.identity(3)
+    assert compose(p, p.inverse()) == Permutation.identity(3)
+    assert compose(p.inverse(), p) == Permutation.identity(3)
 
 
 def test_inverse_shift_composition_is_double_step(c5):
     # applying the forward shift then the inverse of the backward shift
     # advances two positions: one full 5-cycle
     sp, sm = c5.perms
-    q = sm.inverse().compose(sp)
-    assert q == sp.compose(sp)
-    assert q.cycles() == [(0, 2, 4, 1, 3)]
-    assert q.order() == 5
+    q = compose(sm.inverse(), sp)
+    assert q == compose(sp, sp)
+    assert cycles(q) == [(0, 2, 4, 1, 3)]
+    assert order(q) == 5
 
 
 def test_cross_pairing_has_order_two(fig):
-    assert fig.perms[2].order() == 2
-    assert fig.perms[2].cycles() == [(0, 3), (1, 5), (2, 4)]
+    assert order(fig.perms[2]) == 2
+    assert cycles(fig.perms[2]) == [(0, 3), (1, 5), (2, 4)]
 
 
 def test_power_and_order():
     p = Permutation([1, 2, 3, 4, 0])
-    assert p.power(5) == Permutation.identity(5)
-    assert p.power(-1) == p.inverse()
-    assert p.power(0) == Permutation.identity(5)
-    assert p.power(7) == p.compose(p)
-    assert p.order() == 5
+    assert power(p, 5) == Permutation.identity(5)
+    assert power(p, -1) == p.inverse()
+    assert power(p, 0) == Permutation.identity(5)
+    assert power(p, 7) == compose(p, p)
+    assert order(p) == 5
 
 
 def test_cycles_cover_fixed_points():
     p = Permutation([0, 2, 1])
-    assert p.cycles() == [(0,), (1, 2)]
-    assert p.cycle_notation() == "(1 2)"
-    assert Permutation.identity(3).cycle_notation() == "()"
-
-
-def test_compose_length_mismatch():
-    with pytest.raises(qw.LengthMismatchError):
-        Permutation([1, 0]).compose(Permutation([1, 2, 0]))
+    assert cycles(p) == [(0,), (1, 2)]
+    assert cycle_notation(p) == "(1 2)"
+    assert cycle_notation(Permutation.identity(3)) == "()"
 
 
 def test_cycle_notation_parser():
@@ -107,7 +144,7 @@ def test_cycle_notation_parser():
     assert p.map.tolist() == [1, 2, 3, 4, 5, 0]
     q = Permutation.from_cycles("(0 3)(1 5)(2 4)", 6)
     assert q.map.tolist() == [3, 5, 4, 0, 2, 1]
-    assert Permutation.from_cycles(q.cycle_notation(), 6) == q
+    assert Permutation.from_cycles(cycle_notation(q), 6) == q
     with pytest.raises(qw.NotBijectionError):
         Permutation.from_cycles("(0 1)(1 2)", 4)
     with pytest.raises(qw.SpecValidationError):
@@ -129,7 +166,7 @@ def test_product_walk_torus():
 def test_product_walk_5x3_validates():
     t = qw.product_walk(qw.cycle_shift(5), qw.cycle_shift(3))
     assert t.n == 15 and t.d == 4
-    assert t.adjacency.sum(axis=0).tolist() == [4] * 15
+    assert adjacency(t).sum(axis=0).tolist() == [4] * 15
 
 
 def test_cycle_exchange_maps():
@@ -147,7 +184,7 @@ def test_cycle_exchange_odd_parity_error():
 def test_complete_adjacency_is_all_ones_off_diagonal(n):
     spec = qw.complete(n)
     expected = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
-    assert np.array_equal(spec.adjacency, expected)
+    assert np.array_equal(adjacency(spec), expected)
 
 
 def test_row_and_column_sums_equal_degree_and_dn_even():
@@ -155,8 +192,8 @@ def test_row_and_column_sums_equal_degree_and_dn_even():
     gallery += [qw.cycle_exchange(n) for n in (4, 6, 8)]
     gallery += [qw.figure1(), qw.complete(5), qw.torus(3, 4)]
     for spec in gallery:
-        assert spec.adjacency.sum(axis=0).tolist() == [spec.d] * spec.n
-        assert spec.adjacency.sum(axis=1).tolist() == [spec.d] * spec.n
+        assert adjacency(spec).sum(axis=0).tolist() == [spec.d] * spec.n
+        assert adjacency(spec).sum(axis=1).tolist() == [spec.d] * spec.n
         assert (spec.d * spec.n) % 2 == 0
 
 
@@ -176,7 +213,7 @@ def test_degree2_random_specs_fall_into_the_two_families():
         spec = random_spec(rng, d=2) if rng.integers(2) else random_spec(rng)
         if spec.d != 2:
             continue
-        lengths = [{len(c) for c in p.cycles()} for p in spec.perms]
+        lengths = [{len(c) for c in cycles(p)} for p in spec.perms]
         if lengths == [{spec.n}, {spec.n}]:  # one n-cycle and its inverse
             assert spec.perms[1] == spec.perms[0].inverse()
         else:  # two fixed-point-free involutions
@@ -186,6 +223,6 @@ def test_degree2_random_specs_fall_into_the_two_families():
 def test_immutability():
     spec = qw.cycle_shift(4)
     with pytest.raises(ValueError):
-        spec.adjacency[0, 0] = 5
+        spec.maps[0, 0] = 2
     with pytest.raises(ValueError):
         spec.perms[0].map[0] = 2
