@@ -104,17 +104,19 @@ def cmd_reach(args) -> int:
 
 def cmd_lie_check(args) -> int:
     result = verify_structure(_load_spec(args.spec), tol=args.tol)
-    _emit(
-        {
-            "schema": json_io.SCHEMA_VERSION,
-            "dim": result.dim,
-            "predicted": result.predicted,
-            "match": result.match,
-            "iterations": result.iterations,
-            "block_diagonal_ok": result.block_diagonal_ok,
-        },
-        args.out,
-    )
+    doc = {
+        "schema": json_io.SCHEMA_VERSION,
+        "dim": result.dim,
+        "predicted": result.predicted,
+        "match": result.match,
+        "iterations": result.iterations,
+        "block_diagonal_ok": result.block_diagonal_ok,
+    }
+    if result.off_block is not None:
+        worst, a, b = result.off_block
+        doc["off_block_max"] = worst
+        doc["off_block_at"] = [a, b]
+    _emit(doc, args.out)
     ok = result.match and result.block_diagonal_ok
     return EXIT_OK if ok else EXIT_MISMATCH
 

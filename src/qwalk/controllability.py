@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CriterionConflictError, IndexOutOfRangeError
 from .graph_model import WalkSpec, component_labels, cycle_table
-from .walk_core import shift_order
+from .walk_core import cycle_order
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def joint_orbit(spec: WalkSpec, l: int, m: int) -> frozenset:
     return frozenset(pairs)
 
 
-def _orbit_labels(spec: WalkSpec) -> np.ndarray:
+def _orbit_labels(spec: WalkSpec, table) -> np.ndarray:
     """Each vertex's least fellow in the orbit criterion's components.
 
     The (1, m) joint orbits, m = 2..d, join what all pairs l < m join: the
@@ -110,10 +110,10 @@ def _orbit_labels(spec: WalkSpec) -> np.ndarray:
     differences.  A cycle's positions are so joined modulo G, the gcd of g'
     over the cycles it meets: each vertex links to a node per (cycle,
     position mod G), and each meeting pair links A[c] to B[c - delta] for c
-    below lcm(G_A, G_B).
+    below lcm(G_A, G_B).  ``table`` is ``cycle_table(spec.maps)``.
     """
     n, d = spec.n, spec.d
-    root, pos, size = cycle_table(spec.maps)
+    root, pos, size = table
     vertex = np.arange(d * n) % n
     # Rows (m >= 2, j) sorted by meeting pair, the pair's key above the
     # offset pos_A - pos_B + n in one integer; root[j] is j's P_1 cycle.
@@ -271,9 +271,11 @@ def analyze(spec: WalkSpec) -> ControllabilityReport:
     phase coins), so it is (dN)^2 exactly when there is a single component.
     The covering step count and the 2k+r transfer bound are filled in only
     for controllable walks.  Each criterion runs once, and the report
-    carries all three verdicts side by side.
+    carries all three verdicts side by side; the one cycle table serves
+    both the orbit criterion and the shift order r.
     """
-    label = _orbit_labels(spec)
+    table = cycle_table(spec.maps)
+    label = _orbit_labels(spec, table)
     roots = np.flatnonzero(label == np.arange(spec.n))
     comps = [np.flatnonzero(label == v).tolist() for v in roots]
     kap = kappa(spec)
@@ -285,7 +287,7 @@ def analyze(spec: WalkSpec) -> ControllabilityReport:
     kk = kv = bound = None
     if controllable and kap is not None:
         kk, kv = kap
-        bound = 2 * kk + shift_order(spec)
+        bound = 2 * kk + cycle_order(table[2])
     partitions_match = m != 2 or par.m != 2 or (
         {frozenset(c) for c in comps} == {frozenset(par.even), frozenset(par.odd)}
     )

@@ -21,7 +21,6 @@ from .graph_model import WalkSpec
 DEFAULT_TOL = 1e-9
 DEFAULT_DIM_CAP = 24
 _ZERO_NORM = 1e-14
-_FILTER_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,11 +33,18 @@ class GeneratorBasis:
 
 @dataclass(frozen=True)
 class LieClosureResult:
+    """Closure dimension beside the structure prediction.
+
+    ``off_block`` is set only when the block check fails: the largest
+    off-block magnitude and the position pair (a, b) where it sits.
+    """
+
     dim: int
     predicted: int | None
     match: bool | None
     iterations: int
     block_diagonal_ok: bool | None = None
+    off_block: tuple[float, int, int] | None = None
 
 
 def generator_basis(spec: WalkSpec) -> GeneratorBasis:
@@ -103,7 +109,10 @@ class _SpanBuilder:
 
     ``rows`` and ``mats`` are preallocated for the full dimension side^2 and
     filled up to ``dim``; ``np.zeros`` leaves the pages of unused rows
-    untouched, so a span that stays small costs only what it fills.
+    untouched, so a span that stays small costs only what it fills.  The
+    support table beside them holds, for each row, the index set its matrix
+    touches (``touch``, its nonzero rows, which are its nonzero columns)
+    and its nonzero coordinates (``coords``).
     """
 
     def __init__(self, side: int, tol: float):
@@ -113,6 +122,8 @@ class _SpanBuilder:
         self.iu = np.triu_indices(side, 1)
         self.rows = np.zeros((full, full))
         self.mats = np.zeros((full, side, side), dtype=np.complex128)
+        self.touch = np.zeros((full, side), dtype=bool)
+        self.coords = np.zeros((full, full), dtype=bool)
         self.dim = 0
 
     def offer(self, mat: np.ndarray) -> bool:
@@ -138,36 +149,78 @@ class _SpanBuilder:
         row = vec / residual
         self.rows[self.dim] = row
         self.mats[self.dim] = _devectorize(row, self.side, self.iu)
+        self.touch[self.dim] = self.mats[self.dim].any(axis=0)
+        self.coords[self.dim] = row != 0
         self.dim += 1
         return True
+
+    def brackets(self, f: int, among: np.ndarray):
+        """``(keys, vecs)``: the coordinates where [mats[f], mats[b]] can be
+        nonzero, and its values there, one row of ``vecs`` per b in ``among``.
+
+        For skew-Hermitian F and B, [F, B] = P^H - P with P = B F.  With S
+        the index set F touches, P is zero outside the columns S, which are
+        B[:, S] F[S, S], so only a coordinate (i, j) with i or j in S can be
+        nonzero.  Each is gathered straight from P, a zero column standing
+        in for the columns outside S: -2 Im P_ii on the diagonal,
+        Re P_ji - Re P_ij and -Im P_ji - Im P_ij above it, the same
+        operations as ``_vectorize(P^H - P)``.
+        """
+        side, touch = self.side, self.touch[f]
+        cols = np.flatnonzero(touch)
+        width = cols.size + 1
+        at = np.full(side, cols.size)  # where column j of P is kept
+        at[cols] = np.arange(cols.size)
+        prods = np.zeros((among.size, side, width), dtype=np.complex128)
+        prods[..., :-1] = (
+            self.mats[among][..., cols].reshape(-1, cols.size) @ self.mats[f][np.ix_(cols, cols)]
+        ).reshape(among.size, side, cols.size)
+        prods = prods.reshape(among.size, -1)
+        upper = np.flatnonzero(touch[self.iu[0]] | touch[self.iu[1]])
+        i, j = self.iu[0][upper], self.iu[1][upper]
+        low, high = prods[:, j * width + at[i]], prods[:, i * width + at[j]]
+        keys = np.concatenate([cols, side + upper, side + self.iu[0].size + upper])
+        diag = prods[:, cols * width + at[cols]]
+        vecs = np.concatenate(
+            [-2 * diag.imag, low.real - high.real, -low.imag - high.imag], axis=1
+        )
+        return keys, vecs
 
     def inside(self, f: int) -> np.ndarray:
         """Mark each b whose bracket [mats[f], mats[b]] lies in the current
         span by a wide margin, so that ``offer`` would reject it.
 
-        For skew-Hermitian F and B, [F, B] = (B F)^H - B F, so one product
-        per block of ``_FILTER_BLOCK`` basis elements yields every bracket
-        of the block, projected once against the rows.  A bracket is marked
-        when its norm is below ``_ZERO_NORM`` or its residual is below a
-        hundredth of the threshold ``tol * prenorm``: a full decade under
-        the degenerate band, so the rounding of this one-pass projection
-        cannot hide a bracket that ``offer`` would accept or refuse as
-        ambiguous.
+        A bracket is marked when its norm is below ``_ZERO_NORM`` or its
+        residual is below a hundredth of the threshold ``tol * prenorm``: a
+        full decade under the degenerate band, so the rounding of this
+        one-pass projection cannot hide a bracket that ``offer`` would
+        accept or refuse as ambiguous.
+
+        Only what the marks depend on is computed.  When B and F touch
+        disjoint index sets, B F and F B are exactly zero, so the bracket is
+        marked without being formed.  The others are projected only against
+        the rows sharing a coordinate with them, over the coordinates of
+        both; every term left out is an exact zero.  A basis without
+        structural zeros meets everywhere, and this is the full computation.
         """
-        rows, basis = self.rows[:self.dim], self.mats[:self.dim]
-        side = self.side
-        marks = []
-        for start in range(0, self.dim, _FILTER_BLOCK):
-            block = basis[start:start + _FILTER_BLOCK]
-            prods = (block.reshape(-1, side) @ basis[f]).reshape(block.shape)
-            vecs = _vectorize(prods.conj().transpose(0, 2, 1) - prods, self.iu)
-            pre = np.linalg.norm(vecs, axis=1)
-            mark = pre < _ZERO_NORM
-            live = vecs[~mark]
-            residual = np.linalg.norm(live - (live @ rows.T) @ rows, axis=1)
-            mark[~mark] = residual < self.tol * pre[~mark] / 100.0
-            marks.append(mark)
-        return np.concatenate(marks)
+        dim = self.dim
+        mark = np.ones(dim, dtype=bool)
+        among = np.flatnonzero(self.touch[:dim] @ self.touch[f])
+        keys, vecs = self.brackets(f, among)
+        pre = np.linalg.norm(vecs, axis=1)
+        nonzero = pre >= _ZERO_NORM
+        among, vecs, pre = among[nonzero], vecs[nonzero], pre[nonzero]
+        live = (vecs != 0).any(axis=0)
+        keys, vecs = keys[live], vecs[:, live]
+        near = np.flatnonzero(self.coords[:dim, keys].any(axis=1))
+        union = self.coords[near].any(axis=0)
+        union[keys] = True
+        spread = np.zeros((among.size, int(union.sum())))
+        spread[:, (np.cumsum(union) - 1)[keys]] = vecs
+        rows = self.rows[near][:, union]
+        residual = np.linalg.norm(spread - (spread @ rows.T) @ rows, axis=1)
+        mark[among] = residual < self.tol * pre / 100.0
+        return mark
 
 
 def lie_closure_dim(basis: GeneratorBasis, tol: float = DEFAULT_TOL) -> LieClosureResult:
@@ -231,7 +284,8 @@ def verify_structure(spec: WalkSpec, tol: float = DEFAULT_TOL) -> LieClosureResu
     Walks with d*n above DEFAULT_DIM_CAP are refused.  Also checks the
     block structure: every closure element must vanish (magnitude below
     1e-9) between basis positions whose vertices lie in different
-    reduced-connectivity components.
+    reduced-connectivity components; where one does not, ``off_block``
+    names the largest such entry.
     """
     side = spec.d * spec.n
     if side > DEFAULT_DIM_CAP:
@@ -244,7 +298,14 @@ def verify_structure(spec: WalkSpec, tol: float = DEFAULT_TOL) -> LieClosureResu
         comp_of[list(comp)] = ci
     block_of = comp_of[np.arange(side) % spec.n]
     off_block = block_of[:, None] != block_of[None, :]
-    block_ok = float(np.abs(mats[:, off_block]).max(initial=0.0)) < 1e-9
+    off = np.abs(mats[:, off_block])
+    worst = float(off.max(initial=0.0))
+    block_ok = worst < 1e-9
+    where = None
+    if not block_ok:
+        a, b = np.nonzero(off_block)
+        k = int(off.argmax()) % a.size
+        where = (worst, int(a[k]), int(b[k]))
 
     return LieClosureResult(
         dim=dim,
@@ -252,4 +313,5 @@ def verify_structure(spec: WalkSpec, tol: float = DEFAULT_TOL) -> LieClosureResu
         match=dim == report.predicted_lie_dim,
         iterations=iterations,
         block_diagonal_ok=block_ok,
+        off_block=where,
     )

@@ -122,7 +122,12 @@ def shift_matrix(spec: WalkSpec) -> ShiftOp:
 
 def shift_order(spec: WalkSpec) -> int:
     """Least r >= 1 with the shift's r-th power equal to the identity."""
-    return math.lcm(*np.flatnonzero(np.bincount(cycle_table(spec.maps)[2])).tolist())
+    return cycle_order(cycle_table(spec.maps)[2])
+
+
+def cycle_order(size: np.ndarray) -> int:
+    """The lcm of the cycle lengths in ``cycle_table``'s third array."""
+    return math.lcm(*np.flatnonzero(np.bincount(size)).tolist())
 
 
 def coin_matrix(coin: CoinOp) -> np.ndarray:

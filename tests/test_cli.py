@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON schemas, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import qwalk as qw
-from qwalk import controllability, json_io
+from qwalk import controllability, json_io, lie_closure
 from qwalk.cli import main
 from qwalk.sampling import random_walk_state
 
@@ -164,6 +165,29 @@ def test_lie_check(capsys, cycle4_path):
     assert code == 0
     assert doc["dim"] == doc["predicted"] == 32
     assert doc["match"] is True and doc["block_diagonal_ok"] is True
+
+
+def test_lie_check_exit_2_names_the_largest_off_block_entry(capsys, monkeypatch, cycle5_path):
+    _, agreeing = run_cli(capsys, "lie-check", "--spec", cycle5_path)
+    assert "off_block_max" not in json.loads(agreeing)
+    # split components, which the full closure of a controllable walk crosses
+    report = controllability.analyze(qw.cycle_shift(5))
+    split = dataclasses.replace(
+        report, components=((0, 1), (2, 3, 4)), sizes=(2, 3), m=2, predicted_lie_dim=52
+    )
+    monkeypatch.setattr(lie_closure, "analyze", lambda spec: split)
+    code, out = run_cli(capsys, "lie-check", "--spec", cycle5_path)
+    doc = json.loads(out)
+    assert code == 2
+    assert list(doc) == [*json.loads(agreeing), "off_block_max", "off_block_at"]
+    assert doc["match"] is False and doc["block_diagonal_ok"] is False
+    a, b = doc["off_block_at"]
+    assert (a % 5 < 2) != (b % 5 < 2)  # the pair straddles the two components
+    mats = lie_closure._closure(qw.generator_basis(qw.cycle_shift(5)), 1e-9)[2]
+    block = np.arange(10) % 5 < 2
+    largest = np.abs(mats[:, block[:, None] != block[None, :]]).max()
+    assert doc["off_block_max"] == pytest.approx(largest, rel=1e-11)
+    assert np.abs(mats[:, a, b]).max() == pytest.approx(largest, rel=1e-11)
 
 
 def test_lie_check_cap(capsys, tmp_path):

@@ -59,6 +59,47 @@ def reference_closure(basis, tol=1e-9):
     return len(mats), iterations, mats
 
 
+def dense_inside(span, f):
+    """The filter before the support table: every bracket is formed, 64
+    basis elements per product, and projected against every row."""
+    rows, basis = span.rows[:span.dim], span.mats[:span.dim]
+    side = span.side
+    marks = []
+    for start in range(0, span.dim, 64):
+        block = basis[start:start + 64]
+        prods = (block.reshape(-1, side) @ basis[f]).reshape(block.shape)
+        vecs = _vectorize(prods.conj().transpose(0, 2, 1) - prods, span.iu)
+        pre = np.linalg.norm(vecs, axis=1)
+        mark = pre < _ZERO_NORM
+        live = vecs[~mark]
+        residual = np.linalg.norm(live - (live @ rows.T) @ rows, axis=1)
+        mark[~mark] = residual < span.tol * pre[~mark] / 100.0
+        marks.append(mark)
+    return np.concatenate(marks)
+
+
+def filter_against_dense(monkeypatch, basis):
+    """Run the closure, checking every ``inside`` call against
+    ``dense_inside``; return the brackets formed and the dense count."""
+    counts = {"formed": 0, "dense": 0}
+    inside, brackets = _SpanBuilder.inside, _SpanBuilder.brackets
+
+    def checked(self, f):
+        marks = inside(self, f)
+        np.testing.assert_array_equal(marks, dense_inside(self, f))
+        counts["dense"] += self.dim
+        return marks
+
+    def counted(self, f, among):
+        counts["formed"] += among.size
+        return brackets(self, f, among)
+
+    monkeypatch.setattr(_SpanBuilder, "inside", checked)
+    monkeypatch.setattr(_SpanBuilder, "brackets", counted)
+    _closure(basis, 1e-9)
+    return counts["formed"], counts["dense"]
+
+
 def closure_dim_of_mats(mats, side, tol=1e-9):
     return _closure(GeneratorBasis(mats=mats, side=side), tol)[0]
 
@@ -259,3 +300,47 @@ def test_filter_does_not_mark_a_bracket_in_the_degenerate_band():
     fm, bm = span.mats[0], span.mats[1]
     with pytest.raises(qw.ToleranceDegenerateError):
         span.offer(fm @ bm - bm @ fm)
+
+
+def _random_skew_hermitian(rng, side):
+    a = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    return a - a.conj().T
+
+
+def _support_specs():
+    rng = np.random.default_rng(23)
+    draws = (spec for spec in iter(lambda: random_spec(rng), None) if spec.d * spec.n <= 16)
+    families = {
+        "cycle_shift(5)": qw.cycle_shift(5),
+        "cycle_shift(7)": qw.cycle_shift(7),
+        "cycle_exchange(6)": qw.cycle_exchange(6),
+        "cycle_exchange(8)": qw.cycle_exchange(8),
+        "cycle_shift(8)": qw.cycle_shift(8),
+        "complete(4)": qw.complete(4),
+        "figure1": qw.figure1(),
+    }
+    return [pytest.param(spec, id=name) for name, spec in families.items()] + [
+        pytest.param(next(draws), id=f"random{i}") for i in range(6)
+    ]
+
+
+@pytest.mark.parametrize("spec", _support_specs())
+def test_support_filter_marks_equal_dense_filter(monkeypatch, spec):
+    formed, dense = filter_against_dense(monkeypatch, qw.generator_basis(spec))
+    assert formed < dense
+
+
+def test_dense_generators_fall_back_to_the_full_filter(monkeypatch):
+    # random skew-Hermitian generators have no structural zeros: every
+    # bracket is formed, and the marks still equal the dense filter's
+    rng = np.random.default_rng(4)
+    basis = GeneratorBasis(mats=[_random_skew_hermitian(rng, 4) for _ in range(3)], side=4)
+    formed, dense = filter_against_dense(monkeypatch, basis)
+    assert formed == dense > 0
+    assert _closure(basis, 1e-9)[0] == 16
+
+
+def test_support_filter_forms_a_quarter_of_the_dense_brackets(monkeypatch, fig):
+    formed, dense = filter_against_dense(monkeypatch, qw.generator_basis(fig))
+    # about 21 % here: most brackets pair elements on disjoint index sets
+    assert formed <= dense / 4
