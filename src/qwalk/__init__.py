@@ -6,7 +6,6 @@ from .controllability import (
     ControllabilityReport,
     ParityReport,
     analyze,
-    joint_orbit,
     k_of,
     kappa,
     parity_check,

@@ -15,9 +15,6 @@ order r (the lcm of the cycle lengths, which can grow exponentially in N):
 joint orbits follow from cycle positions modulo gcds of cycle lengths, and
 the reachability search stops at the first covering level (at most 2N-2)
 or once its reachable sets repeat.  Only the 2k+r transfer bound reads r.
-
-Coin labels ``l, m`` in the joint-orbit API are 1-based (1..d); vertices
-are 0-based.
 """
 
 from __future__ import annotations
@@ -74,28 +71,6 @@ class ControllabilityReport:
 def _check_vertex(spec: WalkSpec, j: int):
     if not 0 <= j < spec.n:
         raise IndexOutOfRangeError(f"vertex {j} out of range 0..{spec.n - 1}")
-
-
-def joint_orbit(spec: WalkSpec, l: int, m: int) -> frozenset:
-    """All pairs (P_l^k j, P_m^k j) over j and k >= 0 (l, m are 1-based).
-
-    These are the orbits of the diagonal pairs (j, j) under the pair map
-    (x, y) -> (P_l x, P_m y).  The pair map permutes the N^2 vertex pairs,
-    so each orbit is a cycle back to its starting pair and every pair is
-    visited at most once, whatever the shift order r is.
-    """
-    for label in (l, m):
-        if not 1 <= label <= spec.d:
-            raise IndexOutOfRangeError(f"coin index {label} out of range 1..{spec.d}")
-    pl = spec.perms[l - 1].map.tolist()
-    pm = spec.perms[m - 1].map.tolist()
-    pairs = set()
-    for j in range(spec.n):
-        x = y = j
-        while (x, y) not in pairs:
-            pairs.add((x, y))
-            x, y = pl[x], pm[y]
-    return frozenset(pairs)
 
 
 def _orbit_labels(spec: WalkSpec, table) -> np.ndarray:
@@ -211,9 +186,10 @@ def parity_check(spec: WalkSpec, j: int = 0) -> ParityReport:
     return ParityReport(m=1 if both else 2, witness=min(both, default=None), even=even, odd=odd)
 
 
-def _covering_level(spec: WalkSpec, starts: list[int]) -> tuple[int, int] | None:
+def _covering_level(spec: WalkSpec, starts: list[int]) -> tuple[int, int | None]:
     """Least k at which some start reaches every vertex in exactly k steps,
-    with the least such start; None when the walk is not coverable.
+    with the least such start; when no start covers, the level at which the
+    reachable sets repeat, with None.
 
     All starts advance together as the bits of one (n, words) uint64 mask,
     bit i of row v set when starts[i] reaches v; a start covers when its
@@ -228,12 +204,21 @@ def _covering_level(spec: WalkSpec, starts: list[int]) -> tuple[int, int] | None
         full = np.bitwise_and.reduce(mask, axis=0)
         if full.any():
             return k, starts[int(np.argmax(np.unpackbits(full.view(np.uint8), bitorder="little")))]
+    return k + 1, None
+
+
+def _confirmed_cover(spec: WalkSpec, starts: list[int]) -> tuple[int, int] | None:
+    """``_covering_level``'s (k, start), or None when no start covers and the
+    parity test confirms that the walk is not coverable."""
+    k, found = _covering_level(spec, starts)
+    if found is not None:
+        return k, found
     # Parity is a property of the whole connected graph, so one check
     # answers for every start.
     if parity_check(spec, starts[0]).m == 1:
         where = f"vertex {starts[0]}" if len(starts) == 1 else "any vertex"
         raise CriterionConflictError(
-            f"reachable sets from {where} repeat at level {k + 1} without covering, "
+            f"reachable sets from {where} repeat at level {k} without covering, "
             "but the parity test reports a coverable walk"
         )
     return None
@@ -249,16 +234,17 @@ def k_of(spec: WalkSpec, j: int) -> int | None:
     coverable raise CriterionConflictError, an internal assertion.
     """
     _check_vertex(spec, j)
-    found = _covering_level(spec, [j])
+    found = _confirmed_cover(spec, [j])
     return None if found is None else found[0]
 
 
 def kappa(spec: WalkSpec) -> tuple[int, int] | None:
     """Minimum over vertices of k_of, with the achieving vertex.
 
-    Ties go to the smallest vertex.  None when the walk is not coverable.
+    Ties go to the smallest vertex.  None when the walk is not coverable;
+    like k_of, raises CriterionConflictError when the parity test disagrees.
     """
-    return _covering_level(spec, list(range(spec.n)))
+    return _confirmed_cover(spec, list(range(spec.n)))
 
 
 def analyze(spec: WalkSpec) -> ControllabilityReport:
@@ -271,22 +257,24 @@ def analyze(spec: WalkSpec) -> ControllabilityReport:
     phase coins), so it is (dN)^2 exactly when there is a single component.
     The covering step count and the 2k+r transfer bound are filled in only
     for controllable walks.  Each criterion runs once, and the report
-    carries all three verdicts side by side; the one cycle table serves
-    both the orbit criterion and the shift order r.
+    carries all three verdicts side by side: the covering search runs
+    without ``kappa``'s parity assertion, so a disagreement shows in
+    ``verdicts_agree`` instead of raising.  The one cycle table serves both
+    the orbit criterion and the shift order r.
     """
     table = cycle_table(spec.maps)
     label = _orbit_labels(spec, table)
     roots = np.flatnonzero(label == np.arange(spec.n))
     comps = [np.flatnonzero(label == v).tolist() for v in roots]
-    kap = kappa(spec)
+    level, start = _covering_level(spec, list(range(spec.n)))
     par = parity_check(spec, 0)
     sizes = tuple(len(c) for c in comps)
     m = len(comps)
     controllable = m == 1
     predicted = sum((spec.d * v) ** 2 for v in sizes)
     kk = kv = bound = None
-    if controllable and kap is not None:
-        kk, kv = kap
+    if controllable and start is not None:
+        kk, kv = level, start
         bound = 2 * kk + cycle_order(table[2])
     partitions_match = m != 2 or par.m != 2 or (
         {frozenset(c) for c in comps} == {frozenset(par.even), frozenset(par.odd)}
@@ -300,7 +288,7 @@ def analyze(spec: WalkSpec) -> ControllabilityReport:
         kappa=kk,
         kappa_vertex=kv,
         step_bound=bound,
-        reach_controllable=kap is not None,
+        reach_controllable=start is not None,
         parity_m=par.m,
         partitions_match=partitions_match,
     )

@@ -130,8 +130,17 @@ def report_to_dict(report: ControllabilityReport) -> dict:
 
 
 def read_json(path: str) -> dict:
+    """The parsed document.  Text that is not UTF-8, or arrays and objects
+    nested too deep for the parser, raise json.JSONDecodeError like any
+    other unparsable document."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            text = exc.object[:exc.start].decode("utf-8")
+            raise json.JSONDecodeError(f"not UTF-8 text ({exc.reason})", text, len(text)) from None
+        except RecursionError:
+            raise json.JSONDecodeError("arrays or objects nested too deep", "", 0) from None
 
 
 _ENCODER = json.JSONEncoder(allow_nan=False)

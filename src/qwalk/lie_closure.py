@@ -1,11 +1,12 @@
 """Numerical generation of the walk's dynamical operator algebra.
 
 The admissible generators are elementary skew-Hermitian matrices supported
-on the joint-orbit pattern; repeatedly bracketing them and tracking the real
-span yields the algebra's dimension, which the structure report predicts
-from the orbit criterion's components alone.  Skew-Hermitian matrices of
-side s are vectorized into R^(s^2): imaginary diagonal, then real and
-imaginary parts of the upper triangle.
+on the Ad_S-closure of the per-vertex coin support, read off the shift
+alone; repeatedly bracketing them and tracking the real span yields the
+algebra's dimension, which the structure report predicts from the orbit
+criterion's components alone.  Skew-Hermitian matrices of side s are
+vectorized into R^(s^2): imaginary diagonal, then real and imaginary parts
+of the upper triangle.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllability import analyze, joint_orbit
+from .controllability import analyze
 from .errors import CapExceededError, ToleranceDegenerateError
 from .graph_model import WalkSpec
+from .walk_core import shift_matrix
 
 DEFAULT_TOL = 1e-9
 DEFAULT_DIM_CAP = 24
@@ -25,9 +27,11 @@ _ZERO_NORM = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class GeneratorBasis:
-    """Elementary skew-Hermitian generators on the admissible support."""
+    """Elementary skew-Hermitian generators on the admissible support:
+    ``mats`` is a ``(count, side, side)`` stack, or any sequence of
+    side x side matrices."""
 
-    mats: list
+    mats: np.ndarray | list
     side: int
 
 
@@ -48,42 +52,31 @@ class LieClosureResult:
 
 
 def generator_basis(spec: WalkSpec) -> GeneratorBasis:
-    """Build the elementary generating set.
+    """Build the elementary generating set from the shift alone.
 
-    One imaginary diagonal generator per basis position, then for every
-    admissible unordered off-diagonal position pair two generators
-    (E_ab - E_ba and i(E_ab + E_ba)).  A position pair ((l, r), (m, s)) with
-    l != m is admissible iff (r, s) lies in the (l, m) joint orbit; within a
-    single coin block only the diagonal is admissible, so no off-diagonal
-    generator arises there.
+    The coin algebra, u(d) at each vertex, is supported on the position
+    pairs of one vertex; Ad_S carries a pair (a, b) to (S a, S b), and the
+    support grows by it until nothing new enters, within the longest cycle
+    of that pair map.  The generators are one iE_aa per position, then for
+    each admissible pair a < b, in row-major order, E_ab - E_ba and
+    i(E_ab + E_ba), as one ``(count, side, side)`` stack.
     """
-    d, n = spec.d, spec.n
-    side = d * n
-    orbits = {
-        (l, m): joint_orbit(spec, l, m)
-        for l in range(1, d + 1)
-        for m in range(l + 1, d + 1)
-    }
-    mats = []
-    for a in range(side):
-        g = np.zeros((side, side), dtype=np.complex128)
-        g[a, a] = 1j
-        mats.append(g)
-    for a in range(side):
-        l, r = divmod(a, n)
-        for b in range(a + 1, side):
-            m, s = divmod(b, n)
-            if l == m:
-                continue
-            if (r, s) not in orbits[(l + 1, m + 1)]:
-                continue
-            real = np.zeros((side, side), dtype=np.complex128)
-            real[a, b] = 1.0
-            real[b, a] = -1.0
-            imag = np.zeros((side, side), dtype=np.complex128)
-            imag[a, b] = 1j
-            imag[b, a] = 1j
-            mats.extend([real, imag])
+    side = spec.d * spec.n
+    flat = shift_matrix(spec).flat
+    pos = np.arange(side)
+    support = pos[:, None] % spec.n == pos % spec.n
+    size = 0
+    while size < support.sum():
+        size = support.sum()
+        support[np.ix_(flat, flat)] |= support
+    a, b = np.nonzero(np.triu(support, 1))
+    real = side + 2 * np.arange(a.size)
+    mats = np.zeros((side + 2 * a.size, side, side), dtype=np.complex128)
+    mats[pos, pos, pos] = 1j
+    mats[real, a, b] = 1.0
+    mats[real, b, a] = -1.0
+    mats[real + 1, a, b] = 1j
+    mats[real + 1, b, a] = 1j
     return GeneratorBasis(mats=mats, side=side)
 
 
@@ -249,7 +242,7 @@ def _closure(basis: GeneratorBasis, tol: float):
     """
     if not 0 < tol < 1:
         raise ToleranceDegenerateError(f"closure tolerance {tol!r} is not in (0, 1)")
-    if not basis.mats:
+    if len(basis.mats) == 0:
         raise ValueError("empty generator basis")
     side = basis.side
     full = side * side

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllability import analyze, reachable_masks
+from .controllability import _check_vertex, analyze, reachable_masks
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -209,8 +209,7 @@ def spread_from_node(spec: WalkSpec, j: int, c0, target: TargetSpread, k: int):
     state (a coin basis vector chosen by the construction; per-node coin
     states cannot be prescribed here, use reach_full_state for that).
     """
-    if not 0 <= j < spec.n:
-        raise IndexOutOfRangeError(f"vertex {j} out of range 0..{spec.n - 1}")
+    _check_vertex(spec, j)
     outside = [v for v in target.nodes if not 0 <= v < spec.n]
     if outside:
         raise IndexOutOfRangeError(f"target nodes {outside} out of range 0..{spec.n - 1}")
@@ -258,8 +257,7 @@ def concentrate_to_node(spec: WalkSpec, j: int, state: WalkState, k: int):
     (next vertex, coin) first.  Returns (sequence of length <= k, final
     coin vector at j).
     """
-    if not 0 <= j < spec.n:
-        raise IndexOutOfRangeError(f"vertex {j} out of range 0..{spec.n - 1}")
+    _check_vertex(spec, j)
     if state.d != spec.d or state.n != spec.n:
         raise DimensionMismatchError("state does not match the walk dimensions")
     masks = reachable_masks(spec, j, k)

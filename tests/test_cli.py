@@ -90,6 +90,27 @@ def test_unparsable_json_is_io_error(capsys, tmp_path):
     assert main(["analyze", "--spec", str(path)]) == 3
 
 
+def test_non_utf8_json_is_io_error(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b'\xff\xfe{"n": 3, "perms": []}')
+    assert main(["analyze", "--spec", str(path)]) == 3
+    assert "cannot parse JSON: not UTF-8" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_is_io_error(capsys, tmp_path, cycle5_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    state = tmp_path / "state.json"
+    json_io.write_json(json_io.state_to_dict(qw.basis_state(qw.cycle_shift(5), 0, 0)), str(state))
+    for argv in (
+        ["analyze", "--spec", deep],
+        ["simulate", "--spec", cycle5_path, "--state", deep, "--seq", deep],
+        ["simulate", "--spec", cycle5_path, "--state", state, "--seq", deep],
+    ):
+        assert main([str(arg) for arg in argv]) == 3
+        assert "cannot parse JSON: arrays or objects nested too deep" in capsys.readouterr().err
+
+
 def test_analyze_report(capsys, cycle5_path):
     code, out = run_cli(capsys, "analyze", "--spec", cycle5_path)
     doc = json.loads(out)
@@ -157,6 +178,18 @@ def test_reach_negative_level_is_invalid(capsys, cycle5_path):
     code, out = run_cli(capsys, "reach", "--spec", cycle5_path, "--node", "0", "--k", "-3")
     assert code == 1
     assert json.loads(out)["error"] == "IndexOutOfRangeError"
+
+
+def test_analyze_exit_2_on_a_reach_parity_conflict(capsys, monkeypatch, cycle4_path):
+    # the parity test calls the bipartite walk coverable; the covering
+    # search disagrees, and the report says so instead of raising
+    fake = controllability.ParityReport(m=1, witness=0, even=(), odd=())
+    monkeypatch.setattr(controllability, "parity_check", lambda spec, j=0: fake)
+    code, out = run_cli(capsys, "analyze", "--spec", cycle4_path)
+    doc = json.loads(out)
+    assert code == 2
+    assert doc["verdicts_agree"] is False
+    assert doc["reach_controllable"] is False and doc["parity_m"] == 1
 
 
 def test_lie_check(capsys, cycle4_path):
@@ -314,13 +347,13 @@ def test_malformed_sequence_or_state_is_invalid(capsys, tmp_path, cycle5_path, w
 
 def test_synthesize_analyzes_the_walk_once(capsys, monkeypatch, tmp_path, cycle5_path):
     calls = []
-    kappa = controllability.kappa
+    covering_level = controllability._covering_level
 
-    def counting_kappa(spec):
+    def counting_covering_level(spec, starts):
         calls.append(None)
-        return kappa(spec)
+        return covering_level(spec, starts)
 
-    monkeypatch.setattr(controllability, "kappa", counting_kappa)
+    monkeypatch.setattr(controllability, "_covering_level", counting_covering_level)
     c5 = qw.cycle_shift(5)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     json_io.write_json(json_io.state_to_dict(qw.basis_state(c5, 0, 0)), str(p1))

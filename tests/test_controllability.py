@@ -34,6 +34,21 @@ def orbit_components(spec):
     return [list(c) for c in qw.analyze(spec).components]
 
 
+def joint_orbit(spec, l, m):
+    """Reference: all pairs (P_l^k j, P_m^k j) over j and k >= 0 (l, m are
+    1-based), walking each orbit of the pair map (x, y) -> (P_l x, P_m y)
+    from the diagonal pair (j, j) until it cycles back."""
+    pl = spec.perms[l - 1].map.tolist()
+    pm = spec.perms[m - 1].map.tolist()
+    pairs = set()
+    for j in range(spec.n):
+        x = y = j
+        while (x, y) not in pairs:
+            pairs.add((x, y))
+            x, y = pl[x], pm[y]
+    return frozenset(pairs)
+
+
 def brute_joint_orbit(spec, l, m):
     """Oracle: enumerate (P_l^k j, P_m^k j) for k below the shift order,
     stepping the powers one composition at a time."""
@@ -50,7 +65,7 @@ def all_pairs_components(spec, first=None):
     coin pair l < m, not only the pairs (1, m); with ``first=1``, of the
     pairs (1, m) alone."""
     orbits = [
-        qw.joint_orbit(spec, l, m)
+        joint_orbit(spec, l, m)
         for l in range(1, (first or spec.d) + 1)
         for m in range(l + 1, spec.d + 1)
     ]
@@ -102,7 +117,7 @@ def stepped_covering_level(spec, starts):
 def test_joint_orbit_equal_labels_is_diagonal(c5, fig):
     for spec in (c5, fig):
         for l in range(1, spec.d + 1):
-            orbit = qw.joint_orbit(spec, l, l)
+            orbit = joint_orbit(spec, l, l)
             assert orbit == {(j, j) for j in range(spec.n)}
             assert isinstance(orbit, frozenset)
 
@@ -110,7 +125,7 @@ def test_joint_orbit_equal_labels_is_diagonal(c5, fig):
 def test_joint_orbit_contains_diagonal(fig):
     for l in range(1, 4):
         for m in range(1, 4):
-            assert {(j, j) for j in range(6)} <= qw.joint_orbit(fig, l, m)
+            assert {(j, j) for j in range(6)} <= joint_orbit(fig, l, m)
 
 
 def _mixed_cycle_walk():
@@ -127,21 +142,14 @@ def test_joint_orbit_matches_bruteforce(c5, fig):
     for spec in (c5, fig, qw.cycle_shift(4), mixed):
         for l in range(1, spec.d + 1):
             for m in range(1, spec.d + 1):
-                assert qw.joint_orbit(spec, l, m) == brute_joint_orbit(spec, l, m)
+                assert joint_orbit(spec, l, m) == brute_joint_orbit(spec, l, m)
 
 
 def test_joint_orbit_examples(c5, fig):
     # opposite cycle directions: pairs (j+k, j-k), so (2, 3) arises at k=2, j=0
-    assert (2, 3) in qw.joint_orbit(c5, 1, 2)
+    assert (2, 3) in joint_orbit(c5, 1, 2)
     # forward shift vs cross pairing at k=1, j=0: (1, 3)
-    assert (1, 3) in qw.joint_orbit(fig, 1, 3)
-
-
-def test_joint_orbit_index_errors(c5):
-    with pytest.raises(qw.IndexOutOfRangeError):
-        qw.joint_orbit(c5, 0, 1)
-    with pytest.raises(qw.IndexOutOfRangeError):
-        qw.joint_orbit(c5, 1, 3)
+    assert (1, 3) in joint_orbit(fig, 1, 3)
 
 
 def test_reduced_graph_components_on_cycles(c4, c5):
@@ -155,16 +163,6 @@ def test_first_coin_pairs_give_all_pairs_components():
     walks += [qw.complete(n) for n in range(3, 13)]
     for spec in walks:
         assert orbit_components(spec) == all_pairs_components(spec)
-
-
-def test_analyze_walks_no_joint_orbits(monkeypatch):
-    # the orbit criterion reads cycle residues and never enumerates an
-    # orbit's pairs; joint_orbit stays as the oracle
-    calls = []
-    monkeypatch.setattr(controllability, "joint_orbit", lambda *args: calls.append(args))
-    for spec in (qw.figure1(), qw.complete(8), _mixed_cycle_walk()):
-        qw.analyze(spec)
-    assert calls == []
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -308,6 +306,21 @@ def test_repeat_with_coverable_parity_is_a_conflict(monkeypatch):
         qw.k_of(c6, 0)
 
 
+def test_analyze_runs_parity_once(monkeypatch):
+    calls = []
+    parity_check = controllability.parity_check
+
+    def counting_parity_check(spec, j=0):
+        calls.append(j)
+        return parity_check(spec, j)
+
+    monkeypatch.setattr(controllability, "parity_check", counting_parity_check)
+    for n in (100, 101):  # bipartite, then not
+        calls.clear()
+        assert qw.analyze(qw.cycle_shift(n)).verdicts_agree
+        assert calls == [0]
+
+
 def test_parity_check(c4, c5, fig):
     odd = qw.parity_check(c5, 0)
     assert odd.m == 1 and odd.witness is not None
@@ -344,7 +357,7 @@ def test_report_names_the_criterion_that_disagrees(monkeypatch):
     assert not rep.partitions_match and not rep.verdicts_agree
     monkeypatch.undo()
     # a reachability search that finds no covering level on a controllable walk
-    monkeypatch.setattr(controllability, "kappa", lambda spec: None)
+    monkeypatch.setattr(controllability, "_covering_level", lambda spec, starts: (1, None))
     rep = qw.analyze(qw.cycle_shift(5))
     assert (rep.m, rep.parity_m, rep.partitions_match) == (1, 1, True)
     assert not rep.reach_controllable and not rep.verdicts_agree

@@ -14,9 +14,45 @@ from qwalk.lie_closure import (
 )
 from qwalk.sampling import random_spec
 
+from test_controllability import joint_orbit
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def pairwise_generator_basis(spec):
+    """Reference: the generators built one dense matrix at a time, the
+    admissible position pairs ((l, r), (m, s)), l != m, read off the
+    (l, m) joint orbit."""
+    d, n = spec.d, spec.n
+    side = d * n
+    orbits = {
+        (l, m): joint_orbit(spec, l, m)
+        for l in range(1, d + 1)
+        for m in range(l + 1, d + 1)
+    }
+    mats = []
+    for a in range(side):
+        g = np.zeros((side, side), dtype=np.complex128)
+        g[a, a] = 1j
+        mats.append(g)
+    for a in range(side):
+        l, r = divmod(a, n)
+        for b in range(a + 1, side):
+            m, s = divmod(b, n)
+            if l == m:
+                continue
+            if (r, s) not in orbits[(l + 1, m + 1)]:
+                continue
+            real = np.zeros((side, side), dtype=np.complex128)
+            real[a, b] = 1.0
+            real[b, a] = -1.0
+            imag = np.zeros((side, side), dtype=np.complex128)
+            imag[a, b] = 1j
+            imag[b, a] = 1j
+            mats.extend([real, imag])
+    return GeneratorBasis(mats=mats, side=side)
 
 
 def reference_closure(basis, tol=1e-9):
@@ -141,12 +177,37 @@ def test_generator_basis_layout(fig):
             mb, sb = divmod(b, 6)
             if la == mb:
                 continue
-            if (ra, sb) in qw.joint_orbit(fig, la + 1, mb + 1):
+            if (ra, sb) in joint_orbit(fig, la + 1, mb + 1):
                 admissible.append([[a, b], [b, a]])
     supports = [np.argwhere(mat).tolist() for mat in gb.mats[side:]]
     assert supports == [pair for pair in admissible for _ in range(2)]
     for mat in gb.mats:
         assert np.abs(mat + mat.conj().T).max() < 1e-12
+
+
+def _generator_specs():
+    rng = np.random.default_rng(11)
+    draws = (spec for spec in iter(lambda: random_spec(rng), None) if spec.d * spec.n <= 24)
+    families = {
+        "figure1": qw.figure1(),
+        "cycle_shift(5)": qw.cycle_shift(5),
+        "cycle_shift(7)": qw.cycle_shift(7),
+        "cycle_shift(8)": qw.cycle_shift(8),
+        "cycle_exchange(6)": qw.cycle_exchange(6),
+        "cycle_exchange(8)": qw.cycle_exchange(8),
+        "complete(4)": qw.complete(4),
+    }
+    return [pytest.param(spec, id=name) for name, spec in families.items()] + [
+        pytest.param(next(draws), id=f"random{i}") for i in range(12)
+    ]
+
+
+@pytest.mark.parametrize("spec", _generator_specs())
+def test_generator_stack_equals_pairwise_reference(spec):
+    gb, ref = qw.generator_basis(spec), pairwise_generator_basis(spec)
+    assert gb.side == ref.side
+    assert gb.mats.dtype == np.complex128
+    assert gb.mats.tobytes() == np.stack(ref.mats).tobytes()
 
 
 def test_no_generators_within_a_coin_block(c5):
