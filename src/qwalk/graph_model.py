@@ -1,9 +1,9 @@
 """Walk specifications: permutation sets compatible with a connected regular graph.
 
 A walk on ``N`` vertices of degree ``d`` is defined by ``d`` permutations
-``P_1 .. P_d`` of ``{0, ..., N-1}``.  Vertices are 0-based everywhere.  The
-canonical permutation representation is one-line notation (index -> image);
-cycle notation such as ``"(0 1 2)(3 4)"`` is accepted as input sugar.
+``P_1 .. P_d`` of ``{0, ..., N-1}``.  Vertices are 0-based everywhere.  A
+validated walk stores only its images, one (d, N) array; ``Permutation``
+objects and cycle notation such as ``"(0 1 2)(3 4)"`` are input sugar.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ _CYCLE_RE = re.compile(r"\(([\d,\s]*)\)")
 
 
 class Permutation:
-    """A bijection on ``{0, ..., n-1}`` stored in one-line notation.
-
-    ``p.map[j]`` is the image of vertex ``j``; lookups are O(1).  Instances
-    are immutable.
-    """
+    """A bijection on ``{0, ..., n-1}`` in one-line notation, the input form
+    of a walk's permutations: ``p.map[j]`` is the image of vertex ``j``.
+    Instances are immutable."""
 
     __slots__ = ("map",)
 
@@ -60,38 +58,15 @@ class Permutation:
         self.map = arr
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(n))
-
-    @classmethod
     def from_cycles(cls, text: str, n: int) -> "Permutation":
         """Parse cycle notation, e.g. ``"(0 1 2)(3 4)"``; separators are
         spaces or commas. Vertices not mentioned are fixed points."""
-        stripped = text.replace(" ", "").replace(",", "")
-        if stripped and _CYCLE_RE.sub("", text).strip():
-            raise SpecValidationError(f"unparsable cycle notation: {text!r}")
-        images = np.arange(n)
-        touched = set()
-        for group in _CYCLE_RE.findall(text):
-            elems = [int(tok) for tok in re.split(r"[,\s]+", group.strip()) if tok]
-            if not elems:
-                continue
-            for v in elems:
-                if v < 0 or v >= n:
-                    raise NotBijectionError(f"vertex {v} out of range 0..{n - 1}")
-                if v in touched:
-                    raise NotBijectionError(f"vertex {v} appears in two cycles")
-                touched.add(v)
-            for a, b in zip(elems, elems[1:] + elems[:1]):
-                images[a] = b
-        return cls(images)
+        moves = _cycle_images(text, n)
+        return cls([moves.get(v, v) for v in range(n)])
 
     @property
     def n(self) -> int:
         return int(self.map.size)
-
-    def __call__(self, j: int) -> int:
-        return int(self.map[j])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and np.array_equal(self.map, other.map)
@@ -102,24 +77,40 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation({self.map.tolist()})"
 
-    def inverse(self) -> "Permutation":
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[self.map] = np.arange(self.n)
-        return Permutation(inv)
+
+def _cycle_images(text: str, n: int) -> dict:
+    """The image of each vertex that cycle notation names."""
+    stripped = text.replace(" ", "").replace(",", "")
+    if stripped and _CYCLE_RE.sub("", text).strip():
+        raise SpecValidationError(f"unparsable cycle notation: {text!r}")
+    images = {}
+    for group in _CYCLE_RE.findall(text):
+        elems = [int(tok) for tok in re.split(r"[,\s]+", group.strip()) if tok]
+        for v, w in zip(elems, elems[1:] + elems[:1]):
+            if v < 0 or v >= n:
+                raise NotBijectionError(f"vertex {v} out of range 0..{n - 1}")
+            if v in images:
+                raise NotBijectionError(f"vertex {v} appears in two cycles")
+            images[v] = w
+    return images
 
 
 @dataclass(frozen=True, eq=False)
 class WalkSpec:
-    """A validated walk: vertex count, defining permutations, and their
-    images as one read-only (d, N) array, ``maps[c, v] = P_c v``."""
+    """A validated walk: the vertex count and the images of its permutations
+    as one read-only (d, N) array, ``maps[c, v] = P_c v``."""
 
     n: int
-    perms: tuple[Permutation, ...]
     maps: np.ndarray
 
     @property
     def d(self) -> int:
-        return len(self.perms)
+        return self.maps.shape[0]
+
+    @property
+    def perms(self) -> tuple[Permutation, ...]:
+        """The rows of ``maps`` as Permutations, built on each access."""
+        return tuple(Permutation(row) for row in self.maps)
 
     def neighbors(self, j: int) -> list[int]:
         return np.sort(self.maps[:, j]).tolist()
@@ -128,16 +119,20 @@ class WalkSpec:
         return f"WalkSpec(n={self.n}, d={self.d})"
 
 
-def _as_permutation(raw, n: int, index: int) -> Permutation:
-    if isinstance(raw, Permutation):
-        p = raw
-    elif isinstance(raw, str):
-        p = Permutation.from_cycles(raw, n)
-    else:
-        p = Permutation(raw)
+def _as_map(raw, n: int, index: int):
+    """Entry ``index`` as an image array.  Cycle notation that fixes a
+    vertex, as no walk does, gives the least vertex it fixes instead, and
+    no n-length array: n may be far too large for one."""
+    if isinstance(raw, str):
+        images = _cycle_images(raw, n)
+        fixed = next((v for v in range(n) if images.get(v, v) == v), None)
+        if fixed is not None:
+            return fixed
+        raw = [images[v] for v in range(n)]
+    p = raw if isinstance(raw, Permutation) else Permutation(raw)
     if p.n != n:
         raise LengthMismatchError(f"permutation {index} has length {p.n}, expected {n}")
-    return p
+    return p.map
 
 
 def cycle_table(maps: np.ndarray):
@@ -187,12 +182,17 @@ def validate(n: int, perms) -> WalkSpec:
     """
     if n < 3:
         raise SpecValidationError(f"need at least 3 vertices, got {n}")
-    ps = [_as_permutation(raw, n, i) for i, raw in enumerate(perms)]
-    d = len(ps)
+    rows = [_as_map(raw, n, i) for i, raw in enumerate(perms)]
+    d = len(rows)
     if d < 2:
         raise SpecValidationError(f"need at least 2 permutations, got {d}")
+    if any(isinstance(row, int) for row in rows):  # name the first entry with a fixed point
+        for i, row in enumerate(rows):
+            fixed = row if isinstance(row, int) else np.flatnonzero(row == np.arange(n))
+            if np.size(fixed):
+                raise SelfLoopError(f"permutation {i} fixes vertex {int(np.min(fixed))}")
 
-    maps = np.stack([p.map for p in ps])
+    maps = np.stack(rows)
     maps.setflags(write=False)
     idx = np.arange(n)
     if (maps == idx).any():
@@ -210,7 +210,7 @@ def validate(n: int, perms) -> WalkSpec:
         first, later = order[r, col], order[r + 1, col]
         at = np.lexsort((col, later, first))[0]
         i, k, j = int(first[at]), int(later[at]), int(col[at])
-        raise CoinCollisionError(f"permutations {i} and {k} both send vertex {j} to {ps[i](j)}")
+        raise CoinCollisionError(f"permutations {i} and {k} both send vertex {j} to {maps[i, j]}")
     if not np.array_equal(ordered, np.sort(reverse)):
         l, j = divmod(int(np.setxor1d(codes, reverse)[0]), n)
         raise NotSymmetricError(f"transition {j} -> {l} has no reverse transition {l} -> {j}")
@@ -219,7 +219,7 @@ def validate(n: int, perms) -> WalkSpec:
     if label.any():
         comp = np.flatnonzero(label == 0).tolist()
         raise DisconnectedError(f"graph is disconnected; vertices {comp} form a component")
-    return WalkSpec(n=n, perms=tuple(ps), maps=maps)
+    return WalkSpec(n=n, maps=maps)
 
 
 def product_walk(a: WalkSpec, b: WalkSpec) -> WalkSpec:

@@ -83,29 +83,19 @@ def random_spec(
 
     for _ in range(_MAX_TRIES):
         kind = int(rng.integers(0, 2))
-        perms: list[np.ndarray] = []
-        if d == 2 and (n % 2 or kind == 0):
+        perms, used = [], set()
+        if n % 2 or (kind == 0 and d in (2, 3)):
             cyc = _random_full_cycle(rng, n)
-            inv = np.empty(n, dtype=np.int64)
-            inv[cyc] = np.arange(n)
-            perms = [cyc, inv]
-        else:
-            used: set = set()
-            if d == 3 and kind == 0:
-                cyc = _random_full_cycle(rng, n)
-                inv = np.empty(n, dtype=np.int64)
-                inv[cyc] = np.arange(n)
-                perms = [cyc, inv]
-                used = _edges_of(cyc)
-            while len(perms) < d:
-                m = _random_matching(rng, n, used)
-                if m is None:
-                    perms = []
-                    break
-                used |= _edges_of(m)
-                perms.append(m)
-            if not perms:
-                continue
+            perms, used = [cyc, np.argsort(cyc)], _edges_of(cyc)
+        while len(perms) < d:
+            m = _random_matching(rng, n, used)
+            if m is None:
+                perms = []
+                break
+            used |= _edges_of(m)
+            perms.append(m)
+        if not perms:
+            continue
         try:
             return validate(n, perms)
         except DisconnectedError:

@@ -56,13 +56,17 @@ class ControlSequence:
 
 @dataclass(frozen=True, eq=False)
 class TargetSpread:
-    """A node-probability target: distinct vertices with unit-norm complex
-    coefficients."""
+    """A node-probability target: distinct vertices (integers, or floats
+    with integral values) with unit-norm complex coefficients."""
 
     nodes: tuple
     coeffs: np.ndarray
 
     def __post_init__(self):
+        bad = [v for v in self.nodes if not isinstance(v, (int, np.integer))
+               and not (isinstance(v, float) and v.is_integer())]
+        if bad:
+            raise IndexOutOfRangeError(f"target nodes {bad} are not vertex indices")
         nodes = tuple(int(v) for v in self.nodes)
         coeffs = np.asarray(self.coeffs, dtype=np.complex128).reshape(-1)
         if len(nodes) != coeffs.size:
@@ -80,9 +84,7 @@ def _coin_vector(d: int, c0) -> np.ndarray:
     if isinstance(c0, (int, np.integer)):
         if not 0 <= c0 < d:
             raise IndexOutOfRangeError(f"coin value {c0} out of range 0..{d - 1}")
-        vec = np.zeros(d, dtype=np.complex128)
-        vec[c0] = 1.0
-        return vec
+        return np.eye(d, dtype=np.complex128)[c0]
     vec = np.asarray(c0, dtype=np.complex128).reshape(-1)
     if vec.size != d:
         raise DimensionMismatchError(f"coin state has size {vec.size}, expected {d}")
@@ -140,13 +142,6 @@ def unitary_completion(src, dst) -> np.ndarray:
     return _completions(src[None], dst[None])[0]
 
 
-def _coin_op(d: int, n: int, vertices, blocks) -> CoinOp:
-    """Identity coin everywhere except blocks[i] at vertices[i]."""
-    full = np.broadcast_to(np.eye(d, dtype=np.complex128), (n, d, d)).copy()
-    full[vertices] = blocks
-    return CoinOp(full)
-
-
 def _least_steps(ends: np.ndarray, members: np.ndarray):
     """For each column of ends, the (d, B) vertices that each coin's step
     leads to, the least (vertex, coin) whose vertex lies in the boolean
@@ -196,7 +191,7 @@ def _spread(spec, c0vec, nodes, coeffs, masks):
     for coins, zs, group, scaled in reversed(levels):
         dst = np.zeros((len(zs), d), dtype=np.complex128)
         dst[group, coins] += scaled
-        ops.append(_coin_op(d, n, zs, _completions(states, dst)))
+        ops.append(CoinOp.from_blocks(d, n, zs, _completions(states, dst)))
         states = eye[coins]
     return ops, states
 
@@ -245,7 +240,7 @@ def reach_full_state(spec: WalkSpec, j: int, c0, target: WalkState, k: int) -> C
     betas = norms[nodes]
     seq, coin_states = spread_from_node(spec, j, c0, TargetSpread(nodes, betas), k)
     src = np.array([coin_states[v] for v in nodes.tolist()])
-    mix = _coin_op(spec.d, spec.n, nodes, _completions(src, (pre[:, nodes] / betas).T))
+    mix = CoinOp.from_blocks(spec.d, spec.n, nodes, _completions(src, (pre[:, nodes] / betas).T))
     return ControlSequence(seq.ops + (mix,), seq.meta + ("mix",))
 
 
@@ -282,7 +277,7 @@ def concentrate_to_node(spec: WalkSpec, j: int, state: WalkState, k: int):
         # one norm per column: a norm along an axis differs in the last ulp
         gammas = np.array([float(np.linalg.norm(table[:, v])) for v in support])
         src = (table[:, support] / gammas).T
-        op = _coin_op(spec.d, spec.n, support, _completions(src, eye[coins]))
+        op = CoinOp.from_blocks(spec.d, spec.n, support, _completions(src, eye[coins]))
         ops.append(op)
         current = step(current, op, spec)
     final_coin = current.table()[:, j].copy()

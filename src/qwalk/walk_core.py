@@ -89,12 +89,11 @@ class CoinOp:
         return cls(np.broadcast_to(np.eye(d, dtype=np.complex128), (n, d, d)))
 
     @classmethod
-    def from_blocks(cls, d: int, n: int, mapping: dict) -> "CoinOp":
-        """Identity coin everywhere except the vertices listed in mapping."""
-        blocks = np.broadcast_to(np.eye(d, dtype=np.complex128), (n, d, d)).copy()
-        for j, q in mapping.items():
-            blocks[j] = np.asarray(q, dtype=np.complex128)
-        return cls(blocks)
+    def from_blocks(cls, d: int, n: int, vertices, blocks) -> "CoinOp":
+        """Identity coin everywhere except ``blocks[i]`` at ``vertices[i]``."""
+        full = np.broadcast_to(np.eye(d, dtype=np.complex128), (n, d, d)).copy()
+        full[vertices] = blocks
+        return cls(full)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,14 +147,9 @@ def basis_state(spec: WalkSpec, coin: int, vertex: int) -> WalkState:
 
 
 def _check_dims(state: WalkState, coin: CoinOp, spec: WalkSpec):
-    if state.d != spec.d or state.n != spec.n:
-        raise DimensionMismatchError(
-            f"state is {state.d}x{state.n}, walk is {spec.d}x{spec.n}"
-        )
-    if coin.d != spec.d or coin.n != spec.n:
-        raise DimensionMismatchError(
-            f"coin is {coin.d}x{coin.n}, walk is {spec.d}x{spec.n}"
-        )
+    for name, x in (("state", state), ("coin", coin)):
+        if x.d != spec.d or x.n != spec.n:
+            raise DimensionMismatchError(f"{name} is {x.d}x{x.n}, walk is {spec.d}x{spec.n}")
 
 
 def step(state: WalkState, coin: CoinOp, spec: WalkSpec) -> WalkState:

@@ -69,8 +69,10 @@ def test_validate_malformed_cycle_notation(capsys, tmp_path, cycle):
         ('[5, [[1, 2, 3, 4, 0], [4, 0, 1, 2, 3]]]', "SpecValidationError"),
         ('{"n": "x", "perms": [[1, 2, 3, 4, 0], [4, 0, 1, 2, 3]]}', "SpecValidationError"),
         ('{"n": 5, "perms": [[1.5, 2, 3, 4, 0], [4, 0, 1, 2, 3]]}', "NotBijectionError"),
+        # cycle notation fixing a vertex is refused without an n-length array
+        ('{"n": 1000000000000, "perms": ["(0 1)", "(1 2)"]}', "SelfLoopError"),
     ],
-    ids=["missing-n", "top-level-list", "string-n", "fractional-image"],
+    ids=["missing-n", "top-level-list", "string-n", "fractional-image", "huge-n-cycles"],
 )
 def test_malformed_spec_is_invalid(capsys, tmp_path, text, error):
     path = tmp_path / "bad.json"

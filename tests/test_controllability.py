@@ -8,6 +8,7 @@ import pytest
 
 import qwalk as qw
 from qwalk import controllability
+from qwalk.lie_closure import DEFAULT_DIM_CAP
 from qwalk.sampling import random_spec
 
 
@@ -387,6 +388,59 @@ def test_complete_graph_verdict_ignores_its_decomposition(n):
     assert matchings.verdicts_agree
     if n == 4:
         assert qw.verify_structure(_round_robin(4)).dim == 144
+
+
+def _redecompose(spec, seed):
+    """Another walk on spec's graph: d perfect matchings peeled one at a time
+    off the bipartite double cover (v on the left joined to u on the right
+    whenever a coin sends v to u), its edges inserted in a seeded shuffled
+    order.  A d-regular bipartite graph has a perfect matching (Koenig), and
+    taking one away leaves a (d - 1)-regular one."""
+    nx = pytest.importorskip("networkx")
+    n, left = spec.n, range(spec.n)
+    edges = list(zip(np.tile(left, spec.d).tolist(), (spec.maps.ravel() + n).tolist()))
+    cover = nx.Graph()
+    cover.add_nodes_from(left)
+    cover.add_edges_from(edges[i] for i in np.random.default_rng(seed).permutation(len(edges)))
+    perms = []
+    for _ in range(spec.d):
+        match = nx.bipartite.hopcroft_karp_matching(cover, top_nodes=left)
+        perms.append([match[v] - n for v in left])
+        cover.remove_edges_from((v, match[v]) for v in left)
+    return qw.validate(n, perms)
+
+
+_GRAPHS = {
+    "torus(5,7)": lambda: qw.torus(5, 7),
+    "torus(4,6)": lambda: qw.torus(4, 6),
+    "complete(9)": lambda: qw.complete(9),
+    "figure1": qw.figure1,
+    "cycle_exchange(8)": lambda: qw.cycle_exchange(8),
+    "torus(3,3)": lambda: qw.torus(3, 3),
+    **{f"random_spec({i})": lambda i=i: random_spec(np.random.default_rng(i))
+       for i in (0, 3, 28, 40)},
+}
+
+
+@pytest.mark.parametrize("name", list(_GRAPHS))
+def test_verdict_depends_only_on_the_graph(name):
+    # a theorem of the paper: any other decomposition of the same edge set
+    # into d permutations gets the same verdict, whatever its shift order
+    spec = _GRAPHS[name]()
+    report = qw.analyze(spec)
+    small = spec.d * spec.n <= DEFAULT_DIM_CAP
+    dim = qw.verify_structure(spec).dim if small else None
+    for seed in (0, 1):
+        other = _redecompose(spec, seed)
+        assert [other.neighbors(j) for j in range(spec.n)] == [
+            spec.neighbors(j) for j in range(spec.n)
+        ]
+        again = qw.analyze(other)
+        for field in ("components", "controllable", "kappa", "kappa_vertex", "predicted_lie_dim"):
+            assert getattr(again, field) == getattr(report, field), (field, seed)
+        assert again.verdicts_agree
+        if small:
+            assert qw.verify_structure(other).dim == dim
 
 
 def test_product_of_controllable_walks_is_controllable():

@@ -23,6 +23,14 @@ def order(p):
     return math.lcm(*(len(c) for c in cycles(p)))
 
 
+def identity(n):
+    return Permutation(np.arange(n))
+
+
+def inverse(p):
+    return Permutation(np.argsort(p.map))
+
+
 def compose(p, q):
     """Right-to-left composition: compose(p, q)(j) == p(q(j))."""
     return Permutation(p.map[q.map])
@@ -30,7 +38,7 @@ def compose(p, q):
 
 def power(p, k):
     """k-th power by repeated composition; negative exponents allowed."""
-    result = Permutation.identity(p.n)
+    result = identity(p.n)
     for _ in range(k % order(p)):
         result = compose(p, result)
     return result
@@ -66,6 +74,14 @@ def test_cycle5_is_valid(c5):
 def test_identity_permutation_rejected_as_self_loop():
     with pytest.raises(qw.SelfLoopError, match="fixes vertex 0"):
         qw.validate(4, [[0, 1, 2, 3], [1, 2, 3, 0]])
+    # cycle notation fixing a vertex keeps the order of the checks: an
+    # earlier entry's loop is named first, a later entry's parse error wins
+    with pytest.raises(qw.SelfLoopError, match="permutation 0 fixes vertex 0"):
+        qw.validate(5, [[0, 2, 3, 4, 1], "(0 1)"])
+    with pytest.raises(qw.SelfLoopError, match="permutation 1 fixes vertex 3"):
+        qw.validate(5, [[1, 2, 3, 4, 0], "(0 1 2 4)(3)"])
+    with pytest.raises(qw.LengthMismatchError):
+        qw.validate(5, ["(0 1 2)", [1, 2, 0]])
 
 
 def test_not_bijection():
@@ -104,15 +120,15 @@ def test_validate_length_and_count_errors():
 
 def test_compose_with_inverse_is_identity():
     p = Permutation([1, 2, 0])
-    assert compose(p, p.inverse()) == Permutation.identity(3)
-    assert compose(p.inverse(), p) == Permutation.identity(3)
+    assert compose(p, inverse(p)) == identity(3)
+    assert compose(inverse(p), p) == identity(3)
 
 
 def test_inverse_shift_composition_is_double_step(c5):
     # applying the forward shift then the inverse of the backward shift
     # advances two positions: one full 5-cycle
     sp, sm = c5.perms
-    q = compose(sm.inverse(), sp)
+    q = compose(inverse(sm), sp)
     assert q == compose(sp, sp)
     assert cycles(q) == [(0, 2, 4, 1, 3)]
     assert order(q) == 5
@@ -125,9 +141,9 @@ def test_cross_pairing_has_order_two(fig):
 
 def test_power_and_order():
     p = Permutation([1, 2, 3, 4, 0])
-    assert power(p, 5) == Permutation.identity(5)
-    assert power(p, -1) == p.inverse()
-    assert power(p, 0) == Permutation.identity(5)
+    assert power(p, 5) == identity(5)
+    assert power(p, -1) == inverse(p)
+    assert power(p, 0) == identity(5)
     assert power(p, 7) == compose(p, p)
     assert order(p) == 5
 
@@ -136,7 +152,7 @@ def test_cycles_cover_fixed_points():
     p = Permutation([0, 2, 1])
     assert cycles(p) == [(0,), (1, 2)]
     assert cycle_notation(p) == "(1 2)"
-    assert cycle_notation(Permutation.identity(3)) == "()"
+    assert cycle_notation(identity(3)) == "()"
 
 
 def test_cycle_notation_parser():
@@ -160,7 +176,7 @@ def test_product_walk_torus():
     t = qw.torus(3, 3)
     assert t.n == 9 and t.d == 4
     # first lifted permutation acts on the first factor only: (1,2) -> (2,2)
-    assert t.perms[0](1 * 3 + 2) == 2 * 3 + 2
+    assert t.maps[0, 1 * 3 + 2] == 2 * 3 + 2
 
 
 def test_product_walk_5x3_validates():
@@ -215,7 +231,7 @@ def test_degree2_random_specs_fall_into_the_two_families():
             continue
         lengths = [{len(c) for c in cycles(p)} for p in spec.perms]
         if lengths == [{spec.n}, {spec.n}]:  # one n-cycle and its inverse
-            assert spec.perms[1] == spec.perms[0].inverse()
+            assert spec.perms[1] == inverse(spec.perms[0])
         else:  # two fixed-point-free involutions
             assert lengths == [{2}, {2}]
 

@@ -97,6 +97,12 @@ def test_target_spread_validation():
         qw.TargetSpread((1, 1), np.array([1, 0]))
     with pytest.raises(qw.NotUnitError):
         qw.TargetSpread((0, 1), np.array([1.0, 1.0]))
+    # a node must be a vertex index, never truncated to one
+    for node in (3.9, "3", None, float("nan"), float("inf"), np.float64(2.5), 1j):
+        with pytest.raises(qw.IndexOutOfRangeError, match="not vertex indices"):
+            qw.TargetSpread((1, node), np.array([0.6, 0.8]))
+    for node in (3.0, np.float64(3.0), np.int32(3)):
+        assert qw.TargetSpread((1, node), np.array([0.6, 0.8])).nodes == (1, 3)
 
 
 def test_reach_own_state_pads_to_shift_period(c5):
@@ -298,7 +304,7 @@ def _ref_spread(spec, j, c0vec, nodes, coeffs, k, nsets, inv_maps):
             dst[coin] += a / gamma
             coin_states[v] = np.eye(d, dtype=np.complex128)[coin]
         blocks[z] = _ref_completion(deltas[z], dst)
-    ops.append(qw.CoinOp.from_blocks(d, n, blocks))
+    ops.append(qw.CoinOp.from_blocks(d, n, list(blocks), list(blocks.values())))
     return ops, coin_states
 
 
@@ -307,7 +313,7 @@ def _ref_spread_from_node(spec, j, c0vec, nodes, coeffs, k):
     nodes = tuple(v for v, _ in kept)
     coeffs = np.array([a for _, a in kept], dtype=np.complex128)
     nsets = qw.reachable_sets(spec, j, k)
-    inv_maps = [p.inverse().map for p in spec.perms]
+    inv_maps = [np.argsort(p.map) for p in spec.perms]
     return _ref_spread(spec, j, c0vec, nodes, coeffs, k, nsets, inv_maps)
 
 
@@ -319,7 +325,7 @@ def _ref_reach(spec, j, c0vec, target, k):
     betas = norms[list(nodes)]
     ops, coin_states = _ref_spread_from_node(spec, j, c0vec, nodes, betas, k)
     mix = {v: _ref_completion(coin_states[v], pre[:, v] / b) for v, b in zip(nodes, betas)}
-    return ops + [qw.CoinOp.from_blocks(spec.d, spec.n, mix)]
+    return ops + [qw.CoinOp.from_blocks(spec.d, spec.n, list(mix), list(mix.values()))]
 
 
 def _ref_concentrate(spec, j, state, k):
@@ -338,7 +344,7 @@ def _ref_concentrate(spec, j, state, k):
                 if w in nsets[level - 1]:
                     break
             blocks[v] = _ref_completion(col / gamma, np.eye(spec.d, dtype=complex)[coin])
-        ops.append(qw.CoinOp.from_blocks(spec.d, spec.n, blocks))
+        ops.append(qw.CoinOp.from_blocks(spec.d, spec.n, list(blocks), list(blocks.values())))
         current = qw.step(current, ops[-1], spec)
     return ops, current.table()[:, j].copy()
 

@@ -17,7 +17,7 @@ def test_identity_coin_matrix_is_identity(c5):
 def test_coin_matrix_blockwise_swap():
     # d=2, n=2; swap the coin at vertex 0 only
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    coin = qw.CoinOp.from_blocks(2, 2, {0: swap})
+    coin = qw.CoinOp.from_blocks(2, 2, [0], [swap])
     m = coin_matrix(coin)
     expected = np.zeros((4, 4), dtype=complex)
     expected[2, 0] = expected[0, 2] = 1  # (coin0,v0) <-> (coin1,v0)
@@ -78,7 +78,7 @@ def test_step_with_vertex0_coin_splits_both_ways(fig):
     q0 = np.array(
         [[1, 1, 0], [1, -1, 0], [0, 0, np.sqrt(2)]], dtype=complex
     ) / np.sqrt(2)
-    coin = qw.CoinOp.from_blocks(3, 6, {0: q0})
+    coin = qw.CoinOp.from_blocks(3, 6, [0], [q0])
     out = qw.step(qw.basis_state(fig, 0, 0), coin, fig)
     expected = np.zeros(18, dtype=complex)
     expected[0 * 6 + 1] = 1 / np.sqrt(2)
