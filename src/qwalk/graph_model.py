@@ -85,7 +85,11 @@ def _cycle_images(text: str, n: int) -> dict:
         raise SpecValidationError(f"unparsable cycle notation: {text!r}")
     images = {}
     for group in _CYCLE_RE.findall(text):
-        elems = [int(tok) for tok in re.split(r"[,\s]+", group.strip()) if tok]
+        toks = [tok.lstrip("0") or "0" for tok in re.split(r"[,\s]+", group.strip()) if tok]
+        try:
+            elems = [int(tok) for tok in toks]
+        except ValueError:  # past int()'s digit limit, which bounds n read from JSON too
+            raise NotBijectionError(f"vertex {max(toks, key=len)} out of range 0..{n - 1}") from None
         for v, w in zip(elems, elems[1:] + elems[:1]):
             if v < 0 or v >= n:
                 raise NotBijectionError(f"vertex {v} out of range 0..{n - 1}")

@@ -130,9 +130,9 @@ def report_to_dict(report: ControllabilityReport) -> dict:
 
 
 def read_json(path: str) -> dict:
-    """The parsed document.  Text that is not UTF-8, or arrays and objects
-    nested too deep for the parser, raise json.JSONDecodeError like any
-    other unparsable document."""
+    """The parsed document.  Text that is not UTF-8, arrays and objects
+    nested too deep, or an integer past int()'s digit limit raise
+    json.JSONDecodeError like any other unparsable document."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -141,6 +141,10 @@ def read_json(path: str) -> dict:
             raise json.JSONDecodeError(f"not UTF-8 text ({exc.reason})", text, len(text)) from None
         except RecursionError:
             raise json.JSONDecodeError("arrays or objects nested too deep", "", 0) from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # the only other: an integer past int()'s digit limit
+            raise json.JSONDecodeError("integer literal too long", "", 0) from None
 
 
 _ENCODER = json.JSONEncoder(allow_nan=False)

@@ -98,14 +98,14 @@ def _devectorize(vec: np.ndarray, side: int, iu) -> np.ndarray:
 
 
 class _SpanBuilder:
-    """Orthonormal real basis of the running span, with rank guards.
+    """Orthonormal real basis of the running span, with rank guards; it
+    takes real coordinates and forms brackets only in ``brackets``.
 
-    ``rows`` and ``mats`` are preallocated for the full dimension side^2 and
-    filled up to ``dim``; ``np.zeros`` leaves the pages of unused rows
-    untouched, so a span that stays small costs only what it fills.  The
-    support table beside them holds, for each row, the index set its matrix
-    touches (``touch``, its nonzero rows, which are its nonzero columns)
-    and its nonzero coordinates (``coords``).
+    ``rows`` and ``mats`` are preallocated for side^2 rows and filled up to
+    ``dim``; ``np.zeros`` leaves unused pages untouched, so a small span
+    costs only what it fills.  Beside them, ``touch`` holds the index set
+    each row's matrix touches (its nonzero rows, which are its nonzero
+    columns) and ``coords`` its nonzero coordinates.
     """
 
     def __init__(self, side: int, tol: float):
@@ -119,11 +119,10 @@ class _SpanBuilder:
         self.coords = np.zeros((full, full), dtype=bool)
         self.dim = 0
 
-    def offer(self, mat: np.ndarray) -> bool:
-        """Project a candidate against the span; extend the basis when the
-        residual clears the tolerance.  Two projection passes keep the basis
-        orthonormal; residuals within a factor 10 of the threshold abort."""
-        vec = _vectorize(mat, self.iu)
+    def offer(self, vec: np.ndarray) -> bool:
+        """Project real coordinates against the span; extend the basis when
+        the residual clears the tolerance.  Two projection passes keep the
+        basis orthonormal; residuals within a factor 10 of the threshold abort."""
         pre = float(np.linalg.norm(vec))
         if pre < _ZERO_NORM:
             return False
@@ -179,25 +178,24 @@ class _SpanBuilder:
         )
         return keys, vecs
 
-    def inside(self, f: int) -> np.ndarray:
-        """Mark each b whose bracket [mats[f], mats[b]] lies in the current
-        span by a wide margin, so that ``offer`` would reject it.
+    def outside(self, f: int):
+        """``(bs, vecs)``: each b, ascending, whose bracket [mats[f], mats[b]]
+        the span may not hold, and that bracket's coordinates, one row each.
 
-        A bracket is marked when its norm is below ``_ZERO_NORM`` or its
-        residual is below a hundredth of the threshold ``tol * prenorm``: a
-        full decade under the degenerate band, so the rounding of this
-        one-pass projection cannot hide a bracket that ``offer`` would
-        accept or refuse as ambiguous.
+        Left out are brackets with norm below ``_ZERO_NORM``, [F, F] among
+        them, or residual below a hundredth of ``tol * prenorm``: a full
+        decade under the degenerate band, so the rounding of this one-pass
+        projection cannot hide a bracket that ``offer`` would accept or
+        refuse as ambiguous.
 
-        Only what the marks depend on is computed.  When B and F touch
-        disjoint index sets, B F and F B are exactly zero, so the bracket is
-        marked without being formed.  The others are projected only against
-        the rows sharing a coordinate with them, over the coordinates of
-        both; every term left out is an exact zero.  A basis without
-        structural zeros meets everywhere, and this is the full computation.
+        When B and F touch disjoint index sets, B F and F B are exactly
+        zero, so the bracket is left out without being formed.  The others
+        are projected only against the rows sharing a coordinate with them,
+        over the coordinates of both; every term left out is an exact zero.
+        A basis without structural zeros meets everywhere, and this is the
+        full computation.  Only the kept brackets are spread to side^2.
         """
         dim = self.dim
-        mark = np.ones(dim, dtype=bool)
         among = np.flatnonzero(self.touch[:dim] @ self.touch[f])
         keys, vecs = self.brackets(f, among)
         pre = np.linalg.norm(vecs, axis=1)
@@ -212,8 +210,10 @@ class _SpanBuilder:
         spread[:, (np.cumsum(union) - 1)[keys]] = vecs
         rows = self.rows[near][:, union]
         residual = np.linalg.norm(spread - (spread @ rows.T) @ rows, axis=1)
-        mark[among] = residual < self.tol * pre / 100.0
-        return mark
+        out = ~(residual < self.tol * pre / 100.0)
+        vecs_out = np.zeros((int(out.sum()), self.side * self.side))
+        vecs_out[:, keys] = vecs[out]
+        return among[out], vecs_out
 
 
 def lie_closure_dim(basis: GeneratorBasis, tol: float = DEFAULT_TOL) -> LieClosureResult:
@@ -232,25 +232,24 @@ def _closure(basis: GeneratorBasis, tol: float):
     """Return ``(dim, iterations, mats)`` of the bracket closure, ``mats``
     being the ``(dim, side, side)`` orthonormal basis in acceptance order.
 
-    Each frontier element is first bracketed against the basis it is about
-    to loop over in one batched filter (``_SpanBuilder.inside``); only the
-    brackets it leaves unmarked are built and offered one by one.
-    Rows added later can only shrink a residual, so a marked bracket would
-    have been rejected anyway: the accepted rows, ``dim`` and ``iterations``
-    are those of offering every bracket.  A tolerance that is not a number
-    in (0, 1), NaN and infinity included, raises ToleranceDegenerateError.
+    The generators are vectorized in one call and offered in order.  Each
+    frontier element F is bracketed once, as coordinates, against the basis
+    it is about to loop over by the filter ``_SpanBuilder.outside``, and the
+    brackets it returns are offered in basis order.  Rows added later can
+    only shrink a residual, so a bracket it leaves out would have been
+    rejected anyway: the accepted rows, ``dim`` and ``iterations`` are those
+    of offering every bracket.  A tolerance that is not a number in (0, 1),
+    NaN and infinity included, raises ToleranceDegenerateError.
     """
     if not 0 < tol < 1:
         raise ToleranceDegenerateError(f"closure tolerance {tol!r} is not in (0, 1)")
     if len(basis.mats) == 0:
         raise ValueError("empty generator basis")
-    side = basis.side
-    full = side * side
-    span = _SpanBuilder(side, tol)
-    frontier = []
-    for mat in basis.mats:
-        if span.offer(mat):
-            frontier.append(span.dim - 1)
+    full = basis.side ** 2
+    span = _SpanBuilder(basis.side, tol)
+    for vec in _vectorize(np.asarray(basis.mats), span.iu):
+        span.offer(vec)
+    frontier = list(range(span.dim))
     iterations = 0
     while frontier and span.dim < full:
         iterations += 1
@@ -258,12 +257,8 @@ def _closure(basis: GeneratorBasis, tol: float):
         for f in frontier:
             if span.dim >= full:
                 break
-            fm = span.mats[f]
-            for b in np.flatnonzero(~span.inside(f)):
-                if b == f:
-                    continue
-                bm = span.mats[b]
-                if span.offer(fm @ bm - bm @ fm):
+            for vec in span.outside(f)[1]:
+                if span.offer(vec):
                     new.append(span.dim - 1)
                 if span.dim >= full:
                     break
@@ -277,8 +272,8 @@ def verify_structure(spec: WalkSpec, tol: float = DEFAULT_TOL) -> LieClosureResu
     Walks with d*n above DEFAULT_DIM_CAP are refused.  Also checks the
     block structure: every closure element must vanish (magnitude below
     1e-9) between basis positions whose vertices lie in different
-    reduced-connectivity components; where one does not, ``off_block``
-    names the largest such entry.
+    components of the orbit criterion (``analyze(spec).components``);
+    where one does not, ``off_block`` names the largest such entry.
     """
     side = spec.d * spec.n
     if side > DEFAULT_DIM_CAP:

@@ -85,10 +85,6 @@ class CoinOp:
         return self.blocks.shape[1]
 
     @classmethod
-    def identity(cls, d: int, n: int) -> "CoinOp":
-        return cls(np.broadcast_to(np.eye(d, dtype=np.complex128), (n, d, d)))
-
-    @classmethod
     def from_blocks(cls, d: int, n: int, vertices, blocks) -> "CoinOp":
         """Identity coin everywhere except ``blocks[i]`` at ``vertices[i]``."""
         full = np.broadcast_to(np.eye(d, dtype=np.complex128), (n, d, d)).copy()

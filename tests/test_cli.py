@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, JSON schemas, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -71,8 +72,13 @@ def test_validate_malformed_cycle_notation(capsys, tmp_path, cycle):
         ('{"n": 5, "perms": [[1.5, 2, 3, 4, 0], [4, 0, 1, 2, 3]]}', "NotBijectionError"),
         # cycle notation fixing a vertex is refused without an n-length array
         ('{"n": 1000000000000, "perms": ["(0 1)", "(1 2)"]}', "SelfLoopError"),
+        # a vertex past int()'s 4300-digit limit is out of range, not a traceback
+        ('{"n": 5, "perms": ["(0 1 ' + "9" * 5000 + ')", [4, 0, 1, 2, 3]]}', "NotBijectionError"),
     ],
-    ids=["missing-n", "top-level-list", "string-n", "fractional-image", "huge-n-cycles"],
+    ids=[
+        "missing-n", "top-level-list", "string-n", "fractional-image", "huge-n-cycles",
+        "huge-vertex-cycles",
+    ],
 )
 def test_malformed_spec_is_invalid(capsys, tmp_path, text, error):
     path = tmp_path / "bad.json"
@@ -97,6 +103,14 @@ def test_non_utf8_json_is_io_error(capsys, tmp_path):
     path.write_bytes(b'\xff\xfe{"n": 3, "perms": []}')
     assert main(["analyze", "--spec", str(path)]) == 3
     assert "cannot parse JSON: not UTF-8" in capsys.readouterr().err
+
+
+def test_oversized_integer_json_is_io_error(capsys, tmp_path):
+    # json.load raises a plain ValueError past int()'s 4300-digit limit
+    path = tmp_path / "bigint.json"
+    path.write_text('{"n": ' + "9" * 5000 + ', "perms": [[1, 2, 3, 4, 0], [4, 0, 1, 2, 3]]}')
+    assert main(["validate", "--spec", str(path)]) == 3
+    assert "cannot parse JSON: integer literal too long" in capsys.readouterr().err
 
 
 def test_deeply_nested_json_is_io_error(capsys, tmp_path, cycle5_path):
@@ -443,6 +457,9 @@ def test_demo_passes_cross_checks(capsys):
     assert code == 0
     assert "all cross-checks passed" in out
     assert "figure1 reachable from 0 in exactly 3 steps: [0, 1, 2, 3, 4, 5]" in out
+    # the whole table and every line below it, byte for byte
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "a2c3332c3e3df87353490e5ee9f9895fffe99ed88bd2b364f2ee1f2d8527ad1f"
 
 
 def test_out_flag_writes_file(capsys, tmp_path, cycle5_path):

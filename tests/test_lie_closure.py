@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qwalk as qw
 from qwalk.lie_closure import (
@@ -115,22 +117,27 @@ def dense_inside(span, f):
 
 
 def filter_against_dense(monkeypatch, basis):
-    """Run the closure, checking every ``inside`` call against
-    ``dense_inside``; return the brackets formed and the dense count."""
+    """Run the closure, checking every ``outside`` call against
+    ``dense_inside`` and the brackets it returns against the dense
+    products; return the brackets formed and the dense count."""
     counts = {"formed": 0, "dense": 0}
-    inside, brackets = _SpanBuilder.inside, _SpanBuilder.brackets
+    outside, brackets = _SpanBuilder.outside, _SpanBuilder.brackets
 
     def checked(self, f):
-        marks = inside(self, f)
+        bs, vecs = outside(self, f)
+        marks = np.ones(self.dim, dtype=bool)
+        marks[bs] = False
         np.testing.assert_array_equal(marks, dense_inside(self, f))
+        fm, bms = self.mats[f], self.mats[bs]
+        np.testing.assert_allclose(vecs, _vectorize(fm @ bms - bms @ fm, self.iu), rtol=0, atol=1e-14)
         counts["dense"] += self.dim
-        return marks
+        return bs, vecs
 
     def counted(self, f, among):
         counts["formed"] += among.size
         return brackets(self, f, among)
 
-    monkeypatch.setattr(_SpanBuilder, "inside", checked)
+    monkeypatch.setattr(_SpanBuilder, "outside", checked)
     monkeypatch.setattr(_SpanBuilder, "brackets", counted)
     _closure(basis, 1e-9)
     return counts["formed"], counts["dense"]
@@ -322,15 +329,18 @@ def test_ambiguous_rank_decision_raises():
     assert qw.lie_closure_dim(basis, tol=1e-12).dim == 3
 
 
-def _filter_specs():
-    rng = np.random.default_rng(5)
-    draws = (spec for spec in iter(lambda: random_spec(rng), None) if spec.d * spec.n <= 16)
-    return [qw.figure1()] + [next(draws) for _ in range(8)]
+def _small_random_spec(seed):
+    """The first ``random_spec`` draw with dN <= 12 from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return next(spec for spec in iter(lambda: random_spec(rng), None) if spec.d * spec.n <= 12)
 
 
-@pytest.mark.parametrize(
-    "spec", _filter_specs(), ids=["figure1"] + [f"random{i}" for i in range(8)]
-)
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(spec=st.integers(0, 2**32 - 1).map(_small_random_spec))
+@example(spec=qw.figure1())
+@example(spec=qw.cycle_shift(5))
+@example(spec=qw.cycle_exchange(6))
+@example(spec=qw.complete(4))
 def test_filtered_closure_equals_sequential_reference(spec):
     basis = qw.generator_basis(spec)
     dim, iterations, mats = _closure(basis, 1e-9)
@@ -343,7 +353,7 @@ def test_filter_leaves_only_accepted_brackets_to_offer(monkeypatch, fig):
     offers = []
     offer = _SpanBuilder.offer
     monkeypatch.setattr(
-        _SpanBuilder, "offer", lambda self, mat: offers.append(1) or offer(self, mat)
+        _SpanBuilder, "offer", lambda self, vec: offers.append(1) or offer(self, vec)
     )
     basis = qw.generator_basis(fig)
     dim, _, _ = _closure(basis, 1e-9)
@@ -356,11 +366,11 @@ def test_filter_does_not_mark_a_bracket_in_the_degenerate_band():
     tol = 1e-9
     span = _SpanBuilder(2, tol)
     for mat in (1j * SX, 1j * SY, 1j * (SZ + tol * np.eye(2))):
-        assert span.offer(mat)
-    assert not span.inside(0)[1]
-    fm, bm = span.mats[0], span.mats[1]
+        assert span.offer(_vectorize(mat, span.iu))
+    bs, vecs = span.outside(0)
+    assert 1 in bs
     with pytest.raises(qw.ToleranceDegenerateError):
-        span.offer(fm @ bm - bm @ fm)
+        span.offer(vecs[bs.tolist().index(1)])
 
 
 def _random_skew_hermitian(rng, side):

@@ -6,6 +6,8 @@ import pytest
 import qwalk as qw
 from qwalk.sampling import random_spec, random_state_vector, random_walk_state
 
+from test_walk_core import identity_coin
+
 
 def test_unitary_completion_identity_case():
     v = random_state_vector(np.random.default_rng(0), 3)
@@ -144,7 +146,7 @@ def test_reach_after_extra_shifts_on_random_specs():
         level = sorted(qw.reachable_sets(spec, j, k)[k])
         table[:, level] = random_state_vector(rng, spec.d * len(level)).reshape(spec.d, -1)
         psi = qw.WalkState(spec.d, spec.n, table.reshape(-1))
-        psi = qw.apply_sequence(psi, [qw.CoinOp.identity(spec.d, spec.n)] * t, spec)
+        psi = qw.apply_sequence(psi, [identity_coin(spec.d, spec.n)] * t, spec)
         seq = qw.reach_full_state(spec, j, 0, psi, k + t - 1)
         assert len(seq) == k + t
         out = qw.apply_sequence(qw.basis_state(spec, 0, j), seq, spec)

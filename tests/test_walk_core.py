@@ -9,8 +9,13 @@ from qwalk.sampling import random_coin_op, random_spec, random_unitary, random_w
 from qwalk.walk_core import coin_matrix, shift_matrix
 
 
+def identity_coin(d, n):
+    """The identity coin at every vertex."""
+    return qw.CoinOp(np.broadcast_to(np.eye(d), (n, d, d)))
+
+
 def test_identity_coin_matrix_is_identity(c5):
-    m = coin_matrix(qw.CoinOp.identity(2, 5))
+    m = coin_matrix(identity_coin(2, 5))
     assert np.array_equal(m, np.eye(10))
 
 
@@ -36,7 +41,7 @@ def test_shift_moves_forward_on_cycle():
     c3 = qw.cycle_shift(3)
     s = shift_matrix(c3)
     assert s.flat[0] == 1  # (coin0, v0) -> (coin0, v1)
-    psi = qw.step(qw.basis_state(c3, 0, 0), qw.CoinOp.identity(2, 3), c3)
+    psi = qw.step(qw.basis_state(c3, 0, 0), identity_coin(2, 3), c3)
     assert psi.amps[1] == 1
 
 
@@ -115,7 +120,7 @@ def test_apply_sequence_empty_and_full_period(c5):
     state = qw.basis_state(c5, 1, 3)
     assert qw.apply_sequence(state, [], c5) is state
     r = qw.shift_order(c5)
-    out = qw.apply_sequence(state, [qw.CoinOp.identity(2, 5)] * r, c5)
+    out = qw.apply_sequence(state, [identity_coin(2, 5)] * r, c5)
     assert np.abs(out.amps - state.amps).max() < 1e-12
 
 
@@ -186,10 +191,10 @@ def test_nan_is_rejected(build, error):
 
 def test_step_dimension_mismatch(c5):
     with pytest.raises(qw.DimensionMismatchError):
-        qw.step(qw.basis_state(c5, 0, 0), qw.CoinOp.identity(2, 4), c5)
+        qw.step(qw.basis_state(c5, 0, 0), identity_coin(2, 4), c5)
     fig = qw.figure1()
     with pytest.raises(qw.DimensionMismatchError):
-        qw.step(qw.basis_state(c5, 0, 0), qw.CoinOp.identity(3, 6), fig)
+        qw.step(qw.basis_state(c5, 0, 0), identity_coin(3, 6), fig)
 
 
 def test_random_unitary_is_unitary():
