@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwalk as qw
@@ -329,24 +329,41 @@ def test_ambiguous_rank_decision_raises():
     assert qw.lie_closure_dim(basis, tol=1e-12).dim == 3
 
 
+def _filter_specs():
+    rng = np.random.default_rng(5)
+    draws = (spec for spec in iter(lambda: random_spec(rng), None) if spec.d * spec.n <= 16)
+    return [qw.figure1()] + [next(draws) for _ in range(8)]
+
+
 def _small_random_spec(seed):
     """The first ``random_spec`` draw with dN <= 12 from ``seed``."""
     rng = np.random.default_rng(seed)
     return next(spec for spec in iter(lambda: random_spec(rng), None) if spec.d * spec.n <= 12)
 
 
-@settings(max_examples=20, derandomize=True, database=None, deadline=None)
-@given(spec=st.integers(0, 2**32 - 1).map(_small_random_spec))
-@example(spec=qw.figure1())
-@example(spec=qw.cycle_shift(5))
-@example(spec=qw.cycle_exchange(6))
-@example(spec=qw.complete(4))
-def test_filtered_closure_equals_sequential_reference(spec):
+def _assert_closure_equals_reference(spec):
     basis = qw.generator_basis(spec)
     dim, iterations, mats = _closure(basis, 1e-9)
     ref_dim, ref_iterations, ref_mats = reference_closure(basis)
     assert (dim, iterations) == (ref_dim, ref_iterations)
     assert np.array_equal(mats, np.stack(ref_mats))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    _filter_specs() + [qw.cycle_shift(5), qw.cycle_exchange(6), qw.complete(4)],
+    ids=["figure1"]
+    + [f"random{i}" for i in range(8)]
+    + ["cycle_shift5", "cycle_exchange6", "complete4"],
+)
+def test_filtered_closure_equals_sequential_reference(spec):
+    _assert_closure_equals_reference(spec)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(spec=st.integers(0, 2**32 - 1).map(_small_random_spec))
+def test_filtered_closure_equals_sequential_reference_on_drawn_seeds(spec):
+    _assert_closure_equals_reference(spec)
 
 
 def test_filter_leaves_only_accepted_brackets_to_offer(monkeypatch, fig):
