@@ -59,7 +59,6 @@ from .synthesis import (
 )
 from .walk_core import (
     CoinOp,
-    ShiftOp,
     WalkState,
     apply_sequence,
     basis_state,

@@ -19,13 +19,14 @@ or once its reachable sets repeat.  Only the 2k+r transfer bound reads r.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriterionConflictError, IndexOutOfRangeError
+from .errors import CriterionConflictError, UnreachableError
 from .graph_model import WalkSpec, component_labels, cycle_table
-from .walk_core import cycle_order
+from .walk_core import _index, cycle_order
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,6 @@ class ControllabilityReport:
         """The three criteria give one verdict, and one partition."""
         agree = (self.m == 1) == self.reach_controllable == (self.parity_m == 1)
         return agree and self.partitions_match
-
-
-def _check_vertex(spec: WalkSpec, j: int):
-    if not 0 <= j < spec.n:
-        raise IndexOutOfRangeError(f"vertex {j} out of range 0..{spec.n - 1}")
 
 
 def _orbit_labels(spec: WalkSpec, table) -> np.ndarray:
@@ -135,30 +131,29 @@ def _levels(spec: WalkSpec, mask: np.ndarray):
         mask = _step(spec, mask)
 
 
-def reachable_masks(spec: WalkSpec, j: int, kmax: int) -> list[np.ndarray]:
-    """``reachable_sets`` as boolean vertex masks of shape (n,).
+def reachable_masks(spec: WalkSpec, j: int, kmax: int, need=()) -> list[np.ndarray]:
+    """``reachable_sets`` as boolean vertex masks of shape (n,); raises
+    UnreachableError naming the vertices of ``need`` off the level-kmax set.
 
     Stepping stops once the masks repeat with period 2 (see ``_levels``);
     the later levels repeat the last two mask objects.
     """
-    _check_vertex(spec, j)
-    if kmax < 0:
-        raise IndexOutOfRangeError(f"level {kmax} is negative")
+    j, kmax = _index(j, spec.n, "vertex"), _index(kmax, None, "level")
     start = np.zeros(spec.n, dtype=bool)
     start[j] = True
-    masks = []
-    for mask in _levels(spec, start):
-        masks.append(mask)
-        if len(masks) > kmax:
-            return masks
+    masks = list(itertools.islice(_levels(spec, start), kmax + 1))
     rest = kmax + 1 - len(masks)
-    return masks + masks[-2:] * (rest // 2) + masks[-2:-1] * (rest % 2)
+    masks += masks[-2:] * (rest // 2) + masks[-2:-1] * (rest % 2)
+    missing = [v for v in need if not masks[kmax][v]]
+    if missing:
+        raise UnreachableError(
+            f"nodes {missing} are not reachable from {j} in exactly {kmax} steps")
+    return masks
 
 
 def reachable_sets(spec: WalkSpec, j: int, kmax: int) -> list[set[int]]:
     """Exact image sets: vertices reachable from j in exactly 0, 1, ..., kmax
-    steps.  Not monotone in general.  A negative kmax raises
-    IndexOutOfRangeError.
+    steps.  Not monotone in general.  j and kmax pass ``_index``.
 
     Stepping stops once the sets repeat with period 2 (see ``_levels``);
     the later levels repeat the last two set objects.
@@ -178,7 +173,7 @@ def parity_check(spec: WalkSpec, j: int = 0) -> ParityReport:
     m = 1 when some vertex is reachable in both an odd and an even number of
     steps (with a witness); otherwise m = 2 with the even/odd partition.
     """
-    _check_vertex(spec, j)
+    j = _index(j, spec.n, "vertex")
     n = spec.n
     label = component_labels(2 * n, np.arange(spec.d * n) % n, n + spec.maps.ravel())
     even, odd = (tuple(np.flatnonzero(h == label[j]).tolist()) for h in (label[:n], label[n:]))
@@ -233,8 +228,7 @@ def k_of(spec: WalkSpec, j: int) -> int | None:
     1987).  Sets that repeat on a walk whose parity test says it is
     coverable raise CriterionConflictError, an internal assertion.
     """
-    _check_vertex(spec, j)
-    found = _confirmed_cover(spec, [j])
+    found = _confirmed_cover(spec, [_index(j, spec.n, "vertex")])
     return None if found is None else found[0]
 
 

@@ -27,6 +27,19 @@ from .errors import (
 _CYCLE_RE = re.compile(r"\(([\d,\s]*)\)")
 
 
+def _integer(value):
+    """The integer test of the index rule: an int, a numpy integer or a float
+    with an integral value, as an int; None for a bool or anything else.  A
+    numpy array passes by its dtype and values, as an int64 copy."""
+    if isinstance(value, np.ndarray):
+        ok = value.dtype.kind in "iu" or value.dtype.kind == "f" and np.all(
+            np.isfinite(value) & (value == np.trunc(value)))
+        return value.astype(np.int64) if ok else None
+    ok = (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+          or isinstance(value, (float, np.floating)) and float(value).is_integer())
+    return int(value) if ok else None
+
+
 class Permutation:
     """A bijection on ``{0, ..., n-1}`` in one-line notation, the input form
     of a walk's permutations: ``p.map[j]`` is the image of vertex ``j``.
@@ -39,11 +52,9 @@ class Permutation:
             raw = np.asarray(images)
         except ValueError:  # ragged nesting
             raise NotBijectionError("images are not a flat array of integers") from None
-        if raw.dtype.kind == "f" and np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
-            raw = raw.astype(np.int64)
-        if raw.dtype.kind not in "iu":
+        arr = _integer(raw)
+        if arr is None:
             raise NotBijectionError(f"images must be integers: {raw.tolist()}")
-        arr = raw.astype(np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise NotBijectionError("need a non-empty one-dimensional image array")
         n = arr.size
@@ -182,8 +193,11 @@ def validate(n: int, perms) -> WalkSpec:
     of the right length; no permutation fixes a vertex; no two permutations
     agree anywhere; the summed permutation matrices form a symmetric 0/1
     adjacency matrix; the graph is connected.  Errors name the offending
-    vertex / permutation indices.
+    vertex / permutation indices.  ``n`` must pass ``_integer``.
     """
+    if _integer(n) is None:
+        raise SpecValidationError(f"vertex count must be an integer, got {n!r}")
+    n = _integer(n)
     if n < 3:
         raise SpecValidationError(f"need at least 3 vertices, got {n}")
     rows = [_as_map(raw, n, i) for i, raw in enumerate(perms)]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .controllability import ControllabilityReport
 from .errors import SpecValidationError
-from .graph_model import WalkSpec, validate
+from .graph_model import WalkSpec, _integer, validate
 from .synthesis import ControlSequence
 from .walk_core import CoinOp, WalkState
 
@@ -45,10 +45,10 @@ def _object(data, kind: str) -> dict:
 
 
 def _int_field(data: dict, key: str) -> int:
-    value = data.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
-        raise SpecValidationError(f'"{key}" must be an integer, got {value!r}')
-    return int(value)
+    value = _integer(data.get(key))
+    if value is None:
+        raise SpecValidationError(f'"{key}" must be an integer, got {data.get(key)!r}')
+    return value
 
 
 def spec_to_dict(spec: WalkSpec) -> dict:

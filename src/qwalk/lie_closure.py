@@ -18,7 +18,6 @@ import numpy as np
 from .controllability import analyze
 from .errors import CapExceededError, ToleranceDegenerateError
 from .graph_model import WalkSpec
-from .walk_core import shift_matrix
 
 DEFAULT_TOL = 1e-9
 DEFAULT_DIM_CAP = 24
@@ -32,7 +31,10 @@ class GeneratorBasis:
     side x side matrices."""
 
     mats: np.ndarray | list
-    side: int
+
+    @property
+    def side(self) -> int:
+        return np.shape(self.mats)[-1]
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ def generator_basis(spec: WalkSpec) -> GeneratorBasis:
     i(E_ab + E_ba), as one ``(count, side, side)`` stack.
     """
     side = spec.d * spec.n
-    flat = shift_matrix(spec).flat
+    flat = (spec.maps + spec.n * np.arange(spec.d)[:, None]).ravel()  # S's image of each position
     pos = np.arange(side)
     support = pos[:, None] % spec.n == pos % spec.n
     size = 0
@@ -77,7 +79,7 @@ def generator_basis(spec: WalkSpec) -> GeneratorBasis:
     mats[real, b, a] = -1.0
     mats[real + 1, a, b] = 1j
     mats[real + 1, b, a] = 1j
-    return GeneratorBasis(mats=mats, side=side)
+    return GeneratorBasis(mats=mats)
 
 
 def _vectorize(mat: np.ndarray, iu) -> np.ndarray:

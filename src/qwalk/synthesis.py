@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllability import _check_vertex, analyze, reachable_masks
+from .controllability import analyze, reachable_masks
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -21,8 +21,8 @@ from .errors import (
     NotUnitError,
     UnreachableError,
 )
-from .graph_model import WalkSpec
-from .walk_core import NORM_TOL, CoinOp, WalkState, step
+from .graph_model import WalkSpec, _integer
+from .walk_core import NORM_TOL, CoinOp, WalkState, _check_dims, _index, step
 
 ZERO_COEFF = 1e-14
 
@@ -56,18 +56,17 @@ class ControlSequence:
 
 @dataclass(frozen=True, eq=False)
 class TargetSpread:
-    """A node-probability target: distinct vertices (integers, or floats
-    with integral values) with unit-norm complex coefficients."""
+    """A node-probability target: distinct vertices (each passes ``_integer``;
+    ``spread_from_node`` checks the range) with unit-norm complex coefficients."""
 
     nodes: tuple
     coeffs: np.ndarray
 
     def __post_init__(self):
-        bad = [v for v in self.nodes if not isinstance(v, (int, np.integer))
-               and not (isinstance(v, float) and v.is_integer())]
-        if bad:
+        nodes = tuple(_integer(v) for v in self.nodes)
+        if None in nodes:
+            bad = [v for v, i in zip(self.nodes, nodes) if i is None]
             raise IndexOutOfRangeError(f"target nodes {bad} are not vertex indices")
-        nodes = tuple(int(v) for v in self.nodes)
         coeffs = np.asarray(self.coeffs, dtype=np.complex128).reshape(-1)
         if len(nodes) != coeffs.size:
             raise ValueError("one coefficient per node required")
@@ -81,10 +80,8 @@ class TargetSpread:
 
 
 def _coin_vector(d: int, c0) -> np.ndarray:
-    if isinstance(c0, (int, np.integer)):
-        if not 0 <= c0 < d:
-            raise IndexOutOfRangeError(f"coin value {c0} out of range 0..{d - 1}")
-        return np.eye(d, dtype=np.complex128)[c0]
+    if np.ndim(c0) == 0:  # a coin value
+        return np.eye(d, dtype=np.complex128)[_index(c0, d, "coin value")]
     vec = np.asarray(c0, dtype=np.complex128).reshape(-1)
     if vec.size != d:
         raise DimensionMismatchError(f"coin state has size {vec.size}, expected {d}")
@@ -153,13 +150,6 @@ def _least_steps(ends: np.ndarray, members: np.ndarray):
     return coins, np.where(members[ends[coins, cols]], ends[coins, cols], -1)
 
 
-def _strip_zeros(nodes, coeffs):
-    kept = [(v, a) for v, a in zip(nodes, coeffs) if abs(a) > ZERO_COEFF]
-    if not kept:
-        raise ValueError("target has no nonzero coefficients")
-    return tuple(v for v, _ in kept), np.array([a for _, a in kept], dtype=np.complex128)
-
-
 def _spread(spec, c0vec, nodes, coeffs, masks):
     """Core of spread_from_node; returns (ops, coin states of nodes).
 
@@ -204,18 +194,13 @@ def spread_from_node(spec: WalkSpec, j: int, c0, target: TargetSpread, k: int):
     state (a coin basis vector chosen by the construction; per-node coin
     states cannot be prescribed here, use reach_full_state for that).
     """
-    _check_vertex(spec, j)
-    outside = [v for v in target.nodes if not 0 <= v < spec.n]
-    if outside:
-        raise IndexOutOfRangeError(f"target nodes {outside} out of range 0..{spec.n - 1}")
+    _index(target.nodes, spec.n, "target nodes")
     c0vec = _coin_vector(spec.d, c0)
-    nodes, coeffs = _strip_zeros(target.nodes, target.coeffs)
-    masks = reachable_masks(spec, j, k)
-    missing = [v for v in nodes if not masks[k][v]]
-    if missing:
-        raise UnreachableError(
-            f"nodes {missing} are not reachable from {j} in exactly {k} steps"
-        )
+    kept = np.abs(target.coeffs) > ZERO_COEFF
+    if not kept.any():
+        raise ValueError("target has no nonzero coefficients")
+    nodes, coeffs = tuple(np.array(target.nodes)[kept].tolist()), target.coeffs[kept]
+    masks = reachable_masks(spec, j, k, nodes)
     ops, states = _spread(spec, c0vec, nodes, coeffs, masks)
     return ControlSequence(tuple(ops), ("spread",) * len(ops)), dict(zip(nodes, states))
 
@@ -232,8 +217,7 @@ def reach_full_state(spec: WalkSpec, j: int, c0, target: WalkState, k: int) -> C
     k + t - 1 in k + t steps: S^-1 target = S^(t-1) (S^-t target), and
     each step carries the level-i reachable set into level i + 1.
     """
-    if target.d != spec.d or target.n != spec.n:
-        raise DimensionMismatchError("target does not match the walk dimensions")
+    _check_dims(spec, target=target)
     pre = np.take_along_axis(target.table(), spec.maps, 1)  # (S^-1 x)[c, v] = x[c, P_c v]
     norms = np.linalg.norm(pre, axis=0)
     nodes = np.flatnonzero(norms > ZERO_COEFF)
@@ -252,16 +236,11 @@ def concentrate_to_node(spec: WalkSpec, j: int, state: WalkState, k: int):
     (next vertex, coin) first.  Returns (sequence of length <= k, final
     coin vector at j).
     """
-    _check_vertex(spec, j)
-    if state.d != spec.d or state.n != spec.n:
-        raise DimensionMismatchError("state does not match the walk dimensions")
-    masks = reachable_masks(spec, j, k)
+    j = _index(j, spec.n, "vertex")
+    _check_dims(spec, state=state)
+    k = _index(k, None, "level")
     support = np.flatnonzero(np.linalg.norm(state.table(), axis=0) > ZERO_COEFF)
-    missing = support[~masks[k][support]].tolist()
-    if missing:
-        raise UnreachableError(
-            f"nodes {missing} are not reachable from {j} in exactly {k} steps"
-        )
+    masks = reachable_masks(spec, j, k, support.tolist())
     eye = np.eye(spec.d, dtype=np.complex128)
     ops = []
     current = state

@@ -15,11 +15,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotUnitError
-from .graph_model import WalkSpec, cycle_table
+from .errors import DimensionMismatchError, IndexOutOfRangeError, NotUnitError
+from .graph_model import WalkSpec, _integer, cycle_table
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
+
+
+def _index(value, size: int | None, name: str):
+    """The one rule for vertex, coin-value, target-node and level arguments:
+    ``value`` must pass ``_integer`` and lie in 0..size-1, or be at least 0
+    when ``size`` is None (a level); it is returned as an int.  A list,
+    tuple or array is tested at once by its numpy dtype and values (a list
+    also for bools) and returned as int64.  Failures raise IndexOutOfRangeError."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        arr = _integer(np.asarray(value))
+        if arr is None or not isinstance(value, np.ndarray) and any(
+                isinstance(v, (bool, np.bool_)) for v in value):
+            raise IndexOutOfRangeError(f"{name} {list(value)} are not integers")
+        bad = arr[(arr < 0) | (arr >= size)]
+        if bad.size:
+            raise IndexOutOfRangeError(f"{name} {bad.tolist()} out of range 0..{size - 1}")
+        return arr
+    v = _integer(value)
+    if v is None:
+        raise IndexOutOfRangeError(f"{name} {value!r} is not an integer")
+    if v < 0 or size is not None and v >= size:
+        where = "is negative" if size is None else f"out of range 0..{size - 1}"
+        raise IndexOutOfRangeError(f"{name} {v} {where}")
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,32 +111,19 @@ class CoinOp:
     @classmethod
     def from_blocks(cls, d: int, n: int, vertices, blocks) -> "CoinOp":
         """Identity coin everywhere except ``blocks[i]`` at ``vertices[i]``."""
+        idx = _index(vertices, n, "vertices")
+        if idx.size != len(blocks):
+            raise DimensionMismatchError(f"{len(blocks)} blocks for {idx.size} vertices")
         full = np.broadcast_to(np.eye(d, dtype=np.complex128), (n, d, d)).copy()
-        full[vertices] = blocks
+        full[idx] = np.reshape(blocks, (-1, d, d))  # an empty list too
         return cls(full)
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftOp:
-    """The coin-conditioned vertex permutation as a flat index map."""
-
-    d: int
-    n: int
-    flat: np.ndarray  # image of each flat basis index
-
-    def matrix(self) -> np.ndarray:
-        """Dense 0/1 permutation matrix of size d*n."""
-        size = self.d * self.n
-        m = np.zeros((size, size), dtype=np.int64)
-        m[self.flat, np.arange(size)] = 1
-        return m
-
-
-def shift_matrix(spec: WalkSpec) -> ShiftOp:
-    """Block form of the shift: the k-th diagonal block is the matrix of P_k."""
+def shift_matrix(spec: WalkSpec) -> np.ndarray:
+    """Dense 0/1 matrix of the shift, of size d*n: the k-th diagonal block
+    is the matrix of P_k.  A reference for tests, like ``coin_matrix``."""
     flat = (spec.maps + spec.n * np.arange(spec.d)[:, None]).ravel()
-    flat.setflags(write=False)
-    return ShiftOp(d=spec.d, n=spec.n, flat=flat)
+    return np.eye(flat.size, dtype=np.int64)[flat].T
 
 
 def shift_order(spec: WalkSpec) -> int:
@@ -138,12 +149,12 @@ def coin_matrix(coin: CoinOp) -> np.ndarray:
 def basis_state(spec: WalkSpec, coin: int, vertex: int) -> WalkState:
     """The product basis state with coin value ``coin`` (0-based) at ``vertex``."""
     amps = np.zeros(spec.d * spec.n, dtype=np.complex128)
-    amps[coin * spec.n + vertex] = 1.0
+    amps[_index(coin, spec.d, "coin value") * spec.n + _index(vertex, spec.n, "vertex")] = 1.0
     return WalkState(spec.d, spec.n, amps)
 
 
-def _check_dims(state: WalkState, coin: CoinOp, spec: WalkSpec):
-    for name, x in (("state", state), ("coin", coin)):
+def _check_dims(spec: WalkSpec, **parts):
+    for name, x in parts.items():
         if x.d != spec.d or x.n != spec.n:
             raise DimensionMismatchError(f"{name} is {x.d}x{x.n}, walk is {spec.d}x{spec.n}")
 
@@ -153,7 +164,7 @@ def step(state: WalkState, coin: CoinOp, spec: WalkSpec) -> WalkState:
 
     Never materializes the d*n x d*n operators.
     """
-    _check_dims(state, coin, spec)
+    _check_dims(spec, state=state, coin=coin)
     psi = state.table()
     mixed = np.einsum("jki,ij->kj", coin.blocks, psi)
     out = np.empty_like(mixed)

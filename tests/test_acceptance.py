@@ -183,7 +183,7 @@ def test_criterion_8_simulation_exactness():
             state = random_walk_state(rng, spec)
             coin = random_coin_op(rng, spec)
             fast = qw.step(state, coin, spec)
-            dense = shift_matrix(spec).matrix() @ coin_matrix(coin) @ state.amps
+            dense = shift_matrix(spec) @ coin_matrix(coin) @ state.amps
             assert np.abs(fast.amps - dense).max() < 1e-12
             checked += 1
     t.check("criterion 8: step equals dense matrix product on 50 instances")

@@ -118,6 +118,16 @@ def test_validate_length_and_count_errors():
         qw.validate(2, [[1, 0], [1, 0]])
 
 
+def test_validate_vertex_count_is_an_integer():
+    perms = [[1, 2, 3, 4, 0], [4, 0, 1, 2, 3]]
+    for n in (5, 5.0, np.int64(5), np.float64(5.0)):
+        spec = qw.validate(n, perms)
+        assert type(spec.n) is int and spec.n == 5
+    for n in (5.5, "5", True, None, float("nan"), [5]):
+        with pytest.raises(qw.SpecValidationError, match="vertex count must be an integer"):
+            qw.validate(n, perms)
+
+
 def test_compose_with_inverse_is_identity():
     p = Permutation([1, 2, 0])
     assert compose(p, inverse(p)) == identity(3)

@@ -54,7 +54,7 @@ def pairwise_generator_basis(spec):
             imag[a, b] = 1j
             imag[b, a] = 1j
             mats.extend([real, imag])
-    return GeneratorBasis(mats=mats, side=side)
+    return GeneratorBasis(mats=mats)
 
 
 def reference_closure(basis, tol=1e-9):
@@ -143,17 +143,17 @@ def filter_against_dense(monkeypatch, basis):
     return counts["formed"], counts["dense"]
 
 
-def closure_dim_of_mats(mats, side, tol=1e-9):
-    return _closure(GeneratorBasis(mats=mats, side=side), tol)[0]
+def closure_dim_of_mats(mats, tol=1e-9):
+    return _closure(GeneratorBasis(mats=mats), tol)[0]
 
 
 def test_two_spin_generators_close_to_dimension_three():
     # frozen by hand: [iX, iY] = -2 iZ, then the span closes
-    assert closure_dim_of_mats([1j * SX, 1j * SY], 2) == 3
+    assert closure_dim_of_mats([1j * SX, 1j * SY]) == 3
 
 
 def test_spin_plus_identity_closes_to_four():
-    assert closure_dim_of_mats([1j * SX, 1j * SY, 1j * np.eye(2)], 2) == 4
+    assert closure_dim_of_mats([1j * SX, 1j * SY, 1j * np.eye(2)]) == 4
 
 
 def test_diagonal_generators_are_abelian(c5):
@@ -163,7 +163,7 @@ def test_diagonal_generators_are_abelian(c5):
         g = np.zeros((side, side), dtype=complex)
         g[a, a] = 1j
         mats.append(g)
-    result = qw.lie_closure_dim(GeneratorBasis(mats=mats, side=side))
+    result = qw.lie_closure_dim(GeneratorBasis(mats=mats))
     assert result.dim == side
     assert result.iterations <= 1
 
@@ -280,7 +280,6 @@ def test_closure_invariant_under_order_and_scaling(c4):
     order = rng.permutation(len(gb.mats))
     shuffled = GeneratorBasis(
         mats=[gb.mats[i] * float(rng.uniform(0.1, 10.0)) for i in order],
-        side=gb.side,
     )
     assert qw.lie_closure_dim(shuffled).dim == base
 
@@ -306,7 +305,13 @@ def test_cap_exceeded():
 
 def test_empty_basis_rejected():
     with pytest.raises(ValueError):
-        qw.lie_closure_dim(GeneratorBasis(mats=[], side=4))
+        qw.lie_closure_dim(GeneratorBasis(mats=[]))
+
+
+def test_basis_side_is_read_off_the_matrices(c5):
+    assert qw.generator_basis(c5).side == 10
+    assert GeneratorBasis(mats=[1j * SX]).side == 2
+    assert qw.lie_closure_dim(GeneratorBasis(mats=np.zeros((1, 2, 2)))).dim == 0
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, 1.0, float("inf"), 1e3])
@@ -321,7 +326,7 @@ def test_ambiguous_rank_decision_raises():
     # second generator sits right at the rank threshold: residual within a
     # factor 10 of tol * prenorm must abort instead of guessing
     near = 1j * SX + 1e-9 * 1j * SY
-    basis = GeneratorBasis(mats=[1j * SX, near], side=2)
+    basis = GeneratorBasis(mats=[1j * SX, near])
     with pytest.raises(qw.ToleranceDegenerateError):
         qw.lie_closure_dim(basis, tol=1e-9)
     # a clearly separated tolerance resolves it (and the pair then brackets
@@ -422,7 +427,7 @@ def test_dense_generators_fall_back_to_the_full_filter(monkeypatch):
     # random skew-Hermitian generators have no structural zeros: every
     # bracket is formed, and the marks still equal the dense filter's
     rng = np.random.default_rng(4)
-    basis = GeneratorBasis(mats=[_random_skew_hermitian(rng, 4) for _ in range(3)], side=4)
+    basis = GeneratorBasis(mats=[_random_skew_hermitian(rng, 4) for _ in range(3)])
     formed, dense = filter_against_dense(monkeypatch, basis)
     assert formed == dense > 0
     assert _closure(basis, 1e-9)[0] == 16

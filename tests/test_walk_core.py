@@ -1,5 +1,7 @@
 """States, coins, shift and stepping, checked against explicit matrices."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -39,20 +41,18 @@ def test_coin_matrix_unitary_for_random_blocks():
 
 def test_shift_moves_forward_on_cycle():
     c3 = qw.cycle_shift(3)
-    s = shift_matrix(c3)
-    assert s.flat[0] == 1  # (coin0, v0) -> (coin0, v1)
+    assert shift_matrix(c3)[1, 0] == 1  # (coin0, v0) -> (coin0, v1)
     psi = qw.step(qw.basis_state(c3, 0, 0), identity_coin(2, 3), c3)
     assert psi.amps[1] == 1
 
 
 def test_shift_uses_cross_pairing(fig):
     # coin value 2 at vertex 2 moves to vertex 4
-    s = shift_matrix(fig)
-    assert s.flat[2 * 6 + 2] == 2 * 6 + 4
+    assert shift_matrix(fig)[2 * 6 + 4, 2 * 6 + 2] == 1
 
 
 def test_shift_is_permutation_matrix(fig):
-    m = shift_matrix(fig).matrix()
+    m = shift_matrix(fig)
     assert np.array_equal(np.sort(m.sum(axis=0)), np.ones(18))
     assert np.array_equal(np.sort(m.sum(axis=1)), np.ones(18))
 
@@ -70,7 +70,7 @@ def test_shift_order(factory, expected):
 
 
 def test_shift_power_order_is_minimal(fig):
-    m = shift_matrix(fig).matrix()
+    m = shift_matrix(fig)
     r = qw.shift_order(fig)
     assert np.array_equal(np.linalg.matrix_power(m, r), np.eye(18, dtype=np.int64))
     for k in range(1, r):
@@ -90,7 +90,7 @@ def test_step_with_vertex0_coin_splits_both_ways(fig):
     expected[1 * 6 + 5] = 1 / np.sqrt(2)
     assert np.abs(out.amps - expected).max() < 1e-12
     # oracle: the explicit matrix product gives the same state
-    dense = shift_matrix(fig).matrix() @ coin_matrix(coin)
+    dense = shift_matrix(fig) @ coin_matrix(coin)
     assert np.abs(dense @ qw.basis_state(fig, 0, 0).amps - out.amps).max() < 1e-12
 
 
@@ -103,7 +103,7 @@ def test_step_agrees_with_dense_matrices_on_random_instances():
         state = random_walk_state(rng, spec)
         coin = random_coin_op(rng, spec)
         fast = qw.step(state, coin, spec)
-        dense = shift_matrix(spec).matrix() @ coin_matrix(coin) @ state.amps
+        dense = shift_matrix(spec) @ coin_matrix(coin) @ state.amps
         assert np.abs(fast.amps - dense).max() < 1e-12
 
 
@@ -201,3 +201,59 @@ def test_random_unitary_is_unitary():
     rng = np.random.default_rng(4)
     u = random_unitary(rng, 3)
     assert np.abs(u.conj().T @ u - np.eye(3)).max() < 1e-12
+
+
+def test_from_blocks_without_blocks_is_the_identity_coin():
+    coin = qw.CoinOp.from_blocks(2, 5, [], [])
+    assert np.array_equal(coin.blocks, identity_coin(2, 5).blocks)
+    with pytest.raises(qw.DimensionMismatchError, match="1 blocks for 2 vertices"):
+        qw.CoinOp.from_blocks(2, 5, [0, 1], [np.eye(2)])
+
+
+C5 = qw.cycle_shift(5)
+PSI = qw.basis_state(C5, 0, 0)
+TARGET = qw.basis_state(C5, 1, 3)
+SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
+
+# Every public argument that takes a vertex, coin value, target node or
+# level: a call taking that one argument, a valid value, and the size of its
+# range (None for a level, which has no upper end).
+INDEX_ARGS = {
+    "k_of-j": (lambda v: qw.k_of(C5, v), 1, 5),
+    "parity_check-j": (lambda v: qw.parity_check(C5, v), 1, 5),
+    "concentrate_to_node-j": (lambda v: qw.concentrate_to_node(C5, v, PSI, 4), 1, 5),
+    "concentrate_to_node-k": (lambda v: qw.concentrate_to_node(C5, 0, PSI, v), 4, None),
+    "reach_full_state-j": (lambda v: qw.reach_full_state(C5, v, 0, TARGET, 4), 1, 5),
+    "reach_full_state-k": (lambda v: qw.reach_full_state(C5, 0, 0, TARGET, v), 4, None),
+    "reachable_sets-j": (lambda v: qw.reachable_sets(C5, v, 2), 1, 5),
+    "reachable_sets-kmax": (lambda v: qw.reachable_sets(C5, 0, v), 2, None),
+    "spread_from_node-j": (
+        lambda v: qw.spread_from_node(C5, v, 0, qw.TargetSpread((3,), [1.0]), 4), 1, 5),
+    "spread_from_node-c0": (
+        lambda v: qw.spread_from_node(C5, 0, v, qw.TargetSpread((3,), [1.0]), 4), 1, 2),
+    "spread_from_node-node": (
+        lambda v: qw.spread_from_node(C5, 0, 0, qw.TargetSpread((v,), [1.0]), 4), 1, 5),
+    "spread_from_node-k": (
+        lambda v: qw.spread_from_node(C5, 0, 0, qw.TargetSpread((3,), [1.0]), v), 2, None),
+    "basis_state-coin": (lambda v: qw.basis_state(C5, v, 0), 1, 2),
+    "basis_state-vertex": (lambda v: qw.basis_state(C5, 0, v), 1, 5),
+    "from_blocks-vertex": (lambda v: qw.CoinOp.from_blocks(2, 5, [v], [SWAP]), 1, 5),
+    "from_blocks-second-vertex": (
+        lambda v: qw.CoinOp.from_blocks(2, 5, [0, v], [SWAP, SWAP]), 1, 5),
+}
+
+
+@pytest.mark.parametrize("name, bad", [
+    pytest.param(name, bad, id=f"{name}-{bad!r}")
+    for name, (_, _, size) in INDEX_ARGS.items()
+    for bad in (True, 1.5, -1) + ((size,) if size else ())
+])
+def test_bad_index_is_refused(name, bad):
+    with pytest.raises(qw.IndexOutOfRangeError):
+        INDEX_ARGS[name][0](bad)
+
+
+@pytest.mark.parametrize("name", INDEX_ARGS)
+def test_integral_float_index_gives_the_same_result(name):
+    call, good, _ = INDEX_ARGS[name]
+    assert pickle.dumps(call(float(good))) == pickle.dumps(call(good))
