@@ -90,12 +90,14 @@ def _vectorize(mat: np.ndarray, iu) -> np.ndarray:
     )
 
 
-def _devectorize(vec: np.ndarray, side: int, iu) -> np.ndarray:
+def _devectorize(vec: np.ndarray, side: int, iu, out=None) -> np.ndarray:
+    """The skew-Hermitian matrix of real coordinates, or one per row, in
+    ``out`` when given, which must hold zeros."""
     k = iu[0].size
-    upper = np.zeros((side, side), dtype=np.complex128)
-    upper[iu] = vec[side:side + k] + 1j * vec[side + k:]
-    mat = upper - upper.conj().T
-    mat[np.diag_indices(side)] = 1j * vec[:side]
+    mat = np.zeros(vec.shape[:-1] + (side, side), dtype=np.complex128) if out is None else out
+    mat[..., iu[0], iu[1]] = vec[..., side:side + k] + 1j * vec[..., side + k:]
+    mat -= mat.conj().swapaxes(-1, -2)
+    mat[..., np.arange(side), np.arange(side)] = 1j * vec[..., :side]
     return mat
 
 
@@ -107,7 +109,11 @@ class _SpanBuilder:
     ``dim``; ``np.zeros`` leaves unused pages untouched, so a small span
     costs only what it fills.  Beside them, ``touch`` holds the index set
     each row's matrix touches (its nonzero rows, which are its nonzero
-    columns) and ``coords`` its nonzero coordinates.
+    columns), ``coords`` its nonzero coordinates and ``spanned`` their
+    union.  Two side x side tables serve ``saturated``: ``cotouch[i, j]``
+    is set once some row touches both i and j, and ``open[i, j]`` while
+    pair (i, j) has a coordinate that no unit row holds, a unit row being
+    one with a single nonzero coordinate; ``held`` marks those coordinates.
     """
 
     def __init__(self, side: int, tol: float):
@@ -119,6 +125,10 @@ class _SpanBuilder:
         self.mats = np.zeros((full, side, side), dtype=np.complex128)
         self.touch = np.zeros((full, side), dtype=bool)
         self.coords = np.zeros((full, full), dtype=bool)
+        self.spanned = np.zeros(full, dtype=bool)
+        self.held = np.zeros(full, dtype=bool)
+        self.cotouch = np.zeros((side, side), dtype=bool)
+        self.open = np.ones((side, side), dtype=bool)
         self.dim = 0
 
     def offer(self, vec: np.ndarray) -> bool:
@@ -132,21 +142,73 @@ class _SpanBuilder:
         for _ in range(2):
             vec = vec - rows.T @ (rows @ vec)
         residual = float(np.linalg.norm(vec))
+        if not self._clears(residual, pre):
+            return False
+        self._append(vec[None] / residual)
+        return True
+
+    def offer_block(self, vecs: np.ndarray) -> None:
+        """Offer the rows of ``vecs`` in order, as ``offer`` would, until the
+        span is full.
+
+        When no coordinate is nonzero in two of them, or in one of them and
+        the span, every projection term in ``offer`` is an exact zero: each
+        residual is the vector's own norm, and the whole block is accepted
+        in one pass, with ``offer``'s norm and band check on each vector in
+        turn.  Any other block goes through ``offer`` one vector at a time.
+        """
+        if ((vecs != 0).sum(axis=0) + self.spanned).max(initial=0) > 1:
+            for vec in vecs:
+                if self.dim == self.rows.shape[0]:
+                    break
+                self.offer(vec)
+            return
+        pres = np.array([float(np.linalg.norm(vec)) for vec in vecs])
+        keep = [i for i, pre in enumerate(pres) if pre >= _ZERO_NORM and self._clears(pre, pre)]
+        for at in range(0, len(keep), 32):  # bounds the temporaries
+            part = keep[at:at + 32]
+            self._append(vecs[part] / pres[part, None])
+
+    def _clears(self, residual: float, pre: float) -> bool:
+        """Whether a residual clears ``tol * pre``; one within a factor 10
+        of that threshold raises ToleranceDegenerateError."""
         threshold = self.tol * pre
         if threshold / 10.0 <= residual <= threshold * 10.0:
             raise ToleranceDegenerateError(
                 f"residual {residual:.3e} within a factor 10 of threshold "
                 f"{threshold:.3e}; rank decision ambiguous"
             )
-        if residual <= threshold:
-            return False
-        row = vec / residual
-        self.rows[self.dim] = row
-        self.mats[self.dim] = _devectorize(row, self.side, self.iu)
-        self.touch[self.dim] = self.mats[self.dim].any(axis=0)
-        self.coords[self.dim] = row != 0
-        self.dim += 1
-        return True
+        return residual > threshold
+
+    def _append(self, rows: np.ndarray) -> None:
+        """Add unit rows to the basis and update the tables."""
+        start, self.dim = self.dim, self.dim + len(rows)
+        mats = _devectorize(rows, self.side, self.iu, self.mats[start:self.dim])
+        touch, coords = mats.any(axis=1), rows != 0
+        self.rows[start:self.dim] = rows
+        self.touch[start:self.dim] = touch
+        self.coords[start:self.dim] = coords
+        self.spanned |= coords.any(axis=0)
+        self.cotouch |= touch.T @ touch
+        units = coords[coords.sum(axis=1) == 1]
+        if units.size:
+            side, k = self.side, self.iu[0].size
+            self.held |= units.any(axis=0)
+            pair = ~(self.held[side:side + k] & self.held[side + k:])
+            self.open[self.iu] = self.open[self.iu[::-1]] = pair
+            self.open[np.arange(side), np.arange(side)] = ~self.held[:side]
+
+    def saturated(self, fs: np.ndarray) -> np.ndarray:
+        """For each basis index in ``fs``, whether every bracket [mats[f], B]
+        with a basis element B already lies in the span.
+
+        With S the index set F touches, a B that meets S touches only
+        indices that some row shares with S, the set R, and [F, B] is zero
+        outside the pairs S x R.  If none of them is open, unit rows hold
+        every coordinate a bracket can reach.
+        """
+        touch = self.touch[fs]
+        return ~((touch @ self.open) & (touch @ self.cotouch)).any(axis=1)
 
     def brackets(self, f: int, among: np.ndarray):
         """``(keys, vecs)``: the coordinates where [mats[f], mats[b]] can be
@@ -234,14 +296,19 @@ def _closure(basis: GeneratorBasis, tol: float):
     """Return ``(dim, iterations, mats)`` of the bracket closure, ``mats``
     being the ``(dim, side, side)`` orthonormal basis in acceptance order.
 
-    The generators are vectorized in one call and offered in order.  Each
-    frontier element F is bracketed once, as coordinates, against the basis
-    it is about to loop over by the filter ``_SpanBuilder.outside``, and the
-    brackets it returns are offered in basis order.  Rows added later can
-    only shrink a residual, so a bracket it leaves out would have been
-    rejected anyway: the accepted rows, ``dim`` and ``iterations`` are those
-    of offering every bracket.  A tolerance that is not a number in (0, 1),
-    NaN and infinity included, raises ToleranceDegenerateError.
+    The generators are vectorized in one call and offered as one block.  A
+    frontier element F whose brackets all lie on coordinates that unit rows
+    hold (``_SpanBuilder.saturated``) is passed over: its brackets are in
+    the span.  The test runs over the rest of the frontier at once, again
+    only after the span grows.  Any other F is bracketed once, as
+    coordinates, against the basis it is about to loop over by the filter
+    ``_SpanBuilder.outside``, and the brackets it returns are offered in
+    basis order as one block.  Rows added later can only shrink a residual,
+    so a bracket it leaves out would have been rejected anyway: the
+    accepted rows, ``dim`` and ``iterations`` are those of offering every
+    bracket.  A tolerance that is not a number in (0, 1), NaN and infinity
+    included, raises ToleranceDegenerateError; a generator that is not
+    finite raises ValueError.
     """
     if not 0 < tol < 1:
         raise ToleranceDegenerateError(f"closure tolerance {tol!r} is not in (0, 1)")
@@ -249,22 +316,26 @@ def _closure(basis: GeneratorBasis, tol: float):
         raise ValueError("empty generator basis")
     full = basis.side ** 2
     span = _SpanBuilder(basis.side, tol)
-    for vec in _vectorize(np.asarray(basis.mats), span.iu):
-        span.offer(vec)
-    frontier = list(range(span.dim))
+    vecs = _vectorize(np.asarray(basis.mats), span.iu)
+    if not np.isfinite(vecs).all():
+        raise ValueError("generator basis has entries that are not finite")
+    span.offer_block(vecs)
+    frontier = np.arange(span.dim)
     iterations = 0
-    while frontier and span.dim < full:
+    while frontier.size and span.dim < full:
         iterations += 1
-        new: list[int] = []
-        for f in frontier:
-            if span.dim >= full:
-                break
-            for vec in span.outside(f)[1]:
-                if span.offer(vec):
-                    new.append(span.dim - 1)
-                if span.dim >= full:
+        start = span.dim
+        todo = frontier
+        while todo.size and span.dim < full:
+            dim = span.dim
+            for k in np.flatnonzero(~span.saturated(todo)):
+                span.offer_block(span.outside(todo[k])[1])
+                if span.dim > dim:
                     break
-        frontier = new
+            else:
+                break  # the span did not grow: the rest is done
+            todo = todo[k + 1:]
+        frontier = np.arange(start, span.dim)
     return span.dim, iterations, span.mats[:span.dim]
 
 

@@ -110,10 +110,14 @@ class CoinOp:
 
     @classmethod
     def from_blocks(cls, d: int, n: int, vertices, blocks) -> "CoinOp":
-        """Identity coin everywhere except ``blocks[i]`` at ``vertices[i]``."""
+        """Identity coin everywhere except ``blocks[i]`` at ``vertices[i]``;
+        a vertex may appear once."""
         idx = _index(vertices, n, "vertices")
         if idx.size != len(blocks):
             raise DimensionMismatchError(f"{len(blocks)} blocks for {idx.size} vertices")
+        repeated = np.flatnonzero(np.bincount(idx, minlength=n) > 1)
+        if repeated.size:
+            raise IndexOutOfRangeError(f"vertices {repeated.tolist()} repeated")
         full = np.broadcast_to(np.eye(d, dtype=np.complex128), (n, d, d)).copy()
         full[idx] = np.reshape(blocks, (-1, d, d))  # an empty list too
         return cls(full)

@@ -58,8 +58,11 @@ def pairwise_generator_basis(spec):
 
 
 def reference_closure(basis, tol=1e-9):
-    """Sequential closure without the batched filter: every bracket is
-    offered, and the span is grown one stacked row at a time."""
+    """Sequential closure without the batched filter, the skip test or block
+    offers: every bracket is offered, and the span is grown one stacked row
+    at a time.  [F, B] is formed as P^H - P with P = B F over the columns S
+    that F touches, the product the filter forms, so that dense elements
+    round alike; for elementary matrices every product is exact anyway."""
     side, iu = basis.side, np.triu_indices(basis.side, 1)
     rows, mats = np.zeros((0, side * side)), []
 
@@ -72,7 +75,13 @@ def reference_closure(basis, tol=1e-9):
         for _ in range(2):
             vec = vec - rows.T @ (rows @ vec)
         residual = float(np.linalg.norm(vec))
-        if residual <= tol * pre:
+        threshold = tol * pre
+        if threshold / 10.0 <= residual <= threshold * 10.0:
+            raise qw.ToleranceDegenerateError(
+                f"residual {residual:.3e} within a factor 10 of threshold "
+                f"{threshold:.3e}; rank decision ambiguous"
+            )
+        if residual <= threshold:
             return False
         rows = np.vstack([rows, vec / residual])
         mats.append(_devectorize(vec / residual, side, iu))
@@ -88,8 +97,11 @@ def reference_closure(basis, tol=1e-9):
         for f in frontier:
             if len(mats) >= side * side:
                 break
+            s = np.flatnonzero(mats[f].any(axis=0))
             for b in range(len(mats)):
-                if b != f and offer(mats[f] @ mats[b] - mats[b] @ mats[f]):
+                p = np.zeros((side, side), dtype=np.complex128)
+                p[:, s] = mats[b][:, s] @ mats[f][np.ix_(s, s)]
+                if b != f and offer(p.conj().T - p):
                     new.append(len(mats) - 1)
                 if len(mats) >= side * side:
                     break
@@ -372,15 +384,28 @@ def test_filtered_closure_equals_sequential_reference_on_drawn_seeds(spec):
 
 
 def test_filter_leaves_only_accepted_brackets_to_offer(monkeypatch, fig):
-    offers = []
-    offer = _SpanBuilder.offer
-    monkeypatch.setattr(
-        _SpanBuilder, "offer", lambda self, vec: offers.append(1) or offer(self, vec)
-    )
+    # every vector that reaches the span, in a block or one at a time; the
+    # single offers a block makes are counted with the block
+    counts = {"block": 0, "single": 0}
+    offer, offer_block = _SpanBuilder.offer, _SpanBuilder.offer_block
+
+    def single(self, vec):
+        counts["single"] += 1
+        return offer(self, vec)
+
+    def block(self, vecs):
+        counts["block"] += len(vecs)
+        before = counts["single"]
+        offer_block(self, vecs)
+        counts["single"] = before
+
+    monkeypatch.setattr(_SpanBuilder, "offer", single)
+    monkeypatch.setattr(_SpanBuilder, "offer_block", block)
     basis = qw.generator_basis(fig)
     dim, _, _ = _closure(basis, 1e-9)
     # the unfiltered loop makes about 38,000 offers here to accept 324 rows
-    assert len(offers) - len(basis.mats) <= 2 * dim
+    assert counts["block"] > 0
+    assert counts["block"] + counts["single"] - len(basis.mats) <= 2 * dim
 
 
 def test_filter_does_not_mark_a_bracket_in_the_degenerate_band():
@@ -418,6 +443,22 @@ def _support_specs():
 
 
 @pytest.mark.parametrize("spec", _support_specs())
+def test_saturated_elements_have_no_bracket_outside_the_span(monkeypatch, spec):
+    saturated, skipped = _SpanBuilder.saturated, []
+
+    def checked(self, fs):
+        marks = saturated(self, fs)
+        for f in fs[marks]:
+            assert self.outside(f)[0].size == 0
+        skipped.append(int(marks.sum()))
+        return marks
+
+    monkeypatch.setattr(_SpanBuilder, "saturated", checked)
+    _closure(qw.generator_basis(spec), 1e-9)
+    assert sum(skipped) > 0
+
+
+@pytest.mark.parametrize("spec", _support_specs())
 def test_support_filter_marks_equal_dense_filter(monkeypatch, spec):
     formed, dense = filter_against_dense(monkeypatch, qw.generator_basis(spec))
     assert formed < dense
@@ -437,3 +478,100 @@ def test_support_filter_forms_a_quarter_of_the_dense_brackets(monkeypatch, fig):
     formed, dense = filter_against_dense(monkeypatch, qw.generator_basis(fig))
     # about 21 % here: most brackets pair elements on disjoint index sets
     assert formed <= dense / 4
+
+
+def _mixed_basis(seed):
+    """Side 2-6: some iE_aa and E_ab - E_ba generators beside one or two
+    random skew-Hermitian elements, about half of them masked to a random
+    symmetric pattern, in a random order.  One draw in four is instead one
+    random element per part of a random partition of the indices, a block
+    of vectors on disjoint coordinates."""
+    rng = np.random.default_rng(seed)
+    side = int(rng.integers(2, 7))
+    if rng.random() < 0.25:
+        cuts = np.sort(rng.choice(np.arange(1, side), size=int(rng.integers(0, side)), replace=False))
+        ons = [np.isin(np.arange(side), part) for part in np.split(rng.permutation(side), cuts)]
+        return GeneratorBasis(mats=[_random_skew_hermitian(rng, side) * np.outer(on, on) for on in ons])
+    mats = []
+    for a in rng.choice(side, size=int(rng.integers(0, side + 1)), replace=False):
+        g = np.zeros((side, side), dtype=complex)
+        g[a, a] = 1j
+        mats.append(g)
+    a, b = np.triu_indices(side, 1)
+    for p in rng.choice(a.size, size=int(rng.integers(0, a.size + 1)), replace=False):
+        g = np.zeros((side, side), dtype=complex)
+        g[a[p], b[p]], g[b[p], a[p]] = 1.0, -1.0
+        mats.append(g)
+    for _ in range(int(rng.integers(1, 3))):
+        h = _random_skew_hermitian(rng, side)
+        if rng.random() < 0.5:
+            mask = rng.random((side, side)) < 0.4
+            h = h * (mask | mask.T)
+        mats.append(h)
+    return GeneratorBasis(mats=[mats[i] for i in rng.permutation(len(mats))])
+
+
+def _closure_outcome(closure, basis, tol):
+    try:
+        dim, iterations, mats = closure(basis, tol)
+    except qw.ToleranceDegenerateError as exc:
+        return str(exc)
+    return dim, iterations, np.reshape(mats, (dim, basis.side, basis.side))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-2])
+@pytest.mark.parametrize("seed", range(40))
+def test_mixed_basis_closure_equals_reference(seed, tol):
+    # at tol 1e-2, 12 of the 40 draws meet the degenerate band
+    basis = _mixed_basis(seed)
+    got = _closure_outcome(_closure, basis, tol)
+    ref = _closure_outcome(reference_closure, basis, tol)
+    if isinstance(ref, str) or isinstance(got, str):
+        assert got == ref
+    else:
+        assert got[:2] == ref[:2]
+        assert np.array_equal(got[2], ref[2])
+
+
+def test_disjoint_block_raises_at_the_first_vector_in_the_band():
+    with pytest.raises(
+        qw.ToleranceDegenerateError,
+        match=r"^residual 1\.000e\+00 within a factor 10 of threshold 5\.000e-01; ",
+    ):
+        qw.lie_closure_dim(qw.generator_basis(qw.cycle_shift(5)), tol=0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_generators_must_be_finite(bad):
+    g = 1j * SX
+    g[0, 1] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        qw.lie_closure_dim(GeneratorBasis(mats=[1j * SY, g]))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [qw.cycle_shift(13), qw.cycle_shift(14), qw.cycle_exchange(14)],
+    ids=["cycle_shift13", "cycle_shift14", "cycle_exchange14"],
+)
+def test_closure_above_the_cap_matches_the_prediction(spec):
+    # dN = 26 and 28, above DEFAULT_DIM_CAP: dims 676, 392 and 392
+    assert qw.lie_closure_dim(qw.generator_basis(spec)).dim == qw.analyze(spec).predicted_lie_dim
+
+
+def _elementary(side, a, b, value):
+    g = np.zeros((side, side), dtype=complex)
+    g[a, b] = value
+    g[b, a] = -np.conj(value)
+    return g
+
+
+def test_saturation_is_tested_again_after_the_span_grows():
+    # iE_00 starts saturated: the only rows touching 0 hold both
+    # coordinates of (0, 2).  Bracketing E_02 - E_20 first brings in
+    # E_01 - E_10, so at iE_00's turn [iE_00, E_01 - E_10] is new
+    pairs = [(0, 2, 1.0), (0, 0, 1j), (1, 2, 1.0), (1, 1, 1j), (0, 2, 1j)]
+    basis = GeneratorBasis(mats=[_elementary(3, a, b, v) for a, b, v in pairs])
+    got, ref = _closure(basis, 1e-9), reference_closure(basis)
+    assert got[:2] == ref[:2] == (9, 1)
+    assert np.array_equal(got[2], np.stack(ref[2]))

@@ -210,6 +210,14 @@ def test_from_blocks_without_blocks_is_the_identity_coin():
         qw.CoinOp.from_blocks(2, 5, [0, 1], [np.eye(2)])
 
 
+def test_from_blocks_refuses_a_repeated_vertex():
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    with pytest.raises(qw.IndexOutOfRangeError, match=r"vertices \[1\] repeated"):
+        qw.CoinOp.from_blocks(2, 5, [1, 1], [swap, np.eye(2)])
+    with pytest.raises(qw.IndexOutOfRangeError, match=r"vertices \[0, 3\] repeated"):
+        qw.CoinOp.from_blocks(2, 5, [3, 0, 2, 0, 3], [swap] * 5)
+
+
 C5 = qw.cycle_shift(5)
 PSI = qw.basis_state(C5, 0, 0)
 TARGET = qw.basis_state(C5, 1, 3)
