@@ -8,6 +8,7 @@ emitted document carries a "schema" version field; it is optional on input.
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
@@ -132,8 +133,16 @@ def report_to_dict(report: ControllabilityReport) -> dict:
 def read_json(path: str) -> dict:
     """The parsed document.  Text that is not UTF-8, arrays and objects
     nested too deep, or an integer past int()'s digit limit raise
-    json.JSONDecodeError like any other unparsable document."""
+    json.JSONDecodeError like any other unparsable document.
+
+    The cyclic garbage collector is off while ``json.load`` runs: a parsed
+    JSON document holds no reference cycle, so the parse leaves nothing for
+    a collection to free, and one run during it only scans every live
+    object.  The switch is process-global; its prior state comes back on
+    every exit, so a collector the caller disabled stays disabled."""
     with open(path, encoding="utf-8") as fh:
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:
@@ -145,9 +154,13 @@ def read_json(path: str) -> dict:
             raise
         except ValueError:  # the only other: an integer past int()'s digit limit
             raise json.JSONDecodeError("integer literal too long", "", 0) from None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 _ENCODER = json.JSONEncoder(allow_nan=False)
+_TINY = np.finfo(np.float64).tiny
 
 
 def _wrap(items: list, level: int, brackets: str) -> str:
@@ -166,23 +179,40 @@ def _template(shape: tuple, level: int) -> str:
     return _wrap([_template(shape[1:], level + 1)] * shape[0], level, "[]")
 
 
-def _array(a: np.ndarray, level: int, slabs: dict) -> str:
+def _array(a: np.ndarray, level: int, slabs: dict, exact: bool) -> str:
     """A complex array at nesting ``level``, rendered a (d, d) slab (or a
-    whole vector) at a time.  ``slabs`` maps (shape, level) to the slab
-    template and (shape, level, raw bytes) to the slab text, since most
-    slabs of a control sequence repeat (identity blocks).  Equal bytes, not
-    equal values: -0.0 == 0.0 prints differently."""
-    if a.ndim > 2:
-        return _wrap([_array(s, level + 1, slabs) for s in a], level, "[]")
-    key = (a.shape, level, a.tobytes())
-    text = slabs.get(key)
-    if text is None:
-        template = slabs.get(key[:2])
-        if template is None:
-            template = slabs[key[:2]] = _template(a.shape, level)
-        floats = a.reshape(-1).view(np.float64).tolist()
-        text = slabs[key] = template % tuple(map(float.__repr__, map(round_float, floats)))
-    return text
+    whole vector) at a time; a stack of slabs goes to ``_slabs`` at once."""
+    if a.ndim > 3:
+        return _wrap([_array(s, level + 1, slabs, exact) for s in a], level, "[]")
+    if a.ndim < 3:
+        return _slabs(a[None], level, slabs, exact)[0]
+    return _wrap(_slabs(a, level + 1, slabs, exact), level, "[]")
+
+
+def _slabs(stack: np.ndarray, level: int, slabs: dict, exact: bool) -> list:
+    """The text of each slab of ``stack`` at nesting ``level``, each distinct
+    slab formatted once, since most slabs of a control sequence repeat
+    (identity blocks).  ``slabs`` maps (shape, level) to the slab template,
+    its ``{:.12}`` twin and the texts met so far, keyed by raw bytes: equal
+    bytes, not equal values, since -0.0 == 0.0 prints differently.  When
+    ``exact``, one ``str.format`` call fills the twin; otherwise every float
+    goes through ``round_float`` and ``repr``."""
+    shape = stack.shape[1:]
+    entry = slabs.get((shape, level))
+    if entry is None:
+        template = _template(shape, level)
+        entry = slabs[shape, level] = (template, template.replace("%s", "{:.12}"), {})
+    template, fast, texts = entry
+    if not stack.size:
+        return [template] * len(stack)
+    keys = stack.reshape(len(stack), -1).view(f"V{stack[0].nbytes}").ravel().tolist()
+    for key in set(keys).difference(texts):
+        floats = np.frombuffer(key).tolist()
+        texts[key] = (
+            fast.format(*floats) if exact
+            else template % tuple(map(float.__repr__, map(round_float, floats)))
+        )
+    return [texts[key] for key in keys]
 
 
 def _render(obj, level: int, slabs: dict) -> str:
@@ -198,9 +228,16 @@ def _render(obj, level: int, slabs: dict) -> str:
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind != "c":
             raise TypeError(f"only complex arrays are written, not {obj.dtype}")
-        if not np.isfinite(obj).all():
+        # format(x, ".12") is repr(round_float(x)) for +-0.0 and every normal
+        # float below 1e10 in magnitude: both round to the same 12 digits, a
+        # normal double has no shorter repr, and an exponent appears only
+        # from 1e11 on.  Subnormals and larger floats can differ.
+        a = np.asarray(obj, dtype=np.complex128, order="C")
+        mag = np.abs(a.reshape(-1).view(np.float64))
+        exact = bool(((mag < 1e10) & ((mag >= _TINY) | (mag == 0))).all())
+        if not (exact or np.isfinite(mag).all()):
             raise ValueError("Out of range float values are not JSON compliant")
-        return _array(np.asarray(obj, dtype=np.complex128, order="C"), level, slabs)
+        return _array(a, level, slabs, exact)
     return _ENCODER.encode(obj)
 
 

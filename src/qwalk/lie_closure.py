@@ -157,13 +157,20 @@ class _SpanBuilder:
         in one pass, with ``offer``'s norm and band check on each vector in
         turn.  Any other block goes through ``offer`` one vector at a time.
         """
-        if ((vecs != 0).sum(axis=0) + self.spanned).max(initial=0) > 1:
+        nonzero = vecs != 0
+        if (nonzero.sum(axis=0) + self.spanned).max(initial=0) > 1:
             for vec in vecs:
                 if self.dim == self.rows.shape[0]:
                     break
                 self.offer(vec)
             return
-        pres = np.array([float(np.linalg.norm(vec)) for vec in vecs])
+        # a row with one nonzero coordinate x has norm sqrt(fl(x*x)) == |x|,
+        # exactly, where x*x neither under- nor overflows (and where it
+        # underflows, both fall below _ZERO_NORM); max and -min give |x|
+        # without an |vecs| temporary
+        pres = np.maximum(vecs.max(axis=1, initial=0.0), -vecs.min(axis=1, initial=0.0))
+        for i in np.flatnonzero(nonzero.sum(axis=1) > 1):
+            pres[i] = np.linalg.norm(vecs[i])
         keep = [i for i, pre in enumerate(pres) if pre >= _ZERO_NORM and self._clears(pre, pre)]
         for at in range(0, len(keep), 32):  # bounds the temporaries
             part = keep[at:at + 32]
@@ -308,7 +315,7 @@ def _closure(basis: GeneratorBasis, tol: float):
     accepted rows, ``dim`` and ``iterations`` are those of offering every
     bracket.  A tolerance that is not a number in (0, 1), NaN and infinity
     included, raises ToleranceDegenerateError; a generator that is not
-    finite raises ValueError.
+    finite, or whose squared norm could overflow, raises ValueError.
     """
     if not 0 < tol < 1:
         raise ToleranceDegenerateError(f"closure tolerance {tol!r} is not in (0, 1)")
@@ -317,8 +324,11 @@ def _closure(basis: GeneratorBasis, tol: float):
     full = basis.side ** 2
     span = _SpanBuilder(basis.side, tol)
     vecs = _vectorize(np.asarray(basis.mats), span.iu)
-    if not np.isfinite(vecs).all():
+    peak = float(np.maximum(vecs.max(initial=0.0), -vecs.min(initial=0.0)))
+    if not np.isfinite(peak):
         raise ValueError("generator basis has entries that are not finite")
+    if not np.isfinite(peak * peak * full):
+        raise ValueError(f"generator basis entries up to {peak:.3e} overflow a squared norm")
     span.offer_block(vecs)
     frontier = np.arange(span.dim)
     iterations = 0

@@ -1,5 +1,6 @@
 """The indent-2 writer: pinned to the bytes of the list-of-pairs encoder."""
 
+import gc
 import json
 
 import numpy as np
@@ -14,8 +15,8 @@ def _pair(z) -> list:
     return [json_io.round_float(z.real), json_io.round_float(z.imag)]
 
 
-def _matrix(m) -> list:
-    return [[_pair(z) for z in row] for row in np.asarray(m)]
+def _pairs(a):
+    return _pair(a) if np.ndim(a) == 0 else [_pairs(x) for x in a]
 
 
 def reference_sequence_text(seq, **extra) -> str:
@@ -24,7 +25,7 @@ def reference_sequence_text(seq, **extra) -> str:
     doc = {
         "schema": json_io.SCHEMA_VERSION,
         "steps": [
-            {"phase": tag, "coins": [_matrix(q) for q in op.blocks]}
+            {"phase": tag, "coins": _pairs(op.blocks)}
             for op, tag in zip(seq.ops, seq.meta)
         ],
     }
@@ -37,7 +38,7 @@ def reference_state_doc(state) -> dict:
         "schema": json_io.SCHEMA_VERSION,
         "d": state.d,
         "n": state.n,
-        "amps": [_pair(z) for z in state.amps],
+        "amps": _pairs(state.amps),
     }
 
 
@@ -56,6 +57,8 @@ def _mixed_cycle_walk():
         ("torus(3,5)", lambda: qw.torus(3, 5)),
         ("complete(12)", lambda: qw.complete(12)),
         ("mixed cycles (3,4,5)", _mixed_cycle_walk),
+        ("cycle_shift(31)", lambda: qw.cycle_shift(31)),
+        ("torus(7,9)", lambda: qw.torus(7, 9)),
     ],
 )
 def test_sequence_and_state_text_is_pinned(name, build):
@@ -77,6 +80,42 @@ def test_sequence_and_state_text_is_pinned(name, build):
     }
     reference = {**doc, "state": reference_state_doc(final)}
     assert json_io.dumps(doc) == json.dumps(reference, indent=2, allow_nan=False)
+
+
+def _assert_pinned(a):
+    assert json_io.dumps({"a": a}) == json.dumps({"a": _pairs(a)}, indent=2, allow_nan=False)
+
+
+def test_every_decade_matches_the_reference_encoder():
+    rng = np.random.default_rng(5)
+    for e in range(-300, 10):
+        # mantissas in (-10, 10): each array spans the decades e and e + 1
+        mant = rng.uniform(-10, 10, (2, 3, 3)) + 1j * rng.uniform(-10, 10, (2, 3, 3))
+        _assert_pinned(mant * 10.0**e)
+        _assert_pinned(mant[0, 0] * 10.0**e)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [0.0, -0.0, 1.0, -1.0, 0.9999999999995, 1 - 1e-16, 5e-324, 1e-310,
+     1e10, 99999999999.9, 1e11, 3e11, 1e16],
+)
+def test_edge_values_match_the_reference_encoder(x):
+    # subnormals and magnitudes from 1e10 on take the per-float path
+    _assert_pinned(np.array([complex(x, -x), complex(1.0, x)]))
+    _assert_pinned(np.array([[x, 0.5], [-0.5, x]], dtype=complex))
+
+
+def test_stack_with_a_subnormal_slab_matches_the_reference_encoder():
+    eye = np.eye(2, dtype=complex)
+    stack = np.stack([eye, 0.5 * eye, np.full((2, 2), 1e-320 + 0.25j), eye, -eye])
+    _assert_pinned(stack)
+    _assert_pinned(np.stack([stack[[0, 1, 3]], stack[[1, 2, 4]]]))
+
+
+def test_empty_arrays_match_the_reference_encoder():
+    for shape in [(0,), (2, 0), (0, 2, 2), (3, 0, 2), (2, 2, 0, 2)]:
+        _assert_pinned(np.zeros(shape, dtype=complex))
 
 
 def test_negative_zero_is_not_written_as_zero():
@@ -119,3 +158,28 @@ def test_non_finite_values_are_refused():
         json_io.dumps({"x": [1.0, float("inf")]})
     with pytest.raises(ValueError):
         json_io.dumps({"amps": np.array([1.0, complex(0.0, np.nan)])})
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_read_json_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    docs = {
+        "ok.json": b'{"a": [1, 2.5]}',
+        "utf16.json": b'\xff\xfe{"a": 1}',
+        "deep.json": b"[" * 200_000 + b"]" * 200_000,
+        "bad.json": b"{not json",
+        "bigint.json": b'{"a": ' + b"9" * 5000 + b"}",
+    }
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for name, text in docs.items():
+            path = tmp_path / name
+            path.write_bytes(text)
+            if name == "ok.json":
+                assert json_io.read_json(str(path)) == {"a": [1, 2.5]}
+            else:
+                with pytest.raises(json.JSONDecodeError):
+                    json_io.read_json(str(path))
+            assert gc.isenabled() is enabled, name
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -549,6 +549,13 @@ def test_generators_must_be_finite(bad):
         qw.lie_closure_dim(GeneratorBasis(mats=[1j * SY, g]))
 
 
+def test_generator_norms_must_not_overflow():
+    # the squared norm of 1e200 overflows; 1e150 is normalized and closes
+    with pytest.raises(ValueError, match="overflow"):
+        qw.lie_closure_dim(GeneratorBasis(mats=[1e200j * SX, 1e200j * SY]))
+    assert qw.lie_closure_dim(GeneratorBasis(mats=[1e150j * SX, 1e150j * SY])).dim == 3
+
+
 @pytest.mark.parametrize(
     "spec",
     [qw.cycle_shift(13), qw.cycle_shift(14), qw.cycle_exchange(14)],
