@@ -7,7 +7,6 @@ from .controllability import (
     ParityReport,
     analyze,
     k_of,
-    kappa,
     parity_check,
     reachable_sets,
 )
@@ -55,16 +54,13 @@ from .synthesis import (
     concentrate_to_node,
     reach_full_state,
     spread_from_node,
-    unitary_completion,
 )
 from .walk_core import (
     CoinOp,
     WalkState,
     apply_sequence,
     basis_state,
-    coin_matrix,
     position_probabilities,
-    shift_matrix,
     shift_order,
     state_fidelity,
     step,

@@ -51,7 +51,6 @@ class ControllabilityReport:
     """
 
     components: tuple[tuple[int, ...], ...]
-    sizes: tuple[int, ...]
     m: int
     controllable: bool
     predicted_lie_dim: int
@@ -202,23 +201,6 @@ def _covering_level(spec: WalkSpec, starts: list[int]) -> tuple[int, int | None]
     return k + 1, None
 
 
-def _confirmed_cover(spec: WalkSpec, starts: list[int]) -> tuple[int, int] | None:
-    """``_covering_level``'s (k, start), or None when no start covers and the
-    parity test confirms that the walk is not coverable."""
-    k, found = _covering_level(spec, starts)
-    if found is not None:
-        return k, found
-    # Parity is a property of the whole connected graph, so one check
-    # answers for every start.
-    if parity_check(spec, starts[0]).m == 1:
-        where = f"vertex {starts[0]}" if len(starts) == 1 else "any vertex"
-        raise CriterionConflictError(
-            f"reachable sets from {where} repeat at level {k} without covering, "
-            "but the parity test reports a coverable walk"
-        )
-    return None
-
-
 def k_of(spec: WalkSpec, j: int) -> int | None:
     """Least k with every vertex reachable from j in exactly k steps.
 
@@ -228,17 +210,14 @@ def k_of(spec: WalkSpec, j: int) -> int | None:
     1987).  Sets that repeat on a walk whose parity test says it is
     coverable raise CriterionConflictError, an internal assertion.
     """
-    found = _confirmed_cover(spec, [_index(j, spec.n, "vertex")])
-    return None if found is None else found[0]
-
-
-def kappa(spec: WalkSpec) -> tuple[int, int] | None:
-    """Minimum over vertices of k_of, with the achieving vertex.
-
-    Ties go to the smallest vertex.  None when the walk is not coverable;
-    like k_of, raises CriterionConflictError when the parity test disagrees.
-    """
-    return _confirmed_cover(spec, list(range(spec.n)))
+    j = _index(j, spec.n, "vertex")
+    k, found = _covering_level(spec, [j])
+    if found is None and parity_check(spec, j).m == 1:
+        raise CriterionConflictError(
+            f"reachable sets from vertex {j} repeat at level {k} without covering, "
+            "but the parity test reports a coverable walk"
+        )
+    return None if found is None else k
 
 
 def analyze(spec: WalkSpec) -> ControllabilityReport:
@@ -252,7 +231,7 @@ def analyze(spec: WalkSpec) -> ControllabilityReport:
     The covering step count and the 2k+r transfer bound are filled in only
     for controllable walks.  Each criterion runs once, and the report
     carries all three verdicts side by side: the covering search runs
-    without ``kappa``'s parity assertion, so a disagreement shows in
+    without ``k_of``'s parity assertion, so a disagreement shows in
     ``verdicts_agree`` instead of raising.  The one cycle table serves both
     the orbit criterion and the shift order r.
     """
@@ -262,10 +241,9 @@ def analyze(spec: WalkSpec) -> ControllabilityReport:
     comps = [np.flatnonzero(label == v).tolist() for v in roots]
     level, start = _covering_level(spec, list(range(spec.n)))
     par = parity_check(spec, 0)
-    sizes = tuple(len(c) for c in comps)
     m = len(comps)
     controllable = m == 1
-    predicted = sum((spec.d * v) ** 2 for v in sizes)
+    predicted = sum((spec.d * len(c)) ** 2 for c in comps)
     kk = kv = bound = None
     if controllable and start is not None:
         kk, kv = level, start
@@ -275,7 +253,6 @@ def analyze(spec: WalkSpec) -> ControllabilityReport:
     )
     return ControllabilityReport(
         components=tuple(tuple(c) for c in comps),
-        sizes=sizes,
         m=m,
         controllable=controllable,
         predicted_lie_dim=predicted,

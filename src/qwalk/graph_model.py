@@ -68,13 +68,6 @@ class Permutation:
         arr.setflags(write=False)
         self.map = arr
 
-    @classmethod
-    def from_cycles(cls, text: str, n: int) -> "Permutation":
-        """Parse cycle notation, e.g. ``"(0 1 2)(3 4)"``; separators are
-        spaces or commas. Vertices not mentioned are fixed points."""
-        moves = _cycle_images(text, n)
-        return cls([moves.get(v, v) for v in range(n)])
-
     @property
     def n(self) -> int:
         return int(self.map.size)
@@ -126,9 +119,6 @@ class WalkSpec:
     def perms(self) -> tuple[Permutation, ...]:
         """The rows of ``maps`` as Permutations, built on each access."""
         return tuple(Permutation(row) for row in self.maps)
-
-    def neighbors(self, j: int) -> list[int]:
-        return np.sort(self.maps[:, j]).tolist()
 
     def __repr__(self) -> str:
         return f"WalkSpec(n={self.n}, d={self.d})"

@@ -131,12 +131,13 @@ class _SpanBuilder:
         self.open = np.ones((side, side), dtype=bool)
         self.dim = 0
 
-    def offer(self, vec: np.ndarray) -> bool:
+    def offer(self, vec: np.ndarray, floor: float = _ZERO_NORM) -> bool:
         """Project real coordinates against the span; extend the basis when
-        the residual clears the tolerance.  Two projection passes keep the
-        basis orthonormal; residuals within a factor 10 of the threshold abort."""
+        the residual clears the tolerance.  A vector with norm below
+        ``floor`` is zero.  Two projection passes keep the basis
+        orthonormal; residuals within a factor 10 of the threshold abort."""
         pre = float(np.linalg.norm(vec))
-        if pre < _ZERO_NORM:
+        if pre < floor:
             return False
         rows = self.rows[:self.dim]
         for _ in range(2):
@@ -147,7 +148,7 @@ class _SpanBuilder:
         self._append(vec[None] / residual)
         return True
 
-    def offer_block(self, vecs: np.ndarray) -> None:
+    def offer_block(self, vecs: np.ndarray, floor: float = _ZERO_NORM) -> None:
         """Offer the rows of ``vecs`` in order, as ``offer`` would, until the
         span is full.
 
@@ -162,16 +163,16 @@ class _SpanBuilder:
             for vec in vecs:
                 if self.dim == self.rows.shape[0]:
                     break
-                self.offer(vec)
+                self.offer(vec, floor)
             return
         # a row with one nonzero coordinate x has norm sqrt(fl(x*x)) == |x|,
-        # exactly, where x*x neither under- nor overflows (and where it
-        # underflows, both fall below _ZERO_NORM); max and -min give |x|
-        # without an |vecs| temporary
+        # exactly, where x*x neither under- nor overflows (it underflows
+        # only below 1.5e-154, under the floor of every basis with an entry
+        # above 1.5e-140); max and -min give |x| without an |vecs| temporary
         pres = np.maximum(vecs.max(axis=1, initial=0.0), -vecs.min(axis=1, initial=0.0))
         for i in np.flatnonzero(nonzero.sum(axis=1) > 1):
             pres[i] = np.linalg.norm(vecs[i])
-        keep = [i for i, pre in enumerate(pres) if pre >= _ZERO_NORM and self._clears(pre, pre)]
+        keep = [i for i, pre in enumerate(pres) if pre >= floor and self._clears(pre, pre)]
         for at in range(0, len(keep), 32):  # bounds the temporaries
             part = keep[at:at + 32]
             self._append(vecs[part] / pres[part, None])
@@ -315,7 +316,10 @@ def _closure(basis: GeneratorBasis, tol: float):
     accepted rows, ``dim`` and ``iterations`` are those of offering every
     bracket.  A tolerance that is not a number in (0, 1), NaN and infinity
     included, raises ToleranceDegenerateError; a generator that is not
-    finite, or whose squared norm could overflow, raises ValueError.
+    finite, or whose squared norm could overflow, raises ValueError.  A
+    generator is zero when its norm is below ``_ZERO_NORM`` times the
+    largest entry of the basis, so the dimension does not depend on the
+    basis' scale; an all-zero basis spans nothing.
     """
     if not 0 < tol < 1:
         raise ToleranceDegenerateError(f"closure tolerance {tol!r} is not in (0, 1)")
@@ -329,7 +333,7 @@ def _closure(basis: GeneratorBasis, tol: float):
         raise ValueError("generator basis has entries that are not finite")
     if not np.isfinite(peak * peak * full):
         raise ValueError(f"generator basis entries up to {peak:.3e} overflow a squared norm")
-    span.offer_block(vecs)
+    span.offer_block(vecs, _ZERO_NORM * (peak or 1.0))
     frontier = np.arange(span.dim)
     iterations = 0
     while frontier.size and span.dim < full:

@@ -129,16 +129,6 @@ def _completions(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return _reflectors(dst).conj().transpose(0, 2, 1) @ _reflectors(src)
 
 
-def unitary_completion(src, dst) -> np.ndarray:
-    """A d x d unitary Q with Q @ src = dst, for unit vectors src and dst:
-    the one-row case of the batched completion the constructions use."""
-    src = np.asarray(src, dtype=np.complex128).reshape(-1)
-    dst = np.asarray(dst, dtype=np.complex128).reshape(-1)
-    if src.size != dst.size:
-        raise DimensionMismatchError(f"sizes differ: {src.size} vs {dst.size}")
-    return _completions(src[None], dst[None])[0]
-
-
 def _least_steps(ends: np.ndarray, members: np.ndarray):
     """For each column of ends, the (d, B) vertices that each coin's step
     leads to, the least (vertex, coin) whose vertex lies in the boolean

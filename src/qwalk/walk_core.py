@@ -48,13 +48,20 @@ def _index(value, size: int | None, name: str):
 
 @dataclass(frozen=True, eq=False)
 class WalkState:
-    """Unit complex amplitude vector over the d*N product basis."""
+    """Unit complex amplitude vector over the d*N product basis; d and n
+    pass ``_integer`` and are at least 1."""
 
     d: int
     n: int
     amps: np.ndarray
 
     def __post_init__(self):
+        for name in ("d", "n"):
+            size = _integer(getattr(self, name))
+            if size is None or size < 1:
+                raise DimensionMismatchError(
+                    f"state {name} must be an integer >= 1, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, size)
         amps = np.asarray(self.amps, dtype=np.complex128).reshape(-1)
         if amps.size != self.d * self.n:
             raise DimensionMismatchError(
@@ -123,13 +130,6 @@ class CoinOp:
         return cls(full)
 
 
-def shift_matrix(spec: WalkSpec) -> np.ndarray:
-    """Dense 0/1 matrix of the shift, of size d*n: the k-th diagonal block
-    is the matrix of P_k.  A reference for tests, like ``coin_matrix``."""
-    flat = (spec.maps + spec.n * np.arange(spec.d)[:, None]).ravel()
-    return np.eye(flat.size, dtype=np.int64)[flat].T
-
-
 def shift_order(spec: WalkSpec) -> int:
     """Least r >= 1 with the shift's r-th power equal to the identity."""
     return cycle_order(cycle_table(spec.maps)[2])
@@ -138,16 +138,6 @@ def shift_order(spec: WalkSpec) -> int:
 def cycle_order(size: np.ndarray) -> int:
     """The lcm of the cycle lengths in ``cycle_table``'s third array."""
     return math.lcm(*np.flatnonzero(np.bincount(size)).tolist())
-
-
-def coin_matrix(coin: CoinOp) -> np.ndarray:
-    """Dense d*n x d*n matrix of a coin operation (block per vertex)."""
-    d, n = coin.d, coin.n
-    m = np.zeros((d * n, d * n), dtype=np.complex128)
-    for j in range(n):
-        rows = j + n * np.arange(d)
-        m[np.ix_(rows, rows)] = coin.blocks[j]
-    return m
 
 
 def basis_state(spec: WalkSpec, coin: int, vertex: int) -> WalkState:
@@ -177,7 +167,9 @@ def step(state: WalkState, coin: CoinOp, spec: WalkSpec) -> WalkState:
 
 
 def apply_sequence(state: WalkState, seq, spec: WalkSpec) -> WalkState:
-    """Fold ``step`` over an iterable of coin operations, first entry first."""
+    """Fold ``step`` over an iterable of coin operations, first entry first.
+    The state must fit the walk, also when there is no step."""
+    _check_dims(spec, state=state)
     for coin in seq:
         state = step(state, coin, spec)
     return state

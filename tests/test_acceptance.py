@@ -13,7 +13,8 @@ import pytest
 
 import qwalk as qw
 from qwalk.sampling import random_coin_op, random_spec, random_walk_state
-from qwalk.walk_core import coin_matrix, shift_matrix
+
+from reference import coin_matrix, shift_matrix
 
 SEED = 0
 
@@ -244,5 +245,5 @@ def test_ladder_validate_complete_1000_in_seconds():
     perms = [(idx + k) % 1000 for k in range(1, 1000)]
     with Timer(5.0) as t:
         spec = qw.validate(1000, perms)
-    assert spec.neighbors(0) == list(range(1, 1000))
+    assert sorted(spec.maps[:, 0].tolist()) == list(range(1, 1000))
     t.check("ladder: validate complete(1000)")

@@ -222,7 +222,7 @@ def test_lie_check_exit_2_names_the_largest_off_block_entry(capsys, monkeypatch,
     # split components, which the full closure of a controllable walk crosses
     report = controllability.analyze(qw.cycle_shift(5))
     split = dataclasses.replace(
-        report, components=((0, 1), (2, 3, 4)), sizes=(2, 3), m=2, predicted_lie_dim=52
+        report, components=((0, 1), (2, 3, 4)), m=2, predicted_lie_dim=52
     )
     monkeypatch.setattr(lie_closure, "analyze", lambda spec: split)
     code, out = run_cli(capsys, "lie-check", "--spec", cycle5_path)
@@ -361,6 +361,25 @@ def test_malformed_sequence_or_state_is_invalid(capsys, tmp_path, cycle5_path, w
     assert json.loads(out)["error"] == "SpecValidationError"
 
 
+@pytest.mark.parametrize(
+    "state,detail",
+    [
+        ({"d": 2, "n": 3, "amps": _AMPS[:6]}, "state is 2x3, walk is 2x5"),
+        ({"d": -1, "n": -1, "amps": _AMPS[:1]}, "state d must be an integer >= 1, got -1"),
+    ],
+    ids=["other-walk", "negative-dims"],
+)
+def test_simulate_refuses_a_state_that_does_not_fit(capsys, tmp_path, cycle5_path, state, detail):
+    # a sequence without steps replays nothing, so the state check alone refuses it
+    state_path, seq_path = tmp_path / "state.json", tmp_path / "seq.json"
+    json_io.write_json(state, str(state_path))
+    json_io.write_json({"steps": []}, str(seq_path))
+    code = main(["simulate", "--spec", cycle5_path, "--state", str(state_path), "--seq", str(seq_path)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"schema": 1, "error": "DimensionMismatchError", "detail": detail}
+
+
 def test_synthesize_analyzes_the_walk_once(capsys, monkeypatch, tmp_path, cycle5_path):
     calls = []
     covering_level = controllability._covering_level
@@ -438,7 +457,7 @@ def test_replay_survives_rounded_coin_blocks(tmp_path):
 def test_json_round_trips(tmp_path):
     fig = qw.figure1()
     back = json_io.spec_from_dict(json_io.spec_to_dict(fig))
-    assert [back.neighbors(j) for j in range(6)] == [fig.neighbors(j) for j in range(6)]
+    assert np.array_equal(np.sort(back.maps, axis=0), np.sort(fig.maps, axis=0))
     rng = np.random.default_rng(0)
     state = random_walk_state(rng, fig)
     back = json_io.state_from_dict(json.loads(json_io.dumps(json_io.state_to_dict(state))))

@@ -81,8 +81,15 @@ def adjacency(spec):
     """The 0/1 adjacency matrix, read off the neighbour lists."""
     a = np.zeros((spec.n, spec.n), dtype=np.int64)
     for j in range(spec.n):
-        a[j, spec.neighbors(j)] = 1
+        a[j, spec.maps[:, j]] = 1
     return a
+
+
+def covering(spec):
+    """The packed covering search over every start: the least covering
+    level and its least start, or None when no start covers."""
+    level, start = controllability._covering_level(spec, list(range(spec.n)))
+    return None if start is None else (level, start)
 
 
 def boolean_power_kappa(spec):
@@ -184,7 +191,6 @@ def test_analyze_even_cycle(c4):
     r = qw.analyze(c4)
     assert r.m == 2 and not r.controllable
     assert r.components == ((0, 2), (1, 3))
-    assert r.sizes == (2, 2)
     # one full unitary block per component: 16 + 16
     assert r.predicted_lie_dim == 32
     assert r.kappa is None and r.step_bound is None
@@ -238,9 +244,10 @@ def test_k_of_values(c4, c5, fig):
 
 
 def test_kappa(c5, fig):
-    assert qw.kappa(c5) == (4, 0)
-    assert qw.kappa(fig) == (3, 0)
-    assert qw.kappa(qw.cycle_shift(6)) is None
+    for spec, found in ((c5, (4, 0)), (fig, (3, 0)), (qw.cycle_shift(6), (None, None))):
+        report = qw.analyze(spec)
+        assert (report.kappa, report.kappa_vertex) == found
+    assert covering(qw.cycle_shift(6)) is None
 
 
 @pytest.mark.parametrize(
@@ -257,7 +264,7 @@ def test_non_coverable_search_stops_on_repeat(monkeypatch, spec, diameter):
         return step(walk, mask)
 
     monkeypatch.setattr(controllability, "_step", counting_step)
-    for search in (lambda: qw.kappa(spec), lambda: qw.k_of(spec, 0)):
+    for search in (lambda: covering(spec), lambda: qw.k_of(spec, 0)):
         calls.clear()
         assert search() is None
         assert len(calls) <= diameter + 2
@@ -301,8 +308,6 @@ def test_repeat_with_coverable_parity_is_a_conflict(monkeypatch):
     c6 = qw.cycle_shift(6)
     fake = controllability.ParityReport(m=1, witness=0, even=(), odd=())
     monkeypatch.setattr(controllability, "parity_check", lambda spec, j=0: fake)
-    with pytest.raises(qw.CriterionConflictError, match="any vertex repeat at level"):
-        qw.kappa(c6)
     with pytest.raises(qw.CriterionConflictError, match="vertex 0 repeat at level"):
         qw.k_of(c6, 0)
 
@@ -432,9 +437,7 @@ def test_verdict_depends_only_on_the_graph(name):
     dim = qw.verify_structure(spec).dim if small else None
     for seed in (0, 1):
         other = _redecompose(spec, seed)
-        assert [other.neighbors(j) for j in range(spec.n)] == [
-            spec.neighbors(j) for j in range(spec.n)
-        ]
+        assert np.array_equal(np.sort(other.maps, axis=0), np.sort(spec.maps, axis=0))
         again = qw.analyze(other)
         for field in ("components", "controllable", "kappa", "kappa_vertex", "predicted_lie_dim"):
             assert getattr(again, field) == getattr(report, field), (field, seed)
@@ -485,7 +488,7 @@ def test_random_specs_properties():
         assert comps == all_pairs_components(spec)
         rep = qw.analyze(spec)
         assert rep.verdicts_agree
-        assert qw.kappa(spec) == boolean_power_kappa(spec)
+        assert covering(spec) == boolean_power_kappa(spec)
         if len(comps) == 2:
             par = qw.parity_check(spec, 0)
             assert {frozenset(c) for c in comps} == {
@@ -534,7 +537,7 @@ def test_residue_partition_matches_all_pairs_orbits():
 
 def test_packed_covering_search_matches_boolean_stepping():
     for spec in _oracle_walks():
-        assert qw.kappa(spec) == stepped_covering_level(spec, list(range(spec.n))), spec
+        assert covering(spec) == stepped_covering_level(spec, list(range(spec.n))), spec
         for j in (0, spec.n - 1):
             found = stepped_covering_level(spec, [j])
             assert qw.k_of(spec, j) == (None if found is None else found[0]), (spec, j)
@@ -545,13 +548,13 @@ def test_packed_covering_search_spans_several_words():
     # that covers at level 6 as vertex 65 moves the least covering start
     # into the second word
     spec = _mixed_cycles(np.random.default_rng(3), (3, 4, 5, 7, 9, 11, 13, 14))
-    level, v = qw.kappa(spec)
+    level, v = covering(spec)
     sigma = np.arange(66)
     sigma[[v, 65]] = 65, v
     moved = qw.validate(66, [sigma[p.map[sigma]] for p in spec.perms])
     for walk in (spec, moved):
-        assert qw.kappa(walk) == stepped_covering_level(walk, list(range(66)))
-    assert qw.kappa(moved) == (level, 65)
+        assert covering(walk) == stepped_covering_level(walk, list(range(66)))
+    assert covering(moved) == (level, 65)
 
 
 def reference_validate_error(n, perms):

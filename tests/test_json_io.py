@@ -42,6 +42,16 @@ def reference_state_doc(state) -> dict:
     }
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """Fail on the first line that differs: a bare assert on documents of
+    a few hundred kB spends minutes building pytest's diff."""
+    if got != want:
+        a, b = got.splitlines(), want.splitlines()
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"line {i + 1} of {len(a)} (expected {len(b)}) differs: "
+                    f"got {a[i:i + 1]}, expected {b[i:i + 1]}")
+
+
 def _mixed_cycle_walk():
     """Cycles of lengths 3, 4 and 5 plus a perfect matching: N = 12, r = 60."""
     p1 = [1, 2, 0, 4, 5, 6, 3, 8, 9, 10, 11, 7]
@@ -67,8 +77,8 @@ def test_sequence_and_state_text_is_pinned(name, build):
     psi1, psi2 = random_walk_state(rng, spec), random_walk_state(rng, spec)
     seq = qw.arbitrary_transfer(spec, psi1, psi2)
     extra = {"bound": seq.bound, "achieved_fidelity": 0.999999999999}
-    assert json_io.dumps(json_io.sequence_to_dict(seq, **extra)) == reference_sequence_text(
-        seq, **extra
+    assert_same_text(
+        json_io.dumps(json_io.sequence_to_dict(seq, **extra)), reference_sequence_text(seq, **extra)
     )
     final = qw.apply_sequence(psi1, seq, spec)
     probs = [json_io.round_float(p) for p in qw.position_probabilities(final)]
@@ -79,7 +89,7 @@ def test_sequence_and_state_text_is_pinned(name, build):
         "probabilities": probs,
     }
     reference = {**doc, "state": reference_state_doc(final)}
-    assert json_io.dumps(doc) == json.dumps(reference, indent=2, allow_nan=False)
+    assert_same_text(json_io.dumps(doc), json.dumps(reference, indent=2, allow_nan=False))
 
 
 def _assert_pinned(a):

@@ -62,15 +62,16 @@ def reference_closure(basis, tol=1e-9):
     offers: every bracket is offered, and the span is grown one stacked row
     at a time.  [F, B] is formed as P^H - P with P = B F over the columns S
     that F touches, the product the filter forms, so that dense elements
-    round alike; for elementary matrices every product is exact anyway."""
+    round alike; for elementary matrices every product is exact anyway.
+    A generator is zero below _ZERO_NORM times the basis' largest entry."""
     side, iu = basis.side, np.triu_indices(basis.side, 1)
     rows, mats = np.zeros((0, side * side)), []
 
-    def offer(mat):
+    def offer(mat, floor=_ZERO_NORM):
         nonlocal rows
         vec = _vectorize(mat, iu)
         pre = float(np.linalg.norm(vec))
-        if pre < _ZERO_NORM:
+        if pre < floor:
             return False
         for _ in range(2):
             vec = vec - rows.T @ (rows @ vec)
@@ -87,8 +88,9 @@ def reference_closure(basis, tol=1e-9):
         mats.append(_devectorize(vec / residual, side, iu))
         return True
 
+    peak = max(float(np.abs(_vectorize(mat, iu)).max()) for mat in basis.mats)
     for mat in basis.mats:
-        offer(mat)
+        offer(mat, _ZERO_NORM * (peak or 1.0))
     frontier = list(range(len(mats)))
     iterations = 0
     while frontier and len(mats) < side * side:
@@ -266,7 +268,7 @@ def test_uncontrollable_dim_is_sum_of_full_blocks():
     for spec in (qw.cycle_shift(4), qw.cycle_shift(6), qw.cycle_exchange(6)):
         report = qw.analyze(spec)
         result = qw.verify_structure(spec)
-        assert result.dim == sum((spec.d * v) ** 2 for v in report.sizes)
+        assert result.dim == sum((spec.d * len(c)) ** 2 for c in report.components)
         assert result.match and result.block_diagonal_ok
 
 
@@ -389,14 +391,14 @@ def test_filter_leaves_only_accepted_brackets_to_offer(monkeypatch, fig):
     counts = {"block": 0, "single": 0}
     offer, offer_block = _SpanBuilder.offer, _SpanBuilder.offer_block
 
-    def single(self, vec):
+    def single(self, vec, *floor):
         counts["single"] += 1
-        return offer(self, vec)
+        return offer(self, vec, *floor)
 
-    def block(self, vecs):
+    def block(self, vecs, *floor):
         counts["block"] += len(vecs)
         before = counts["single"]
-        offer_block(self, vecs)
+        offer_block(self, vecs, *floor)
         counts["single"] = before
 
     monkeypatch.setattr(_SpanBuilder, "offer", single)
@@ -547,6 +549,15 @@ def test_generators_must_be_finite(bad):
     g[0, 1] = bad
     with pytest.raises(ValueError, match="not finite"):
         qw.lie_closure_dim(GeneratorBasis(mats=[1j * SY, g]))
+
+
+def test_closure_does_not_depend_on_the_basis_scale():
+    # the zero floor is relative to the largest entry: a disjoint block and
+    # a pair that shares a coordinate both close to su(2) at every scale
+    for e in range(-150, 151):
+        s = 10.0 ** e
+        for mats in ([s * 1j * SX, s * 1j * SY], [s * 1j * SX, s * 1j * (SX + SY)]):
+            assert qw.lie_closure_dim(GeneratorBasis(mats=mats)).dim == 3, e
 
 
 def test_generator_norms_must_not_overflow():

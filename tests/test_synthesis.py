@@ -5,13 +5,21 @@ import pytest
 
 import qwalk as qw
 from qwalk.sampling import random_spec, random_state_vector, random_walk_state
+from qwalk.synthesis import _completions
 
 from test_walk_core import identity_coin
 
 
+def completion(src, dst):
+    """A unitary Q with Q @ src = dst: the one-row case of the batched
+    completion the constructions use."""
+    src, dst = (np.asarray(v, dtype=complex)[None] for v in (src, dst))
+    return _completions(src, dst)[0]
+
+
 def test_unitary_completion_identity_case():
     v = random_state_vector(np.random.default_rng(0), 3)
-    q = qw.unitary_completion(v, v)
+    q = completion(v, v)
     assert np.abs(q @ v - v).max() < 1e-10
     assert np.abs(q.conj().T @ q - np.eye(3)).max() < 1e-10
 
@@ -19,7 +27,7 @@ def test_unitary_completion_identity_case():
 def test_unitary_completion_two_level_rotation():
     src = np.array([1, 0], dtype=complex)
     dst = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    q = qw.unitary_completion(src, dst)
+    q = completion(src, dst)
     assert np.abs(q @ src - dst).max() < 1e-10
 
 
@@ -29,14 +37,14 @@ def test_unitary_completion_random_property():
         d = int(rng.integers(2, 5))
         src = random_state_vector(rng, d)
         dst = random_state_vector(rng, d)
-        q = qw.unitary_completion(src, dst)
+        q = completion(src, dst)
         assert np.abs(q @ src - dst).max() < 1e-10
         assert np.abs(q.conj().T @ q - np.eye(d)).max() < 1e-10
 
 
 def test_unitary_completion_rejects_non_unit():
     with pytest.raises(qw.NotUnitError):
-        qw.unitary_completion(np.array([1, 1], dtype=complex), np.array([1, 0], dtype=complex))
+        completion(np.array([1, 1], dtype=complex), np.array([1, 0], dtype=complex))
 
 
 def test_spread_k0_is_empty(fig):
@@ -420,17 +428,15 @@ def test_unitary_completion_of_a_basis_vector_to_itself_is_the_identity():
     for d in range(2, 8):
         for c in range(d):
             e = np.eye(d, dtype=complex)[c]
-            assert np.array_equal(qw.unitary_completion(e, e), np.eye(d))
+            assert np.array_equal(completion(e, e), np.eye(d))
     # equal in value, not in bits: d = 2, c = 1 has -0.0 off the diagonal,
     # which the JSON writer prints, so skipping such a completion for the
     # identity block would change output bytes
     e1 = np.array([0, 1], dtype=complex)
-    assert np.signbit(qw.unitary_completion(e1, e1).real).tolist() == [[False, True], [True, False]]
+    assert np.signbit(completion(e1, e1).real).tolist() == [[False, True], [True, False]]
 
 
 def test_batched_completions_match_single_row_calls():
-    from qwalk.synthesis import _completions
-
     rng = np.random.default_rng(19)
     for d in range(2, 6):
         rows = [random_state_vector(rng, d) for _ in range(12)]
@@ -443,5 +449,5 @@ def test_batched_completions_match_single_row_calls():
         dst[:3] = src[:3]  # a row sent to itself
         batched = _completions(src, dst)
         for q, s, t in zip(batched, src, dst):
-            assert q.tobytes() == qw.unitary_completion(s, t).tobytes()
+            assert q.tobytes() == completion(s, t).tobytes()
             assert q.tobytes() == _ref_completion(s, t).tobytes()

@@ -8,7 +8,8 @@ import pytest
 import qwalk as qw
 from qwalk import json_io
 from qwalk.sampling import random_coin_op, random_spec, random_unitary, random_walk_state
-from qwalk.walk_core import coin_matrix, shift_matrix
+
+from reference import coin_matrix, shift_matrix
 
 
 def identity_coin(d, n):
@@ -145,6 +146,21 @@ def test_state_norm_validation():
         qw.WalkState(2, 2, np.array([1, 1, 0, 0], dtype=complex))
     with pytest.raises(qw.DimensionMismatchError):
         qw.WalkState(2, 3, np.array([1, 0, 0, 0], dtype=complex))
+
+
+def test_state_dimensions_are_integers_from_one():
+    amps = np.eye(5, dtype=complex)[0]
+    for d, n in ((2.5, 2), (5, True), (-1, -5), (0, 5), ("5", 1)):
+        with pytest.raises(qw.DimensionMismatchError, match="must be an integer >= 1"):
+            qw.WalkState(d, n, amps)
+    state = qw.WalkState(np.int64(1), 5.0, amps)
+    assert (type(state.d), type(state.n)) == (int, int)
+
+
+def test_apply_sequence_checks_the_state_without_steps(c5):
+    state = qw.basis_state(qw.cycle_shift(3), 0, 0)
+    with pytest.raises(qw.DimensionMismatchError, match="state is 2x3, walk is 2x5"):
+        qw.apply_sequence(state, [], c5)
 
 
 def test_coin_unitarity_validation():
