@@ -48,7 +48,7 @@ def _emit(doc: dict, out_path: str | None) -> None:
     print(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            print(text, file=fh)
 
 
 def _load_spec(path: str):

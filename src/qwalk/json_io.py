@@ -14,10 +14,10 @@ import json
 import numpy as np
 
 from .controllability import ControllabilityReport
-from .errors import SpecValidationError
+from .errors import DimensionMismatchError, SpecValidationError
 from .graph_model import WalkSpec, _integer, validate
 from .synthesis import ControlSequence
-from .walk_core import CoinOp, WalkState
+from .walk_core import CoinOp, WalkState, _unitary
 
 SCHEMA_VERSION = 1
 
@@ -99,15 +99,36 @@ def sequence_to_dict(seq: ControlSequence, **extra) -> dict:
 
 def sequence_from_dict(data: dict) -> ControlSequence:
     """Raises SpecValidationError unless ``data`` is an object whose "steps"
-    is a list of objects, each with a "coins" list of [re, im] pairs."""
+    is a list of objects, each with a "coins" list of [re, im] pairs, all of
+    one shape.  The steps are decoded and checked as one stack."""
     steps = _object(data, "sequence").get("steps")
     if not isinstance(steps, list):
         raise SpecValidationError(f'"steps" must be a list, got {type(steps).__name__}')
-    ops, meta = [], []
-    for entry in steps:
-        ops.append(CoinOp(_from_pairs(_object(entry, "step").get("coins"), "coins")))
-        meta.append(entry.get("phase", "step"))
-    return ControlSequence(tuple(ops), tuple(meta))
+    coins = [_object(entry, "step").get("coins") for entry in steps]
+    try:
+        blocks = _from_pairs(coins, "coins") if coins else np.empty((0, 1, 1, 1))  # no steps
+    except SpecValidationError:
+        raise SpecValidationError(f"{_odd(coins)}: not [re, im] pairs of one shape") from None
+    if blocks.ndim != 4 or blocks.shape[2] != blocks.shape[3]:
+        raise DimensionMismatchError(f"coin block at step 0, vertex 0 has shape {blocks.shape[2:]}")
+    _unitary(blocks, "step {}, vertex {}".format)
+    meta = tuple(entry.get("phase", "step") for entry in steps)
+    return ControlSequence(tuple(map(CoinOp._of, blocks)), meta)
+
+
+def _odd(items: list, names=("step", "vertex")) -> str:
+    """Where the first entry is that does not parse as [re, im] pairs alone,
+    or not to the first entry's shape: "step s" or "step s, vertex v"."""
+    shapes = []
+    for i, item in enumerate(items):
+        try:
+            shapes.append(_from_pairs(item, "").shape)
+        except SpecValidationError:
+            inner = names[1:] and isinstance(item, list) and _odd(item, names[1:])
+            return f"{names[0]} {i}" + (f", {inner}" if inner else "")
+        if shapes[i] != shapes[0]:
+            return f"{names[0]} {i}"
+    return ""
 
 
 def report_to_dict(report: ControllabilityReport) -> dict:
@@ -168,7 +189,7 @@ def _wrap(items: list, level: int, brackets: str) -> str:
     if not items:
         return brackets
     pad = "\n" + "  " * (level + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * level}{brackets[1]}"
 
 
 def _template(shape: tuple, level: int) -> str:
@@ -221,7 +242,7 @@ def _render(obj, level: int, slabs: dict) -> str:
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(_ENCODER.encode(key) + ": " + _render(value, level + 1, slabs))
+            items.append(f"{_ENCODER.encode(key)}: {_render(value, level + 1, slabs)}")
         return _wrap(items, level, "{}")
     if isinstance(obj, (list, tuple)):
         return _wrap([_render(v, level + 1, slabs) for v in obj], level, "[]")
@@ -251,4 +272,4 @@ def dumps(obj) -> str:
 
 def write_json(obj, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj) + "\n")
+        print(dumps(obj), file=fh)

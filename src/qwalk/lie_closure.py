@@ -167,8 +167,8 @@ class _SpanBuilder:
             return
         # a row with one nonzero coordinate x has norm sqrt(fl(x*x)) == |x|,
         # exactly, where x*x neither under- nor overflows (it underflows
-        # only below 1.5e-154, under the floor of every basis with an entry
-        # above 1.5e-140); max and -min give |x| without an |vecs| temporary
+        # only below 1.5e-154, under every floor: generators are scaled to
+        # a peak in [1, 2)); max and -min give |x| without an |vecs| temporary
         pres = np.maximum(vecs.max(axis=1, initial=0.0), -vecs.min(axis=1, initial=0.0))
         for i in np.flatnonzero(nonzero.sum(axis=1) > 1):
             pres[i] = np.linalg.norm(vecs[i])
@@ -316,10 +316,10 @@ def _closure(basis: GeneratorBasis, tol: float):
     accepted rows, ``dim`` and ``iterations`` are those of offering every
     bracket.  A tolerance that is not a number in (0, 1), NaN and infinity
     included, raises ToleranceDegenerateError; a generator that is not
-    finite, or whose squared norm could overflow, raises ValueError.  A
-    generator is zero when its norm is below ``_ZERO_NORM`` times the
-    largest entry of the basis, so the dimension does not depend on the
-    basis' scale; an all-zero basis spans nothing.
+    finite raises ValueError.  Scaled by the power of two that brings their
+    peak into [1, 2), generators keep their accepted rows' bits, no squared
+    norm under- or overflows, and one is zero below ``_ZERO_NORM`` times the
+    peak, whatever the scale; an all-zero basis spans nothing.
     """
     if not 0 < tol < 1:
         raise ToleranceDegenerateError(f"closure tolerance {tol!r} is not in (0, 1)")
@@ -331,8 +331,8 @@ def _closure(basis: GeneratorBasis, tol: float):
     peak = float(np.maximum(vecs.max(initial=0.0), -vecs.min(initial=0.0)))
     if not np.isfinite(peak):
         raise ValueError("generator basis has entries that are not finite")
-    if not np.isfinite(peak * peak * full):
-        raise ValueError(f"generator basis entries up to {peak:.3e} overflow a squared norm")
+    shift = 1 - int(np.frexp(peak)[1])  # 2**shift brings the peak into [1, 2), exactly
+    vecs, peak = np.ldexp(vecs, shift, out=vecs), float(np.ldexp(peak, shift))
     span.offer_block(vecs, _ZERO_NORM * (peak or 1.0))
     frontier = np.arange(span.dim)
     iterations = 0

@@ -22,7 +22,7 @@ from .errors import (
     UnreachableError,
 )
 from .graph_model import WalkSpec, _integer
-from .walk_core import NORM_TOL, CoinOp, WalkState, _check_dims, _index, step
+from .walk_core import NORM_TOL, CoinOp, WalkState, _check_dims, _index, _unitary, step
 
 ZERO_COEFF = 1e-14
 
@@ -91,16 +91,19 @@ def _coin_vector(d: int, c0) -> np.ndarray:
 
 
 def _reflectors(x: np.ndarray) -> np.ndarray:
-    """Per row x (unit norm) of a (B, d) array, a unitary sending x exactly
-    to the first basis vector; (B, d, d).
+    """Per row x (unit norm, else NotUnitError) of a (B, d) array, a unitary
+    sending x exactly to the first basis vector; (B, d, d).
 
     Sign-stabilized Householder reflection with the residual phase folded
     into a diagonal factor; never degenerate.  Every row gets the arithmetic
     of a one-row call: the denominator stays one ``vdot`` per row, since a
     batched sum can differ from it in the last ulp, and such noise, passed
     on to a later level's x[0] == 0, turns on the phase branch and changes
-    the blocks built from it by up to 2.
+    the blocks built from it by up to 2.  So ``_reflectors(np.eye(d))[c]``
+    is the reflector of coin basis vector c.
     """
+    if not np.all(np.abs(np.linalg.norm(x, axis=1) - 1.0) <= NORM_TOL):  # also rejects NaN
+        raise NotUnitError("a completion's row is not a unit vector")
     d = x.shape[1]
     lead = x[:, 0]
     phase = np.ones(len(x), dtype=np.complex128)
@@ -117,16 +120,14 @@ def _reflectors(x: np.ndarray) -> np.ndarray:
 
 def _completions(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Per row pair of the (B, d) arrays src and dst (unit rows), a d x d
-    unitary Q with Q @ src = dst; (B, d, d).
+    unitary Q with Q @ src = dst; (B, d, d).  Either side may instead be the
+    (B, d, d) ``_reflectors`` of its rows.
 
     Composes two Householder-style reflections through the first basis
     vector (src -> e1, then e1 -> dst).
     """
-    for name, rows in (("src", src), ("dst", dst)):
-        norms = np.linalg.norm(rows, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= NORM_TOL):  # also rejects NaN
-            raise NotUnitError(f"{name} is not a unit vector")
-    return _reflectors(dst).conj().transpose(0, 2, 1) @ _reflectors(src)
+    src, dst = (x if x.ndim == 3 else _reflectors(x) for x in (src, dst))
+    return dst.conj().transpose(0, 2, 1) @ src
 
 
 def _least_steps(ends: np.ndarray, members: np.ndarray):
@@ -144,12 +145,12 @@ def _spread(spec, c0vec, nodes, coeffs, masks):
     """Core of spread_from_node; returns (ops, coin states of nodes).
 
     Walks down the levels grouping each level's nodes under their least
-    (predecessor, coin), whose weight is the group's norm, then builds the
-    coin steps on the way up, one batched completion per level.  The
-    weights keep the scalar arithmetic of a per-node sum: libm's pow for
-    the squares, in node order (the array square x * x differs from pow in
-    the last ulp), and a / gamma stays a complex division at the top level
-    and a real one below.
+    (predecessor, coin), whose weight is the group's norm; a level's sources,
+    the coin basis vectors of the level below, are then known, and one
+    completion batch and one check build every step.  The weights keep the
+    scalar arithmetic of a per-node sum: libm's pow for the squares, in node
+    order (the array square x * x differs from pow in the last ulp), and
+    a / gamma stays a complex division at the top level and a real one below.
     """
     d, n = spec.d, spec.n
     inv = np.argsort(spec.maps, axis=1)
@@ -163,17 +164,21 @@ def _spread(spec, c0vec, nodes, coeffs, masks):
         zs, group = np.unique(preds, return_inverse=True)
         weights = np.bincount(group, weights=[abs(a) ** 2 for a in coeffs], minlength=len(zs))
         gammas = np.sqrt(weights)
-        levels.append((coins, zs, group, coeffs / gammas[group]))
+        dst = np.zeros((len(zs), d), dtype=np.complex128)
+        dst[group, coins] += coeffs / gammas[group]
+        levels.insert(0, (coins, zs, dst))
         nodes, coeffs = zs, gammas
     states = (np.conj(complex(coeffs[0])) * c0vec)[None]  # the one node of level 0
-    ops = []
-    eye = np.eye(d, dtype=np.complex128)
-    for coins, zs, group, scaled in reversed(levels):
-        dst = np.zeros((len(zs), d), dtype=np.complex128)
-        dst[group, coins] += scaled
-        ops.append(CoinOp.from_blocks(d, n, zs, _completions(states, dst)))
-        states = eye[coins]
-    return ops, states
+    if not levels:
+        return [], states
+    coins, zs, dst = zip(*levels)
+    basis = _reflectors(np.eye(d))
+    src = np.concatenate([_reflectors(states), *(basis[c] for c in coins[:-1])])
+    verts = np.concatenate(zs)
+    full = np.broadcast_to(np.eye(d, dtype=np.complex128), (len(zs), n, d, d)).copy()
+    full[np.repeat(np.arange(len(zs)), list(map(len, zs))), verts] = _unitary(
+        _completions(src, np.concatenate(dst)), lambda i: f"vertex {verts[i]}")
+    return list(map(CoinOp._of, full)), np.eye(d, dtype=np.complex128)[coins[-1]]
 
 
 def spread_from_node(spec: WalkSpec, j: int, c0, target: TargetSpread, k: int):
@@ -231,7 +236,7 @@ def concentrate_to_node(spec: WalkSpec, j: int, state: WalkState, k: int):
     k = _index(k, None, "level")
     support = np.flatnonzero(np.linalg.norm(state.table(), axis=0) > ZERO_COEFF)
     masks = reachable_masks(spec, j, k, support.tolist())
-    eye = np.eye(spec.d, dtype=np.complex128)
+    basis = _reflectors(np.eye(spec.d))
     ops = []
     current = state
     for level in range(k, 0, -1):
@@ -246,7 +251,7 @@ def concentrate_to_node(spec: WalkSpec, j: int, state: WalkState, k: int):
         # one norm per column: a norm along an axis differs in the last ulp
         gammas = np.array([float(np.linalg.norm(table[:, v])) for v in support])
         src = (table[:, support] / gammas).T
-        op = CoinOp.from_blocks(spec.d, spec.n, support, _completions(src, eye[coins]))
+        op = CoinOp.from_blocks(spec.d, spec.n, support, _completions(src, basis[coins]))
         ops.append(op)
         current = step(current, op, spec)
     final_coin = current.table()[:, j].copy()

@@ -85,7 +85,7 @@ class CoinOp:
     Blocks carrying representation noise (e.g. rounded on a JSON round
     trip) are snapped to their nearest unitary, so repeated steps cannot
     walk a state's norm out of tolerance.  Blocks beyond the tolerance are
-    rejected.
+    rejected (``_unitary``).
     """
 
     blocks: np.ndarray
@@ -94,18 +94,16 @@ class CoinOp:
         blocks = np.array(self.blocks, dtype=np.complex128)  # the caller's stays writable
         if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
             raise DimensionMismatchError(f"blocks must be (n, d, d), got {blocks.shape}")
-        gram = blocks.conj().transpose(0, 2, 1) @ blocks
-        err = np.abs(gram - np.eye(blocks.shape[1])).max(axis=(1, 2))
-        bad = np.flatnonzero(~(err <= UNITARY_TOL))  # also catches NaN
-        if bad.size:
-            j = int(bad[0])
-            raise NotUnitError(f"coin block at vertex {j} is not unitary (err {err[j]:.2e})")
-        noisy = np.flatnonzero(err > 1e-14)
-        if noisy.size:  # nearest unitary: polar factor via SVD
-            u, _, vh = np.linalg.svd(blocks[noisy])
-            blocks[noisy] = u @ vh
-        blocks.setflags(write=False)
+        _unitary(blocks, "vertex {}".format).setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
+
+    @classmethod
+    def _of(cls, blocks: np.ndarray) -> "CoinOp":
+        """Private constructor: an (n, d, d) stack that passed ``_unitary``, uncopied."""
+        op = object.__new__(cls)
+        blocks.setflags(write=False)
+        object.__setattr__(op, "blocks", blocks)
+        return op
 
     @property
     def n(self) -> int:
@@ -126,8 +124,25 @@ class CoinOp:
         if repeated.size:
             raise IndexOutOfRangeError(f"vertices {repeated.tolist()} repeated")
         full = np.broadcast_to(np.eye(d, dtype=np.complex128), (n, d, d)).copy()
-        full[idx] = np.reshape(blocks, (-1, d, d))  # an empty list too
-        return cls(full)
+        given = np.array(np.reshape(blocks, (-1, d, d)), dtype=np.complex128)  # an empty list too
+        full[idx] = _unitary(given, lambda i: f"vertex {idx[i]}")  # identity blocks have error 0
+        return cls._of(full)
+
+
+def _unitary(blocks: np.ndarray, where) -> np.ndarray:
+    """The complex (..., d, d) stack, its noisy blocks snapped in place; a block
+    beyond the tolerance raises NotUnitError naming ``where(*its index)``."""
+    gram = blocks.conj().swapaxes(-1, -2) @ blocks
+    err = np.abs(gram - np.eye(blocks.shape[-1])).max(axis=(-2, -1))
+    bad = np.argwhere(~(err <= UNITARY_TOL))  # also catches NaN
+    if bad.size:
+        at = tuple(bad[0].tolist())
+        raise NotUnitError(f"coin block at {where(*at)} is not unitary (err {err[at]:.2e})")
+    noisy = err > 1e-14
+    if noisy.any():  # nearest unitary: polar factor via SVD
+        u, _, vh = np.linalg.svd(blocks[noisy])
+        blocks[noisy] = u @ vh
+    return blocks
 
 
 def shift_order(spec: WalkSpec) -> int:

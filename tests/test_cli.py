@@ -361,6 +361,34 @@ def test_malformed_sequence_or_state_is_invalid(capsys, tmp_path, cycle5_path, w
     assert json.loads(out)["error"] == "SpecValidationError"
 
 
+_SHEAR = [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+_NAN = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "steps,error,detail",
+    [
+        ([[_EYE] * 5, [_EYE] * 2 + [_SHEAR] + [_EYE] * 2], "NotUnitError", "step 1, vertex 2 is not"),
+        ([[_EYE] * 4 + [_NAN], [_EYE] * 5], "NotUnitError", "step 0, vertex 4 is not"),
+        ([[_EYE] * 5, [_EYE] * 3 + [[[[1.0, 0.0]]]] + [_EYE]], "SpecValidationError", "step 1, vertex 3:"),
+        ([[_EYE] * 5, [_EYE] * 5, [_EYE] * 4], "SpecValidationError", "step 2:"),
+        ([[[[[1.0, 0.0]] * 3] * 2] * 5] * 2, "DimensionMismatchError", "step 0, vertex 0 has"),
+    ],
+    ids=["non-unitary", "nan", "misshapen-block", "steps-of-two-shapes", "non-square-blocks"],
+)
+def test_bad_coin_block_names_its_step_and_vertex(capsys, tmp_path, cycle5_path, steps, error, detail):
+    # every step's coins are decoded and checked as one stack; the error
+    # still names the step and the vertex at fault
+    state_path, seq_path = tmp_path / "state.json", tmp_path / "seq.json"
+    json_io.write_json({"d": 2, "n": 5, "amps": _AMPS}, str(state_path))
+    seq_path.write_text(json.dumps({"steps": [{"coins": coins} for coins in steps]}))
+    code = main(["simulate", "--spec", cycle5_path, "--state", str(state_path), "--seq", str(seq_path)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["error"] == error and detail in doc["detail"], doc
+
+
 @pytest.mark.parametrize(
     "state,detail",
     [

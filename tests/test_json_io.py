@@ -8,7 +8,7 @@ import pytest
 
 import qwalk as qw
 from qwalk import json_io
-from qwalk.sampling import random_walk_state
+from qwalk.sampling import random_spec, random_walk_state
 
 
 def _pair(z) -> list:
@@ -90,6 +90,53 @@ def test_sequence_and_state_text_is_pinned(name, build):
     }
     reference = {**doc, "state": reference_state_doc(final)}
     assert_same_text(json_io.dumps(doc), json.dumps(reference, indent=2, allow_nan=False))
+
+
+def _written_and_read_transfers():
+    """Sequence documents of transfers between Haar states, written by
+    ``dumps`` and parsed back, on the bench's walks and random_spec draws."""
+    specs = [qw.cycle_shift(31), qw.torus(7, 9), qw.complete(12)]
+    rng = np.random.default_rng(23)
+    while len(specs) < 10:
+        spec = random_spec(rng)
+        if qw.analyze(spec).controllable:
+            specs.append(spec)
+    for spec in specs:
+        seq = qw.arbitrary_transfer(spec, random_walk_state(rng, spec), random_walk_state(rng, spec))
+        yield spec, json.loads(json_io.dumps(json_io.sequence_to_dict(seq)))
+
+
+def test_stacked_decode_matches_one_coin_op_per_step():
+    # one decode and one check over every step give the bits of a CoinOp
+    # built from each step alone, signed zeros and snapped blocks included
+    generic = snapped = 0
+    for spec, doc in _written_and_read_transfers():
+        seq = json_io.sequence_from_dict(doc)
+        assert seq.meta == tuple(entry["phase"] for entry in doc["steps"])
+        assert len(seq) == len(doc["steps"])
+        for op, entry in zip(seq.ops, doc["steps"]):
+            raw = json_io._from_pairs(entry["coins"], "coins")
+            ref = qw.CoinOp(raw).blocks
+            assert op.blocks.shape == ref.shape and op.blocks.tobytes() == ref.tobytes()
+            assert not op.blocks.flags.writeable
+            generic += int((raw != np.eye(spec.d)).any(axis=(1, 2)).sum())
+            snapped += int((ref != raw).any(axis=(1, 2)).sum())
+    # after 12-digit rounding most non-identity blocks take the SVD snap
+    assert snapped > generic / 2
+
+
+def test_sequence_document_is_checked_once(monkeypatch):
+    calls = []
+    check = json_io._unitary
+
+    def counting_check(blocks, where):
+        calls.append(blocks.shape)
+        return check(blocks, where)
+
+    monkeypatch.setattr(json_io, "_unitary", counting_check)
+    spec, doc = next(_written_and_read_transfers())
+    seq = json_io.sequence_from_dict(doc)
+    assert calls == [(len(seq), spec.n, spec.d, spec.d)]
 
 
 def _assert_pinned(a):

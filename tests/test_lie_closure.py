@@ -552,19 +552,20 @@ def test_generators_must_be_finite(bad):
 
 
 def test_closure_does_not_depend_on_the_basis_scale():
-    # the zero floor is relative to the largest entry: a disjoint block and
-    # a pair that shares a coordinate both close to su(2) at every scale
-    for e in range(-150, 151):
+    # the zero floor is relative to the largest entry, and the generators
+    # are offered scaled to a peak in [1, 2): a disjoint block and a pair
+    # that shares a coordinate both close to su(2) at every scale
+    for e in range(-300, 301):
         s = 10.0 ** e
         for mats in ([s * 1j * SX, s * 1j * SY], [s * 1j * SX, s * 1j * (SX + SY)]):
             assert qw.lie_closure_dim(GeneratorBasis(mats=mats)).dim == 3, e
 
 
 def test_generator_norms_must_not_overflow():
-    # the squared norm of 1e200 overflows; 1e150 is normalized and closes
-    with pytest.raises(ValueError, match="overflow"):
-        qw.lie_closure_dim(GeneratorBasis(mats=[1e200j * SX, 1e200j * SY]))
-    assert qw.lie_closure_dim(GeneratorBasis(mats=[1e150j * SX, 1e150j * SY])).dim == 3
+    # 1e200 squared overflows; the generators are scaled to a peak in
+    # [1, 2) before any norm is taken, so both close to su(2)
+    for s in (1e150, 1e200):
+        assert qw.lie_closure_dim(GeneratorBasis(mats=[s * 1j * SX, s * 1j * SY])).dim == 3
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 
 import qwalk as qw
 from qwalk.sampling import random_spec, random_state_vector, random_walk_state
+from qwalk import synthesis
 from qwalk.synthesis import _completions
 
 from test_walk_core import identity_coin
@@ -422,6 +423,25 @@ def test_batched_spread_matches_reference_on_complex_targets(seed):
     assert _same_bits(seq.ops, ref_ops)
     assert states.keys() == ref_states.keys()
     assert all(states[v].tobytes() == ref_states[v].tobytes() for v in nodes)
+
+
+def test_batched_spread_builds_every_level_in_one_completion_call(monkeypatch):
+    # a level's sources are the coin basis vectors of the level below, known
+    # after the downward pass: 30 levels take one completion batch
+    calls = []
+
+    def counting_completions(src, dst):
+        calls.append(len(dst))
+        return _completions(src, dst)
+
+    monkeypatch.setattr(synthesis, "_completions", counting_completions)
+    spec = qw.cycle_shift(31)
+    nodes = tuple(sorted(qw.reachable_sets(spec, 0, 30)[30]))
+    target = qw.TargetSpread(nodes, np.full(len(nodes), 1 / np.sqrt(len(nodes))))
+    seq, _ = qw.spread_from_node(spec, 0, 1, target, 30)
+    assert len(seq) == 30 and len(calls) <= 2
+    final = qw.apply_sequence(qw.basis_state(spec, 1, 0), seq, spec)
+    assert np.abs(qw.position_probabilities(final)[list(nodes)] - 1 / len(nodes)).max() < 1e-12
 
 
 def test_unitary_completion_of_a_basis_vector_to_itself_is_the_identity():

@@ -167,6 +167,9 @@ def test_coin_unitarity_validation():
     bad = np.stack([np.eye(2), np.array([[1, 1], [0, 1]])]).astype(complex)
     with pytest.raises(qw.NotUnitError, match="vertex 1"):
         qw.CoinOp(bad)
+    # from_blocks checks the given blocks alone and names the vertex
+    with pytest.raises(qw.NotUnitError, match="vertex 4 is not"):
+        qw.CoinOp.from_blocks(2, 5, [3, 4, 0], [np.eye(2), bad[1], bad[1]])
 
 
 def test_coin_polish_snaps_noisy_blocks_and_keeps_the_input():
