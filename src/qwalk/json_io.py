@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import gc
 import json
+from contextlib import suppress
+from itertools import chain
 
 import numpy as np
 
@@ -28,15 +30,20 @@ def round_float(x) -> float:
 
 
 def _from_pairs(pairs, key: str) -> np.ndarray:
-    """Complex array from a nested list whose innermost entries are
-    [re, im] pairs."""
-    try:
-        arr = np.asarray(pairs, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged nesting, strings, objects
-        arr = np.empty(0)
-    if arr.shape[-1:] != (2,):
-        raise SpecValidationError(f'"{key}" must be an evenly nested list of [re, im] pairs')
-    return arr[..., 0] + 1j * arr[..., 1]
+    """Complex array from a nested list of [re, im] pairs: each level is lists of
+    one length, and the numbers convert as in np.asarray(..., float) (null as NaN)."""
+    shape, level = [], [pairs]
+    while set(map(type, level)) == {list} and len(set(map(len, level))) == 1:
+        shape.append(len(level[0]))
+        if shape[-1] and type(level[0][0]) is list:
+            level = list(chain.from_iterable(level))
+            continue
+        if shape[-1] == 2:  # the pairs; a list among the numbers is ragged nesting too
+            with suppress(TypeError, ValueError, OverflowError):  # strings, objects, huge ints
+                arr = np.fromiter(chain.from_iterable(level), np.float64, 2 * len(level))
+                return (arr[0::2] + 1j * arr[1::2]).reshape(shape[:-1])
+        break
+    raise SpecValidationError(f'"{key}" must be an evenly nested list of [re, im] pairs')
 
 
 def _object(data, kind: str) -> dict:

@@ -22,7 +22,7 @@ from .errors import (
     UnreachableError,
 )
 from .graph_model import WalkSpec, _integer
-from .walk_core import NORM_TOL, CoinOp, WalkState, _check_dims, _index, _unitary, step
+from .walk_core import NORM_TOL, CoinOp, WalkState, _check_dims, _index, _step_table, _unitary
 
 ZERO_COEFF = 1e-14
 
@@ -96,11 +96,11 @@ def _reflectors(x: np.ndarray) -> np.ndarray:
 
     Sign-stabilized Householder reflection with the residual phase folded
     into a diagonal factor; never degenerate.  Every row gets the arithmetic
-    of a one-row call: the denominator stays one ``vdot`` per row, since a
-    batched sum can differ from it in the last ulp, and such noise, passed
-    on to a later level's x[0] == 0, turns on the phase branch and changes
-    the blocks built from it by up to 2.  So ``_reflectors(np.eye(d))[c]``
-    is the reflector of coin basis vector c.
+    of a one-row call: its denominator is the ``vdot`` BLAS dot of the row,
+    through ``_row_dots``.  A sum along an axis can differ from it in the
+    last ulp, and such noise, passed on to a later level's x[0] == 0, turns
+    on the phase branch and changes the blocks built from it by up to 2.
+    So ``_reflectors(np.eye(d))[c]`` is the reflector of coin basis vector c.
     """
     if not np.all(np.abs(np.linalg.norm(x, axis=1) - 1.0) <= NORM_TOL):  # also rejects NaN
         raise NotUnitError("a completion's row is not a unit vector")
@@ -109,13 +109,19 @@ def _reflectors(x: np.ndarray) -> np.ndarray:
     phase = np.ones(len(x), dtype=np.complex128)
     turned = lead != 0
     phase[turned] = np.exp(1j * np.angle(lead[turned]))
-    w = x.astype(np.complex128)
+    w = x.astype(np.complex128, order="C")  # unit-stride rows, as vdot copies them
     w[:, 0] += phase
-    norms = np.array([np.vdot(row, row).real for row in w])
+    norms = _row_dots(w.conj(), w).real
     outer = w[:, :, None] * w.conj()[:, None, :]
     u = np.eye(d, dtype=np.complex128) - 2.0 * outer / norms[:, None, None]
     u[:, 0, :] *= -np.conj(phase)[:, None]
     return u
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot of each row pair of the (B, d) arrays a and b, with the bits of a one-row
+    ``ndarray.dot``: matmul's vector @ vector loop calls the same BLAS dot."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _completions(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -238,9 +244,8 @@ def concentrate_to_node(spec: WalkSpec, j: int, state: WalkState, k: int):
     masks = reachable_masks(spec, j, k, support.tolist())
     basis = _reflectors(np.eye(spec.d))
     ops = []
-    current = state
+    table = state.table()
     for level in range(k, 0, -1):
-        table = current.table()
         support = np.flatnonzero(np.linalg.norm(table, axis=0) > ZERO_COEFF)
         if support.tolist() == [j]:
             break
@@ -248,13 +253,13 @@ def concentrate_to_node(spec: WalkSpec, j: int, state: WalkState, k: int):
         if (nexts < 0).any():  # impossible for support in the level mask
             v = int(support[np.argmax(nexts < 0)])
             raise UnreachableError(f"no step from {v} toward {j} at level {level}")
-        # one norm per column: a norm along an axis differs in the last ulp
-        gammas = np.array([float(np.linalg.norm(table[:, v])) for v in support])
-        src = (table[:, support] / gammas).T
+        # each column over its np.linalg.norm; a norm along an axis differs in the last ulp
+        src = np.ascontiguousarray(table[:, support].T)
+        src /= np.sqrt(_row_dots(src.real, src.real) + _row_dots(src.imag, src.imag))[:, None]
         op = CoinOp.from_blocks(spec.d, spec.n, support, _completions(src, basis[coins]))
         ops.append(op)
-        current = step(current, op, spec)
-    final_coin = current.table()[:, j].copy()
+        table = _step_table(table, op.blocks, spec.maps)
+    final_coin = table[:, j].copy()
     return ControlSequence(tuple(ops), ("concentrate",) * len(ops)), final_coin
 
 

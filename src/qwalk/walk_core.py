@@ -67,15 +67,20 @@ class WalkState:
             raise DimensionMismatchError(
                 f"state has {amps.size} amplitudes, expected d*n = {self.d * self.n}"
             )
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN
-            raise NotUnitError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
+        _unit_norm(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
     def table(self) -> np.ndarray:
         """Amplitudes as a (d, n) array; column j is the coin vector at j."""
         return self.amps.reshape(self.d, self.n)
+
+
+def _unit_norm(amps: np.ndarray) -> None:
+    """WalkState's norm test, also run on each raw table a step makes."""
+    norm = float(np.linalg.norm(amps))
+    if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN
+        raise NotUnitError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +137,10 @@ class CoinOp:
 def _unitary(blocks: np.ndarray, where) -> np.ndarray:
     """The complex (..., d, d) stack, its noisy blocks snapped in place; a block
     beyond the tolerance raises NotUnitError naming ``where(*its index)``."""
-    gram = blocks.conj().swapaxes(-1, -2) @ blocks
-    err = np.abs(gram - np.eye(blocks.shape[-1])).max(axis=(-2, -1))
+    eye, err = np.eye(blocks.shape[-1]), np.zeros(blocks.shape[:-2])
+    todo = ~(blocks == eye).all(axis=(-2, -1))  # an exact identity's error is exactly 0
+    given = blocks[todo]
+    err[todo] = np.abs(given.conj().swapaxes(-1, -2) @ given - eye).max(axis=(-2, -1))
     bad = np.argwhere(~(err <= UNITARY_TOL))  # also catches NaN
     if bad.size:
         at = tuple(bad[0].tolist())
@@ -168,26 +175,32 @@ def _check_dims(spec: WalkSpec, **parts):
             raise DimensionMismatchError(f"{name} is {x.d}x{x.n}, walk is {spec.d}x{spec.n}")
 
 
+def _step_table(table: np.ndarray, blocks: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """One walk step on a raw (d, n) table; the new table passes WalkState's norm test."""
+    mixed = np.einsum("jki,ij->kj", blocks, table)
+    out = np.empty_like(mixed)
+    out[np.arange(len(maps))[:, None], maps] = mixed
+    _unit_norm(out)
+    return out
+
+
 def step(state: WalkState, coin: CoinOp, spec: WalkSpec) -> WalkState:
     """One step: coin blocks act per vertex, then the shift permutes vertices.
 
     Never materializes the d*n x d*n operators.
     """
-    _check_dims(spec, state=state, coin=coin)
-    psi = state.table()
-    mixed = np.einsum("jki,ij->kj", coin.blocks, psi)
-    out = np.empty_like(mixed)
-    out[np.arange(spec.d)[:, None], spec.maps] = mixed
-    return WalkState(spec.d, spec.n, out.reshape(-1))
+    return apply_sequence(state, (coin,), spec)
 
 
 def apply_sequence(state: WalkState, seq, spec: WalkSpec) -> WalkState:
-    """Fold ``step`` over an iterable of coin operations, first entry first.
-    The state must fit the walk, also when there is no step."""
+    """One step per coin operation of an iterable, first entry first, on the raw
+    table.  The state must fit the walk, and is returned if there is no step."""
     _check_dims(spec, state=state)
+    table = None
     for coin in seq:
-        state = step(state, coin, spec)
-    return state
+        _check_dims(spec, coin=coin)
+        table = _step_table(state.table() if table is None else table, coin.blocks, spec.maps)
+    return state if table is None else WalkState(spec.d, spec.n, table)
 
 
 def position_probabilities(state: WalkState) -> np.ndarray:

@@ -345,8 +345,12 @@ _AMPS = [[1.0, 0.0]] + [[0.0, 0.0]] * 9
         ("seq", {"steps": [{"coins": "x"}]}),
         ("state", {"n": 5, "amps": _AMPS}),
         ("state", {"d": 2, "n": 5, "amps": [[1.0]] + _AMPS[1:]}),
+        # a JSON integer beyond float range: np.asarray raised OverflowError
+        ("state", {"d": 2, "n": 5, "amps": [[10 ** 400, 0]] + _AMPS[1:]}),
+        ("seq", {"steps": [{"coins": [_EYE] * 4 + [[[[-10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]]}]}),
     ],
-    ids=["ragged-coins", "missing-steps", "integer-steps", "string-coins", "missing-d", "ragged-amps"],
+    ids=["ragged-coins", "missing-steps", "integer-steps", "string-coins", "missing-d", "ragged-amps",
+         "huge-integer-amps", "huge-integer-coins"],
 )
 def test_malformed_sequence_or_state_is_invalid(capsys, tmp_path, cycle5_path, which, doc):
     paths = {"state": tmp_path / "state.json", "seq": tmp_path / "seq.json"}

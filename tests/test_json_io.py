@@ -10,6 +10,8 @@ import qwalk as qw
 from qwalk import json_io
 from qwalk.sampling import random_spec, random_walk_state
 
+from reference import from_pairs_asarray
+
 
 def _pair(z) -> list:
     return [json_io.round_float(z.real), json_io.round_float(z.imag)]
@@ -137,6 +139,53 @@ def test_sequence_document_is_checked_once(monkeypatch):
     spec, doc = next(_written_and_read_transfers())
     seq = json_io.sequence_from_dict(doc)
     assert calls == [(len(seq), spec.n, spec.d, spec.d)]
+
+
+_PAIR = [1.0, 0.0]
+_ODD_VALUES = [
+    # ragged at each depth
+    [[1, 2], [3]], [[1, 2], 3], [[1, 2], [[3, 4]]], [[[1, 2]], [[1, 2], [3, 4]]],
+    [[[1, 2], [3, 4]], [[1, 2], [3]]], [[[[1, 0]]], [[[1, 0]], [[0, 1]]]], [[1, [2]]],
+    [[_PAIR, _PAIR], [_PAIR, _PAIR, _PAIR], [_PAIR]],  # as many numbers as an even nesting
+    # a string or a two-key object where a pair belongs
+    [[1, 2], "12"], ["12", "34"], ["12"], "12", [_PAIR, {"re": 1, "im": 2}],
+    [{"re": 1, "im": 2}, {"re": 1, "im": 2}], {"re": 1, "im": 2},
+    # numeric strings, null and bools
+    [["1.5", "-2"], ["1e3", " 7 "]], [["inf", "-nan"], ["1_0", "-0"]], [["0x10", 1]], [["", 1]],
+    [[None, 1], [0, None]], [[True, False], [False, True]], [[True, "2"], [None, 3]],
+    None, 5, 2.5, True,
+    # deeper uniform nesting and empty lists
+    [[[[[1, 0], [0, 1]]]]], [[[[_PAIR, _PAIR], [_PAIR, _PAIR]]] * 2] * 3, [_PAIR] * 7,
+    [], [[]], [[], []], [[[]]], [[[], []]], [[[1, 2]], []], [[], [[1, 2]]], [[_PAIR, []]],
+    [[1, 2, 3]], [[[1, 2, 3]]], [[-0.0, 0.0], [0.0, -0.0]],
+    # one vertex of d = 2, the shape of the other step's coins
+    [[[["1", 0], [False, "-0"]], [[0, "0"], [True, 0.0]]]], [[[["1", 0], [None, 0]], [[0, 0], _PAIR]]],
+    [[[_PAIR, [0, 0]], [[0, 0]]]], [[[_PAIR, [0, 0]], "12"]],
+]
+
+
+def _decode(decoder, value):
+    """The array bytes and shape, or the SpecValidationError text."""
+    try:
+        arr = decoder(value, "amps")
+    except qw.SpecValidationError as exc:
+        return str(exc)
+    return arr.shape, arr.tobytes()
+
+
+@pytest.mark.parametrize("value", _ODD_VALUES, ids=range(len(_ODD_VALUES)))
+def test_flat_decode_matches_the_asarray_reference(monkeypatch, value):
+    assert _decode(json_io._from_pairs, value) == _decode(from_pairs_asarray, value)
+    # and through sequence_from_dict, where _odd names the step and vertex
+    doc = {"steps": [{"coins": [[[_PAIR, [0, 0]], [[0, 0], _PAIR]]]}, {"coins": value}]}
+    outcomes = []
+    for decoder in (json_io._from_pairs, from_pairs_asarray):
+        monkeypatch.setattr(json_io, "_from_pairs", decoder)
+        try:
+            outcomes.append([op.blocks.tobytes() for op in json_io.sequence_from_dict(doc)])
+        except qw.QwalkError as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 def _assert_pinned(a):

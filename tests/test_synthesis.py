@@ -471,3 +471,45 @@ def test_batched_completions_match_single_row_calls():
         for q, s, t in zip(batched, src, dst):
             assert q.tobytes() == completion(s, t).tobytes()
             assert q.tobytes() == _ref_completion(s, t).tobytes()
+
+
+def _rows_for_dots(rng, d):
+    """Complex (B, d) rows over magnitudes 1e-150 to 1e150: rows of one scale,
+    rows mixing scales, rows with x[0] == 0 and rows holding +-0.0."""
+    scales = 10.0 ** np.arange(-150, 151, 15)
+    shape = (len(scales), d)
+    rows = [(rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scales[:, None],
+            rng.normal(size=shape) * 10.0 ** rng.integers(-150, 151, size=shape)
+            + 1j * rng.normal(size=shape) * 10.0 ** rng.integers(-150, 151, size=shape)]
+    lead0 = rows[0][::3].copy()
+    lead0[:, 0] = 0
+    zeros = rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d))
+    zeros[zeros.real > 0] = complex(0.0, -0.0)
+    zeros[(zeros.imag > 0) & (zeros != 0)] = complex(-0.0, 0.0)
+    return np.concatenate(rows + [lead0, zeros])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 11, 17, 33, 99])
+def test_batched_row_dots_match_per_row_blas_calls(d):
+    # matmul's vector @ vector loop must reach the BLAS dot that np.vdot and
+    # np.linalg.norm use: a batched sum (einsum, sum along an axis) differs
+    # from it in the last ulp, and the constructions' bytes with it
+    rows = _rows_for_dots(np.random.default_rng(d), d)
+    for w in (rows, np.asfortranarray(rows)):
+        got = synthesis._row_dots(w.conj(), w).real
+        want = [np.vdot(row, row).real for row in w]
+        assert got.tobytes() == np.array(want).tobytes()
+    # concentrate_to_node's column norms, the columns strided in a (d, n) table
+    table = np.ascontiguousarray(rows.T)
+    cols = np.ascontiguousarray(table.T)
+    got = np.sqrt(synthesis._row_dots(cols.real, cols.real)
+                  + synthesis._row_dots(cols.imag, cols.imag))
+    want = [float(np.linalg.norm(table[:, v])) for v in range(table.shape[1])]
+    assert got.tobytes() == np.array(want).tobytes()
+    # and whole reflectors of unit rows, C- or F-ordered, per row
+    rows = rows[np.linalg.norm(rows, axis=1) > 0]
+    unit = rows / np.linalg.norm(rows, axis=1)[:, None]
+    unit = unit[np.abs(np.linalg.norm(unit, axis=1) - 1) <= 1e-12]
+    for x in (unit, np.asfortranarray(unit)):
+        batched = synthesis._reflectors(x)
+        assert all(u.tobytes() == _ref_reflector_to_e1(r).tobytes() for u, r in zip(batched, x))

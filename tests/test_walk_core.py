@@ -9,7 +9,7 @@ import qwalk as qw
 from qwalk import json_io
 from qwalk.sampling import random_coin_op, random_spec, random_unitary, random_walk_state
 
-from reference import coin_matrix, shift_matrix
+from reference import coin_matrix, shift_matrix, unitary_every_block
 
 
 def identity_coin(d, n):
@@ -190,6 +190,63 @@ def test_coin_polish_snaps_noisy_blocks_and_keeps_the_input():
     noisy[3, 0, 0] += 1.0
     with pytest.raises(qw.NotUnitError, match=r"vertex 2 is not unitary \(err \d\.\d\de-0"):
         qw.CoinOp(noisy)
+
+
+
+def _mixed_blocks(rng, d):
+    """Exact identity, identity with -0.0 entries, a NaN block, a noisy
+    block (rounded to 12 digits), a block beyond UNITARY_TOL and a noisy
+    identity."""
+    eye = np.eye(d, dtype=complex)
+    signed = eye.copy()
+    signed[0, 1], signed[1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    signed[1, 1] = complex(1, -0.0)
+    nan = eye.copy()
+    nan[1, 1] = np.nan
+    far = eye.copy()
+    far[0, 0] += 1e-6
+    near = eye.copy()
+    near[1, 0] = 3e-13
+    return eye, signed, nan, random_unitary(rng, d).round(12), far, near
+
+
+def test_unitary_skips_identity_blocks_with_the_reference_bits_and_errors():
+    # an exact identity block has error exactly 0, so skipping its Gram
+    # changes no snapped byte and no error text
+    rng = np.random.default_rng(14)
+    for d in (2, 3, 5):
+        eye, signed, nan, noisy, far, near = _mixed_blocks(rng, d)
+        good = np.stack([eye, noisy, signed, near, random_unitary(rng, d), eye, noisy.round(11)])
+        for stack, where in ((good, "vertex {}".format),
+                             (np.stack([good, good[::-1]]), "step {}, vertex {}".format),
+                             (np.stack([eye, signed]), "vertex {}".format)):
+            got = qw.walk_core._unitary(stack.copy(), where)
+            want = unitary_every_block(stack.copy(), where)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.signbit(got[1].real).any()  # the -0.0 identity is kept as it is
+        for order in ([eye, signed, nan, noisy, far], [signed, far, eye, nan], [noisy, nan, far]):
+            errors = []
+            for check in (qw.walk_core._unitary, unitary_every_block):
+                with pytest.raises(qw.NotUnitError) as info:
+                    check(np.stack(order), "vertex {}".format)
+                errors.append(str(info.value))
+            assert errors[0] == errors[1]
+
+
+def test_replay_keeps_the_per_step_norm_check(c5):
+    # an op that skipped the unitarity check lets the norm drift; replay on
+    # the raw table stops at the first drifting step with WalkState's error
+    state = qw.basis_state(c5, 1, 2)
+    drift = qw.CoinOp._of(np.broadcast_to(np.eye(2) * (1 + 1e-9), (5, 2, 2)).astype(complex))
+    ident = identity_coin(2, 5)
+    amps = shift_matrix(c5) @ coin_matrix(drift) @ shift_matrix(c5) @ state.amps
+    with pytest.raises(qw.NotUnitError) as want:
+        qw.WalkState(2, 5, amps)
+    for seq in ([ident, drift, drift, ident], [ident, drift]):
+        with pytest.raises(qw.NotUnitError) as got:
+            qw.apply_sequence(state, seq, c5)
+        assert str(got.value) == str(want.value)
+    assert str(want.value).startswith("state norm 1.000000001 is not 1 within")
 
 
 @pytest.mark.parametrize(
