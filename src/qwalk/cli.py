@@ -25,9 +25,9 @@ from .graph_model import (
     torus,
 )
 from .lie_closure import DEFAULT_DIM_CAP, DEFAULT_TOL, verify_structure
-from .sampling import random_walk_state
 from .synthesis import TargetSpread, arbitrary_transfer, spread_from_node
 from .walk_core import (
+    WalkState,
     apply_sequence,
     basis_state,
     position_probabilities,
@@ -224,8 +224,8 @@ def cmd_demo(args) -> int:
     # round-trip transfer between two random 5-cycle states from a fixed seed
     rng = np.random.default_rng(0)
     c5 = cycle_shift(5)
-    psi_a = random_walk_state(rng, c5)
-    psi_b = random_walk_state(rng, c5)
+    psi_a, psi_b = (WalkState(2, 5, v / np.linalg.norm(v))
+                    for v in (re + 1j * im for re, im in rng.standard_normal((2, 2, 10))))
     there = arbitrary_transfer(c5, psi_a, psi_b)
     back = arbitrary_transfer(c5, psi_b, psi_a)
     rt = state_fidelity(psi_a, apply_sequence(apply_sequence(psi_a, there, c5), back, c5))

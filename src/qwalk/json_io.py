@@ -107,7 +107,8 @@ def sequence_to_dict(seq: ControlSequence, **extra) -> dict:
 def sequence_from_dict(data: dict) -> ControlSequence:
     """Raises SpecValidationError unless ``data`` is an object whose "steps"
     is a list of objects, each with a "coins" list of [re, im] pairs, all of
-    one shape.  The steps are decoded and checked as one stack."""
+    one shape, and a string "phase" if it has one.  The steps are decoded
+    and checked as one stack."""
     steps = _object(data, "sequence").get("steps")
     if not isinstance(steps, list):
         raise SpecValidationError(f'"steps" must be a list, got {type(steps).__name__}')
@@ -120,6 +121,9 @@ def sequence_from_dict(data: dict) -> ControlSequence:
         raise DimensionMismatchError(f"coin block at step 0, vertex 0 has shape {blocks.shape[2:]}")
     _unitary(blocks, "step {}, vertex {}".format)
     meta = tuple(entry.get("phase", "step") for entry in steps)
+    for i, tag in enumerate(meta):
+        if not isinstance(tag, str):
+            raise SpecValidationError(f'step {i}: "phase" must be a string, got {type(tag).__name__}')
     return ControlSequence(tuple(map(CoinOp._of, blocks)), meta)
 
 

@@ -22,7 +22,7 @@ from .errors import (
     UnreachableError,
 )
 from .graph_model import WalkSpec, _integer
-from .walk_core import NORM_TOL, CoinOp, WalkState, _check_dims, _index, _step_table, _unitary
+from .walk_core import NORM_TOL, WalkState, _check_dims, _coin_ops, _index, _step_table, _unit_norm
 
 ZERO_COEFF = 1e-14
 
@@ -67,14 +67,13 @@ class TargetSpread:
         if None in nodes:
             bad = [v for v, i in zip(self.nodes, nodes) if i is None]
             raise IndexOutOfRangeError(f"target nodes {bad} are not vertex indices")
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128).reshape(-1)
+        coeffs = np.array(self.coeffs, dtype=np.complex128).reshape(-1)  # a copy
         if len(nodes) != coeffs.size:
             raise ValueError("one coefficient per node required")
         if len(set(nodes)) != len(nodes):
             raise ValueError(f"target nodes must be distinct: {nodes}")
-        norm = float(np.linalg.norm(coeffs))
-        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN
-            raise NotUnitError(f"coefficient norm {norm!r} is not 1")
+        _unit_norm(coeffs, "coefficient")
+        coeffs.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -85,8 +84,7 @@ def _coin_vector(d: int, c0) -> np.ndarray:
     vec = np.asarray(c0, dtype=np.complex128).reshape(-1)
     if vec.size != d:
         raise DimensionMismatchError(f"coin state has size {vec.size}, expected {d}")
-    if not abs(float(np.linalg.norm(vec)) - 1.0) <= NORM_TOL:
-        raise NotUnitError("coin state is not a unit vector")
+    _unit_norm(vec, "coin state")
     return vec
 
 
@@ -147,26 +145,29 @@ def _least_steps(ends: np.ndarray, members: np.ndarray):
     return coins, np.where(members[ends[coins, cols]], ends[coins, cols], -1)
 
 
-def _spread(spec, c0vec, nodes, coeffs, masks):
+def _spread(spec, j, c0, nodes, coeffs, k, final=None):
     """Core of spread_from_node; returns (ops, coin states of nodes).
 
     Walks down the levels grouping each level's nodes under their least
     (predecessor, coin), whose weight is the group's norm; a level's sources,
     the coin basis vectors of the level below, are then known, and one
-    completion batch and one check build every step.  The weights keep the
+    completion batch and one check build every step, then ``final``'s: a
+    step turning each node's coin state into its row.  The weights keep the
     scalar arithmetic of a per-node sum: libm's pow for the squares, in node
     order (the array square x * x differs from pow in the last ulp), and
     a / gamma stays a complex division at the top level and a real one below.
     """
     d, n = spec.d, spec.n
+    c0vec = _coin_vector(d, c0)
     inv = np.argsort(spec.maps, axis=1)
-    nodes = np.asarray(nodes, dtype=np.intp)
-    levels = []
-    for k in range(len(masks) - 1, 0, -1):
-        coins, preds = _least_steps(inv[:, nodes], masks[k - 1])
-        if (preds < 0).any():  # impossible: nodes in the level-k mask have predecessors
+    top = nodes = np.asarray(nodes, dtype=np.intp)
+    masks = reachable_masks(spec, j, k, top.tolist())
+    levels = [] if final is None else [(None, top, final)]
+    for level in range(len(masks) - 1, 0, -1):
+        coins, preds = _least_steps(inv[:, nodes], masks[level - 1])
+        if (preds < 0).any():  # impossible: nodes in the level mask have predecessors
             v = int(nodes[np.argmax(preds < 0)])
-            raise UnreachableError(f"no predecessor for vertex {v} at level {k}")
+            raise UnreachableError(f"no predecessor for vertex {v} at level {level}")
         zs, group = np.unique(preds, return_inverse=True)
         weights = np.bincount(group, weights=[abs(a) ** 2 for a in coeffs], minlength=len(zs))
         gammas = np.sqrt(weights)
@@ -174,17 +175,17 @@ def _spread(spec, c0vec, nodes, coeffs, masks):
         dst[group, coins] += coeffs / gammas[group]
         levels.insert(0, (coins, zs, dst))
         nodes, coeffs = zs, gammas
-    states = (np.conj(complex(coeffs[0])) * c0vec)[None]  # the one node of level 0
+    row = np.conj(complex(coeffs[0])) * c0vec  # level 0's coin state, of two unit factors
+    norm = np.linalg.norm(row)  # within NORM_TOL of 1 each, so the product may miss it
+    if not abs(norm - 1.0) <= NORM_TOL:
+        row /= norm
     if not levels:
-        return [], states
+        return [], row[None]
     coins, zs, dst = zip(*levels)
     basis = _reflectors(np.eye(d))
-    src = np.concatenate([_reflectors(states), *(basis[c] for c in coins[:-1])])
-    verts = np.concatenate(zs)
-    full = np.broadcast_to(np.eye(d, dtype=np.complex128), (len(zs), n, d, d)).copy()
-    full[np.repeat(np.arange(len(zs)), list(map(len, zs))), verts] = _unitary(
-        _completions(src, np.concatenate(dst)), lambda i: f"vertex {verts[i]}")
-    return list(map(CoinOp._of, full)), np.eye(d, dtype=np.complex128)[coins[-1]]
+    src = np.concatenate([_reflectors(row[None]), *(basis[c] for c in coins[:-1])])
+    ops = _coin_ops(d, n, zs, _completions(src, np.concatenate(dst)))
+    return ops, np.eye(d, dtype=np.complex128)[coins[-1]] if final is None else final
 
 
 def spread_from_node(spec: WalkSpec, j: int, c0, target: TargetSpread, k: int):
@@ -196,13 +197,9 @@ def spread_from_node(spec: WalkSpec, j: int, c0, target: TargetSpread, k: int):
     states cannot be prescribed here, use reach_full_state for that).
     """
     _index(target.nodes, spec.n, "target nodes")
-    c0vec = _coin_vector(spec.d, c0)
-    kept = np.abs(target.coeffs) > ZERO_COEFF
-    if not kept.any():
-        raise ValueError("target has no nonzero coefficients")
+    kept = np.abs(target.coeffs) > ZERO_COEFF  # never empty: unit norm
     nodes, coeffs = tuple(np.array(target.nodes)[kept].tolist()), target.coeffs[kept]
-    masks = reachable_masks(spec, j, k, nodes)
-    ops, states = _spread(spec, c0vec, nodes, coeffs, masks)
+    ops, states = _spread(spec, j, c0, nodes, coeffs, k)
     return ControlSequence(tuple(ops), ("spread",) * len(ops)), dict(zip(nodes, states))
 
 
@@ -210,23 +207,21 @@ def reach_full_state(spec: WalkSpec, j: int, c0, target: WalkState, k: int) -> C
     """Steer |c0> at node j to an arbitrary state in k + 1 steps.
 
     Spread to the per-node weights of S^-1 target (S the bare shift) in k
-    steps, then mix each node's coin into its column of S^-1 target in one
-    more step, whose shift lands it on the target.  S^-1 target must lie on
-    the level-k reachable set of j, as it does at a covering level; where
-    it does not, the spread raises UnreachableError naming the nodes.  A
-    target that needs t more bare shifts is reached by the call at level
-    k + t - 1 in k + t steps: S^-1 target = S^(t-1) (S^-t target), and
+    steps, then mix each node's coin into its column of S^-1 target in a
+    last step of the same batch, whose shift lands it on the target.  S^-1
+    target must lie on the level-k reachable set of j, as at a covering
+    level; where it does not, the spread raises UnreachableError naming the
+    nodes.  A target that needs t more bare shifts is reached by the call at
+    level k + t - 1 in k + t steps: S^-1 target = S^(t-1) (S^-t target), and
     each step carries the level-i reachable set into level i + 1.
     """
     _check_dims(spec, target=target)
     pre = np.take_along_axis(target.table(), spec.maps, 1)  # (S^-1 x)[c, v] = x[c, P_c v]
     norms = np.linalg.norm(pre, axis=0)
     nodes = np.flatnonzero(norms > ZERO_COEFF)
-    betas = norms[nodes]
-    seq, coin_states = spread_from_node(spec, j, c0, TargetSpread(nodes, betas), k)
-    src = np.array([coin_states[v] for v in nodes.tolist()])
-    mix = CoinOp.from_blocks(spec.d, spec.n, nodes, _completions(src, (pre[:, nodes] / betas).T))
-    return ControlSequence(seq.ops + (mix,), seq.meta + ("mix",))
+    betas = norms[nodes].astype(np.complex128)  # a / gamma at the top level divides complex
+    ops, _ = _spread(spec, j, c0, nodes, betas, k, (pre[:, nodes] / betas).T)
+    return ControlSequence(tuple(ops), ("spread",) * (len(ops) - 1) + ("mix",))
 
 
 def concentrate_to_node(spec: WalkSpec, j: int, state: WalkState, k: int):
@@ -256,7 +251,7 @@ def concentrate_to_node(spec: WalkSpec, j: int, state: WalkState, k: int):
         # each column over its np.linalg.norm; a norm along an axis differs in the last ulp
         src = np.ascontiguousarray(table[:, support].T)
         src /= np.sqrt(_row_dots(src.real, src.real) + _row_dots(src.imag, src.imag))[:, None]
-        op = CoinOp.from_blocks(spec.d, spec.n, support, _completions(src, basis[coins]))
+        [op] = _coin_ops(spec.d, spec.n, [support], _completions(src, basis[coins]))
         ops.append(op)
         table = _step_table(table, op.blocks, spec.maps)
     final_coin = table[:, j].copy()

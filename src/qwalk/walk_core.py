@@ -62,12 +62,12 @@ class WalkState:
                 raise DimensionMismatchError(
                     f"state {name} must be an integer >= 1, got {getattr(self, name)!r}")
             object.__setattr__(self, name, size)
-        amps = np.asarray(self.amps, dtype=np.complex128).reshape(-1)
+        amps = np.array(self.amps, dtype=np.complex128).reshape(-1)  # the caller's stays writable
         if amps.size != self.d * self.n:
             raise DimensionMismatchError(
                 f"state has {amps.size} amplitudes, expected d*n = {self.d * self.n}"
             )
-        _unit_norm(amps)
+        _unit_norm(amps, "state")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -76,11 +76,11 @@ class WalkState:
         return self.amps.reshape(self.d, self.n)
 
 
-def _unit_norm(amps: np.ndarray) -> None:
-    """WalkState's norm test, also run on each raw table a step makes."""
-    norm = float(np.linalg.norm(amps))
+def _unit_norm(x: np.ndarray, what: str) -> None:
+    """The one unit-norm rule: norm 1 within NORM_TOL, or NotUnitError naming ``what``."""
+    norm = float(np.linalg.norm(x))
     if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN
-        raise NotUnitError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
+        raise NotUnitError(f"{what} norm {norm!r} is not 1 within {NORM_TOL}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,17 +121,26 @@ class CoinOp:
     @classmethod
     def from_blocks(cls, d: int, n: int, vertices, blocks) -> "CoinOp":
         """Identity coin everywhere except ``blocks[i]`` at ``vertices[i]``;
-        a vertex may appear once."""
+        a vertex may appear once.  ``_coin_ops`` for outside input."""
         idx = _index(vertices, n, "vertices")
         if idx.size != len(blocks):
             raise DimensionMismatchError(f"{len(blocks)} blocks for {idx.size} vertices")
         repeated = np.flatnonzero(np.bincount(idx, minlength=n) > 1)
         if repeated.size:
             raise IndexOutOfRangeError(f"vertices {repeated.tolist()} repeated")
-        full = np.broadcast_to(np.eye(d, dtype=np.complex128), (n, d, d)).copy()
         given = np.array(np.reshape(blocks, (-1, d, d)), dtype=np.complex128)  # an empty list too
-        full[idx] = _unitary(given, lambda i: f"vertex {idx[i]}")  # identity blocks have error 0
-        return cls._of(full)
+        return _coin_ops(d, n, [idx], given)[0]
+
+
+def _coin_ops(d: int, n: int, vertices: list, blocks: np.ndarray) -> list:
+    """One CoinOp per array of distinct in-range ``vertices``: the identity coin
+    with that array's share of the complex (total size, d, d) ``blocks``, in
+    order, at its vertices.  All the blocks pass one ``_unitary`` check."""
+    verts = np.concatenate(vertices)
+    full = np.broadcast_to(np.eye(d, dtype=np.complex128), (len(vertices), n, d, d)).copy()
+    full[np.repeat(np.arange(len(vertices)), list(map(len, vertices))), verts] = _unitary(
+        blocks, lambda i: f"vertex {verts[i]}")
+    return list(map(CoinOp._of, full))
 
 
 def _unitary(blocks: np.ndarray, where) -> np.ndarray:
@@ -180,7 +189,7 @@ def _step_table(table: np.ndarray, blocks: np.ndarray, maps: np.ndarray) -> np.n
     mixed = np.einsum("jki,ij->kj", blocks, table)
     out = np.empty_like(mixed)
     out[np.arange(len(maps))[:, None], maps] = mixed
-    _unit_norm(out)
+    _unit_norm(out, "state")
     return out
 
 

@@ -1,4 +1,4 @@
-"""Seeded random walks, states and coins for property suites.
+"""Seeded random walks, states and coins for the property suites.
 
 Random permutation sets are built constructively (relabeled full cycles,
 edge-disjoint perfect pairings, and mixes of the two) because the symmetry
@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DisconnectedError
-from .graph_model import WalkSpec, validate
-from .walk_core import CoinOp, WalkState
+from qwalk.errors import DisconnectedError
+from qwalk.graph_model import WalkSpec, validate
+from qwalk.walk_core import CoinOp, WalkState
 
 _MAX_TRIES = 500
 

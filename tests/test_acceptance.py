@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import qwalk as qw
-from qwalk.sampling import random_coin_op, random_spec, random_walk_state
 
 from reference import coin_matrix, shift_matrix
+from sampling import random_coin_op, random_spec, random_walk_state
 
 SEED = 0
 

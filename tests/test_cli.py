@@ -14,7 +14,8 @@ import pytest
 import qwalk as qw
 from qwalk import controllability, json_io, lie_closure
 from qwalk.cli import main
-from qwalk.sampling import random_walk_state
+
+from sampling import random_coin_op, random_walk_state
 
 
 @pytest.fixture()
@@ -365,6 +366,20 @@ def test_malformed_sequence_or_state_is_invalid(capsys, tmp_path, cycle5_path, w
     assert json.loads(out)["error"] == "SpecValidationError"
 
 
+@pytest.mark.parametrize("phase", [3, [1], None, True, {"tag": "mix"}],
+                         ids=["number", "list", "null", "bool", "object"])
+def test_a_step_phase_must_be_a_string(capsys, tmp_path, cycle5_path, phase):
+    state_path, seq_path = tmp_path / "state.json", tmp_path / "seq.json"
+    json_io.write_json({"d": 2, "n": 5, "amps": _AMPS}, str(state_path))
+    steps = [{"phase": "spread", "coins": [_EYE] * 5}, {"phase": phase, "coins": [_EYE] * 5}]
+    seq_path.write_text(json.dumps({"steps": steps}))
+    code = main(["simulate", "--spec", cycle5_path, "--state", str(state_path), "--seq", str(seq_path)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"] == "SpecValidationError"
+    assert json.loads(out)["detail"].startswith('step 1: "phase" must be a string')
+
+
 _SHEAR = [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 _NAN = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
@@ -478,8 +493,6 @@ def test_replay_survives_rounded_coin_blocks(tmp_path):
     c5 = qw.cycle_shift(5)
     rng = np.random.default_rng(20)
     state = qw.basis_state(c5, 0, 0)
-    from qwalk.sampling import random_coin_op
-
     for _ in range(40):
         (coin,) = _text_round_trip(qw.ControlSequence((random_coin_op(rng, c5),), ("step",)))
         state = qw.step(state, coin, c5)

@@ -9,7 +9,8 @@ import pytest
 import qwalk as qw
 from qwalk import controllability
 from qwalk.lie_closure import DEFAULT_DIM_CAP
-from qwalk.sampling import random_spec
+
+from sampling import random_spec
 
 
 def components(adj):

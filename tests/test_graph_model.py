@@ -7,7 +7,8 @@ import pytest
 
 import qwalk as qw
 from qwalk.graph_model import Permutation, _cycle_images, cycle_table
-from qwalk.sampling import random_spec
+
+from sampling import random_spec
 
 
 def cycles(p):

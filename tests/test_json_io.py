@@ -8,9 +8,9 @@ import pytest
 
 import qwalk as qw
 from qwalk import json_io
-from qwalk.sampling import random_spec, random_walk_state
 
 from reference import from_pairs_asarray
+from sampling import random_spec, random_walk_state
 
 
 def _pair(z) -> list:

@@ -14,8 +14,8 @@ from qwalk.lie_closure import (
     _SpanBuilder,
     _vectorize,
 )
-from qwalk.sampling import random_spec
 
+from sampling import random_spec
 from test_controllability import joint_orbit
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -1,13 +1,15 @@
 """Constructive transfers: completion, spread, reach, gather, full transfer."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import qwalk as qw
-from qwalk.sampling import random_spec, random_state_vector, random_walk_state
-from qwalk import synthesis
+from qwalk import json_io, synthesis, walk_core
 from qwalk.synthesis import _completions
 
+from sampling import random_spec, random_state_vector, random_walk_state
 from test_walk_core import identity_coin
 
 
@@ -114,6 +116,21 @@ def test_target_spread_validation():
             qw.TargetSpread((1, node), np.array([0.6, 0.8]))
     for node in (3.0, np.float64(3.0), np.int32(3)):
         assert qw.TargetSpread((1, node), np.array([0.6, 0.8])).nodes == (1, 3)
+
+
+def test_target_spread_copies_the_callers_array():
+    coeffs = np.array([0.6, 0.8])
+    target = qw.TargetSpread((1, 2), coeffs)
+    coeffs[0] = 1.6  # norm 1.79: a later write cannot reach the validated target
+    assert target.coeffs.tolist() == [0.6, 0.8] and not target.coeffs.flags.writeable
+
+
+def test_unit_norm_rule_names_what_it_checks(fig):
+    with pytest.raises(qw.NotUnitError, match=r"^coefficient norm 2\.0 is not 1 within 1e-12$"):
+        qw.TargetSpread((0,), np.array([2.0]))
+    target = qw.TargetSpread((0,), np.array([1.0]))
+    with pytest.raises(qw.NotUnitError, match=r"^coin state norm 2\.0 is not 1 within 1e-12$"):
+        qw.spread_from_node(fig, 0, [2, 0, 0], target, 0)
 
 
 def test_reach_own_state_pads_to_shift_period(c5):
@@ -264,6 +281,88 @@ def test_sequence_meta_matches_phases(c5):
     seq = qw.arbitrary_transfer(c5, random_walk_state(rng, c5), random_walk_state(rng, c5))
     assert set(seq.meta) <= {"concentrate", "spread", "mix"}
     assert len(seq.meta) == len(seq.ops)
+
+
+# mixed(3,4,5) of the transfer bench, seed 1: three cycles under P1 = P2^-1
+# and a matching P3
+_MIXED_345 = [[9, 6, 1, 5, 10, 8, 0, 4, 3, 2, 11, 7], [6, 2, 9, 8, 7, 3, 1, 11, 5, 0, 4, 10],
+              [1, 0, 3, 2, 11, 6, 5, 9, 10, 7, 8, 4]]
+
+
+@pytest.mark.parametrize("spec", [qw.cycle_shift(7), qw.cycle_shift(31), qw.torus(3, 5)],
+                         ids=["cycle_shift(7)", "cycle_shift(31)", "torus(3,5)"])
+def test_transfer_accepts_states_anywhere_within_the_norm_tolerance(spec):
+    # the spread's level-0 coin state is the gathered coin vector times the
+    # target's total weight: two norms, each within NORM_TOL of 1, whose
+    # product need not be; both corners and uniform draws in between
+    rng = np.random.default_rng(90)
+    scales = np.concatenate([[[-9e-13, -9e-13], [9e-13, 9e-13]],
+                             rng.uniform(-9e-13, 9e-13, size=(10, 2))])
+    for s1, s2 in 1 + scales:
+        psi1, psi2 = (qw.WalkState(spec.d, spec.n, s * random_state_vector(rng, spec.d * spec.n))
+                      for s in (s1, s2))
+        seq = qw.arbitrary_transfer(spec, psi1, psi2)
+        assert qw.state_fidelity(psi2, qw.apply_sequence(psi1, seq, spec)) >= 1 - 1e-9
+
+
+def test_transfer_accepts_a_bench_pair_written_with_12_digits(tmp_path):
+    # the pair of seed 1, round 2 on mixed(3,4,5): written with write_json, its
+    # norms come back as 1 - 2.8e-13 and 1 - 7.5e-13
+    spec = qw.validate(12, _MIXED_345)
+    rng = np.random.default_rng([1, 3, 2])
+    states = []
+    for name in ("psi1", "psi2"):
+        path = str(tmp_path / f"{name}.json")
+        amps = random_state_vector(rng, spec.d * spec.n)
+        json_io.write_json(json_io.state_to_dict(qw.WalkState(spec.d, spec.n, amps)), path)
+        states.append(json_io.state_from_dict(json_io.read_json(path)))
+    seq = qw.arbitrary_transfer(spec, *states)
+    assert qw.state_fidelity(states[1], qw.apply_sequence(states[0], seq, spec)) >= 1 - 1e-9
+
+
+def test_reach_builds_spread_and_mix_with_one_batch_and_one_check(monkeypatch):
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(synthesis, "_completions", counting("completions", _completions))
+    monkeypatch.setattr(walk_core, "_unitary", counting("unitary", walk_core._unitary))
+    monkeypatch.setattr(qw.CoinOp, "from_blocks",
+                        staticmethod(counting("from_blocks", qw.CoinOp.from_blocks)))
+    monkeypatch.setattr(synthesis, "TargetSpread", counting("TargetSpread", qw.TargetSpread))
+    spec = qw.torus(3, 5)
+    rng = np.random.default_rng(4)
+    psi1, psi2 = random_walk_state(rng, spec), random_walk_state(rng, spec)
+    report = qw.analyze(spec)
+    qw.reach_full_state(spec, report.kappa_vertex, 0, psi2, report.kappa)
+    assert counts == {"completions": 1, "unitary": 1}
+    counts.clear()
+    seq = qw.arbitrary_transfer(spec, psi1, psi2)
+    # one batch and one check per gather level, and one for spread and mix
+    levels = seq.meta.count("concentrate") + 1
+    assert counts == {"completions": levels, "unitary": levels}
+
+
+def test_batched_mix_alone_at_level_0_matches_reference():
+    # at k = 0 the spread has no step and the mix sends the coin state c0,
+    # complex here, straight to the target's column
+    rng = np.random.default_rng(12)
+    for spec in (qw.cycle_shift(5), qw.figure1(), qw.complete(6), qw.torus(3, 4)):
+        for j in range(spec.n):
+            c0 = random_state_vector(rng, spec.d)
+            table = np.zeros((spec.d, spec.n), dtype=complex)
+            table[np.arange(spec.d), spec.maps[:, j]] = random_state_vector(rng, spec.d)
+            target = qw.WalkState(spec.d, spec.n, table.reshape(-1))
+            seq = qw.reach_full_state(spec, j, c0, target, 0)
+            assert seq.meta == ("mix",)
+            assert _same_bits(seq.ops, _ref_reach(spec, j, c0, target, 0)), (spec, j)
+            start = qw.WalkState(spec.d, spec.n, np.outer(c0, np.eye(spec.n)[j]))
+            out = qw.apply_sequence(start, seq, spec)
+            assert qw.state_fidelity(target, out) > 1 - 1e-12
 
 
 def test_spread_target_node_out_of_range(fig):

@@ -7,9 +7,9 @@ import pytest
 
 import qwalk as qw
 from qwalk import json_io
-from qwalk.sampling import random_coin_op, random_spec, random_unitary, random_walk_state
 
 from reference import coin_matrix, shift_matrix, unitary_every_block
+from sampling import random_coin_op, random_spec, random_unitary, random_walk_state
 
 
 def identity_coin(d, n):
@@ -146,6 +146,15 @@ def test_state_norm_validation():
         qw.WalkState(2, 2, np.array([1, 1, 0, 0], dtype=complex))
     with pytest.raises(qw.DimensionMismatchError):
         qw.WalkState(2, 3, np.array([1, 0, 0, 0], dtype=complex))
+
+
+def test_state_copies_the_callers_array():
+    # a later write to the caller's array cannot reach a validated state
+    amps = np.eye(10, dtype=complex)[3]
+    state = qw.WalkState(2, 5, amps)
+    amps[0] = 5
+    assert np.array_equal(state.amps, np.eye(10)[3]) and not state.amps.flags.writeable
+    assert np.linalg.norm(state.amps) == 1.0
 
 
 def test_state_dimensions_are_integers_from_one():
