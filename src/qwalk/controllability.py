@@ -109,24 +109,27 @@ def _orbit_labels(spec: WalkSpec, table) -> np.ndarray:
 
 
 def _step(spec: WalkSpec, mask: np.ndarray) -> np.ndarray:
-    """Advance a boolean (n,) mask, or (n, words) packed start bits, one
-    level: row y ORs rows P_c y, as the P_c^-1 y are the P_c y by symmetry."""
-    out = mask[spec.maps[0]]
-    for p in spec.maps[1:]:
-        out |= mask[p]
+    """Advance a boolean (n,) mask, or (words, n) packed start bits, one
+    level: entry y ORs entries P_c y, as the P_c^-1 y are the P_c y by
+    symmetry.  A ``take`` gathers the images of up to 2^20 / mask.size coins
+    at a time (all d on small walks) and an OR-reduce folds them."""
+    block = max(1, 2**20 // mask.size)
+    out = np.bitwise_or.reduce(mask.take(spec.maps[:block], axis=-1), axis=-2)
+    for c in range(block, spec.d, block):
+        out |= np.bitwise_or.reduce(mask.take(spec.maps[c:c + block], axis=-1), axis=-2)
     return out
 
 
 def _levels(spec: WalkSpec, mask: np.ndarray):
     """Yield ``mask`` and the masks one, two, ... steps on, stopping before
-    the first mask that equals the one two levels back; from there they
-    alternate between the last two yielded.  The adjacency is symmetric, so
-    every row settles with period 1 or 2 and the stop always comes.
+    the first mask whose bytes equal those of the one two levels back; from
+    there they alternate between the last two yielded.  The adjacency is
+    symmetric, so every row settles with period 1 or 2 and the stop comes.
     """
     older = newer = None
-    while older is None or not np.array_equal(mask, older):
+    while (key := mask.tobytes()) != older:
         yield mask
-        older, newer = newer, mask
+        older, newer = newer, key
         mask = _step(spec, mask)
 
 
@@ -185,19 +188,20 @@ def _covering_level(spec: WalkSpec, starts: list[int]) -> tuple[int, int | None]
     with the least such start; when no start covers, the level at which the
     reachable sets repeat, with None.
 
-    All starts advance together as the bits of one (n, words) uint64 mask,
-    bit i of row v set when starts[i] reaches v; a start covers when its
-    bit survives the AND over the rows.  Once the masks repeat (see
-    ``_levels``) no later level can cover; on a bipartite walk that comes
-    within diameter + 2 levels.
+    All starts advance together as the bits of one words-major (words, n)
+    uint64 mask, bit i of word w at vertex v set when starts[64w + i]
+    reaches v; a start covers when its bit survives the AND along the
+    vertex axis.  Once the masks repeat (see ``_levels``) no later level
+    can cover; on a bipartite walk that comes within diameter + 2 levels.
     """
-    bit = np.arange(len(starts))
-    start = np.zeros((spec.n, -(-len(starts) // 64) * 8), dtype=np.uint8)
-    np.bitwise_or.at(start, (starts, bit >> 3), (1 << (bit & 7)).astype(np.uint8))
-    for k, mask in enumerate(_levels(spec, start.view(np.uint64))):
-        full = np.bitwise_and.reduce(mask, axis=0)
-        if full.any():
-            return k, starts[int(np.argmax(np.unpackbits(full.view(np.uint8), bitorder="little")))]
+    bit = np.arange(len(starts), dtype=np.uint64)
+    start = np.zeros((-(-len(starts) // 64), spec.n), dtype=np.uint64)
+    np.bitwise_or.at(start, (bit >> 6, starts), np.uint64(1) << (bit & 63))
+    for k, mask in enumerate(_levels(spec, start)):
+        full = np.bitwise_and.reduce(mask, axis=-1)
+        if full.tobytes() != bytes(full.nbytes):
+            bits = np.unpackbits(full.astype("<u8").view(np.uint8), bitorder="little")
+            return k, starts[int(np.argmax(bits))]
     return k + 1, None
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 from contextlib import suppress
 from itertools import chain
 
@@ -248,6 +249,9 @@ def _slabs(stack: np.ndarray, level: int, slabs: dict, exact: bool) -> list:
 
 
 def _render(obj, level: int, slabs: dict) -> str:
+    # the C encoder's own text for exact ints and finite floats, without the call
+    if type(obj) is int or type(obj) is float and math.isfinite(obj):
+        return type(obj).__repr__(obj)
     if isinstance(obj, dict):
         items = []
         for key, value in obj.items():

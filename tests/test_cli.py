@@ -526,6 +526,21 @@ def test_demo_passes_cross_checks(capsys):
     assert digest == "a2c3332c3e3df87353490e5ee9f9895fffe99ed88bd2b364f2ee1f2d8527ad1f"
 
 
+def test_analyze_and_reach_bytes_pinned(capsys, tmp_path):
+    # exit codes and stdout of analyze and of reach from node 0 at k = 3N,
+    # byte for byte, on bench walks: bipartite, not, dense and irregular
+    digest = hashlib.sha256()
+    walks = [qw.cycle_shift(101), qw.cycle_shift(100), qw.torus(9, 11), qw.complete(20),
+             qw.figure1(), qw.cycle_exchange(8)]
+    for i, spec in enumerate(walks):
+        path = str(tmp_path / f"walk{i}.json")
+        json_io.write_json(json_io.spec_to_dict(spec), path)
+        for argv in (["analyze"], ["reach", "--node", "0", "--k", str(3 * spec.n)]):
+            code, out = run_cli(capsys, *argv, "--spec", path)
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "40a55f17de87db0aeac90b80e8fc2cafcda670eb8b8d824d3b73ab8cd2c9ba98"
+
+
 def test_out_flag_writes_file(capsys, tmp_path, cycle5_path):
     out_path = tmp_path / "report.json"
     _, printed = run_cli(capsys, "analyze", "--spec", cycle5_path, "--out", str(out_path))

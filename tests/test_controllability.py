@@ -5,6 +5,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qwalk as qw
 from qwalk import controllability
@@ -459,6 +461,33 @@ def test_degree_above_half_implies_controllable(n):
     assert qw.analyze(qw.complete(n)).controllable
 
 
+@st.composite
+def _dense_circulants(draw):
+    """(n, S) with 3 <= n <= 60 and offsets S = -S (mod n), 0 not in S and
+    |S| > n/2: pairs {s, n - s}, and n/2 itself when n is even."""
+    n = draw(st.integers(3, 60))
+    mid = n % 2 == 0 and draw(st.booleans())
+    need = (n - 2 * mid) // 4 + 1  # pairs k with 2k + mid > n/2
+    if need > (n - 1) // 2:  # n = 4 without n/2
+        mid, need = True, (n - 2) // 4 + 1
+    pairs = draw(st.lists(st.integers(1, (n - 1) // 2), min_size=need, unique=True))
+    return n, sorted({*pairs, *(n - s for s in pairs), *([n // 2] if mid else [])})
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(walk=_dense_circulants(), seed=st.integers(0, 2**32 - 1))
+def test_degree_above_half_implies_controllable_on_circulants(walk, seed):
+    # the paper's theorem on any walk of degree d > N/2, here a circulant
+    # graph, relabelled and split into other coins than its offsets
+    n, offsets = walk
+    assert len(offsets) > n / 2
+    idx = np.arange(n)
+    sigma = np.random.default_rng(seed).permutation(n)
+    spec = qw.validate(n, [sigma[(idx + s) % n][np.argsort(sigma)] for s in offsets])
+    report = qw.analyze(_redecompose(spec, seed))
+    assert report.controllable and report.verdicts_agree
+
+
 def test_reachability_lemma_on_random_specs():
     rng = np.random.default_rng(21)
     for _ in range(15):
@@ -556,6 +585,72 @@ def test_packed_covering_search_spans_several_words():
     for walk in (spec, moved):
         assert covering(walk) == stepped_covering_level(walk, list(range(66)))
     assert covering(moved) == (level, 65)
+
+
+def _word_boundary_walk():
+    """A 138-vertex mixed-cycle walk, its least covering level, and the
+    vertices that cover there (six), all from the adjacency matrix."""
+    spec = _mixed_cycles(np.random.default_rng(3), (3, 4, 5, 7, 9, 11, 13, 14, 15, 16, 17, 24))
+    level, _ = stepped_covering_level(spec, list(range(spec.n)))
+    power = np.linalg.matrix_power(adjacency(spec), level)
+    return spec, level, np.flatnonzero(power.all(axis=0)).tolist()
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 128, 129])
+def test_words_major_covering_search_at_word_boundaries(m):
+    # m starts fill ceil(m / 64) words; the walk is relabelled so that one
+    # vertex covering at the least level becomes start m - 1, the last bit of
+    # the last word, and the others covering there become no start at all
+    spec, level, first = _word_boundary_walk()
+    rest = [v for v in range(spec.n) if v not in first]
+    order = np.array(rest[:m - 1] + first[:1] + rest[m - 1:] + first[1:])
+    sigma = np.argsort(order)  # old label -> new label
+    moved = qw.validate(spec.n, [sigma[p[order]] for p in spec.maps])
+    starts = list(range(m))
+    assert controllability._covering_level(moved, starts) == (level, m - 1)
+    assert stepped_covering_level(moved, starts) == (level, m - 1)
+    assert covering(moved) == stepped_covering_level(moved, list(range(spec.n)))
+
+
+def test_step_gathers_coins_in_blocks_of_bounded_size():
+    # _step gathers at most 2^20 mask entries at a time: complete(8)'s 7
+    # coins go in one block, in blocks of 2, 2, 2 and 1, and one at a time
+    spec = qw.complete(8)
+    rng = np.random.default_rng(4)
+    for words in (2, 2**16, 2**17 + 1):
+        mask = rng.integers(2**64 - 1, size=(words, 8), dtype=np.uint64, endpoint=True)
+        want = np.zeros_like(mask)
+        for p in spec.maps:
+            want |= mask[:, p]
+        assert np.array_equal(controllability._step(spec, mask), want)
+
+
+@pytest.mark.parametrize("n", [64, 65, 129])
+def test_reachable_sets_match_adjacency_stepping(n):
+    spec = qw.cycle_shift(n)
+    a = adjacency(spec)
+    for j in (0, n - 1):
+        mask = np.zeros(n, dtype=np.int64)
+        mask[j] = 1
+        want = []
+        for _ in range(n + 3):
+            want.append(set(np.flatnonzero(mask).tolist()))
+            mask = (mask @ a > 0).astype(np.int64)
+        assert qw.reachable_sets(spec, j, n + 2) == want
+
+
+@pytest.mark.parametrize(
+    "spec, level", [(qw.cycle_shift(100), 51), (qw.torus(4, 6), 6)], ids=["cycle100", "torus4x6"]
+)
+def test_level_returned_when_no_start_covers(monkeypatch, spec, level):
+    # the level at which the exact-k sets equal those two levels back:
+    # diameter + 1 on these bipartite walks, for every start and for all
+    assert controllability._covering_level(spec, list(range(spec.n))) == (level, None)
+    assert controllability._covering_level(spec, [spec.n - 1]) == (level, None)
+    fake = controllability.ParityReport(m=1, witness=0, even=(), odd=())
+    monkeypatch.setattr(controllability, "parity_check", lambda spec, j=0: fake)
+    with pytest.raises(qw.CriterionConflictError, match=f"vertex 0 repeat at level {level} "):
+        qw.k_of(spec, 0)
 
 
 def reference_validate_error(n, perms):

@@ -258,6 +258,32 @@ def test_plain_documents_match_the_standard_encoder():
         assert json_io.dumps(doc) == json.dumps(doc, indent=2, allow_nan=False), doc
 
 
+_SCALARS = {
+    "0": 0, "-1": -1, "2**63": 2**63, "2**200": 2**200,
+    "4300 digits": 10**4299, "4301 digits": 10**4300,
+    "True": True, "False": False, "np.int64": np.int64(3), "np.float64": np.float64(0.1),
+    "-0.0": -0.0, "5e-324": 5e-324, "1e-7": 1e-7, "0.1": 0.1, "1e16": 1e16,
+    "max": 1.7976931348623157e308,
+    "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+}
+
+
+@pytest.mark.parametrize("value", _SCALARS.values(), ids=_SCALARS)
+def test_scalars_match_the_standard_encoder(value):
+    # exact ints and finite floats are written without the encoder: its
+    # text, or its error type and message
+    try:
+        want = json.JSONEncoder(allow_nan=False).encode(value)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            json_io.dumps(value)
+        assert str(got.value) == str(exc)
+    else:
+        assert json_io.dumps(value) == want
+        doc = {"x": [value, -1]}
+        assert json_io.dumps(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+
 def test_non_finite_values_are_refused():
     # a bare NaN scalar is covered with the other NaN inputs in test_walk_core
     with pytest.raises(ValueError):
