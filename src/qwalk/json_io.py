@@ -96,13 +96,11 @@ def state_from_dict(data: dict) -> WalkState:
     return WalkState(d, n, _from_pairs(data.get("amps"), "amps"))
 
 
-def sequence_to_dict(seq: ControlSequence, **extra) -> dict:
-    doc = {
+def sequence_to_dict(seq: ControlSequence) -> dict:
+    return {
         "schema": SCHEMA_VERSION,
         "steps": [{"phase": tag, "coins": op.blocks} for op, tag in zip(seq.ops, seq.meta)],
     }
-    doc.update(extra)
-    return doc
 
 
 def sequence_from_dict(data: dict) -> ControlSequence:

@@ -64,9 +64,24 @@ def test_validate_malformed_cycle_notation(capsys, tmp_path, cycle):
     assert doc["valid"] is False and doc["error"] == "SpecValidationError"
 
 
+# spec checks that raise with the message given: ragged and empty images,
+# a cycle naming a vertex out of range, and "perms" that is not a list
+_BAD_SPECS = {
+    "ragged-images": ({"n": 3, "perms": [[[0, 1], [2]], [1, 2, 0]]}, qw.NotBijectionError,
+                      "images are not a flat array of integers"),
+    "empty-images": ({"n": 3, "perms": [[], [1, 2, 0]]}, qw.NotBijectionError,
+                     "need a non-empty one-dimensional image array"),
+    "cycle-vertex-out-of-range": ({"n": 5, "perms": ["(0 7)", [4, 0, 1, 2, 3]]},
+                                  qw.NotBijectionError, "vertex 7 out of range 0..4"),
+    "perms-not-a-list": ({"n": 5, "perms": "(0 1 2 3 4)"}, qw.SpecValidationError,
+                         "\"perms\" must be a list, got '(0 1 2 3 4)'"),
+}
+
+
 @pytest.mark.parametrize(
     "text,error",
     [
+        *((json.dumps(doc), error.__name__) for doc, error, _ in _BAD_SPECS.values()),
         ('{"perms": [[1, 2, 3, 4, 0], [4, 0, 1, 2, 3]]}', "SpecValidationError"),
         ('[5, [[1, 2, 3, 4, 0], [4, 0, 1, 2, 3]]]', "SpecValidationError"),
         ('{"n": "x", "perms": [[1, 2, 3, 4, 0], [4, 0, 1, 2, 3]]}', "SpecValidationError"),
@@ -77,7 +92,7 @@ def test_validate_malformed_cycle_notation(capsys, tmp_path, cycle):
         ('{"n": 5, "perms": ["(0 1 ' + "9" * 5000 + ')", [4, 0, 1, 2, 3]]}', "NotBijectionError"),
     ],
     ids=[
-        "missing-n", "top-level-list", "string-n", "fractional-image", "huge-n-cycles",
+        *_BAD_SPECS, "missing-n", "top-level-list", "string-n", "fractional-image", "huge-n-cycles",
         "huge-vertex-cycles",
     ],
 )
@@ -87,6 +102,30 @@ def test_malformed_spec_is_invalid(capsys, tmp_path, text, error):
     code, out = run_cli(capsys, "analyze", "--spec", str(path))
     assert code == 1
     assert json.loads(out)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        *((lambda doc=doc: json_io.spec_from_dict(doc), error, message)
+          for doc, error, message in _BAD_SPECS.values()),
+        (lambda: json_io.dumps({1: "x"}), TypeError, "keys must be str, not int"),
+        (lambda: json_io.dumps(np.zeros(3)), TypeError, "only complex arrays are written, not float64"),
+        (lambda: qw.ControlSequence((), ("step",)), ValueError, "ops and meta must have equal length"),
+        (lambda: qw.TargetSpread((0, 1), np.ones(1)), ValueError, "one coefficient per node required"),
+        (lambda: qw.spread_from_node(qw.cycle_shift(5), 0, np.ones(3) / np.sqrt(3),
+                                     qw.TargetSpread((1,), np.ones(1)), 1),
+         qw.DimensionMismatchError, "coin state has size 3, expected 2"),
+        (lambda: qw.CoinOp(np.zeros((3, 2, 1))), qw.DimensionMismatchError,
+         "blocks must be (n, d, d), got (3, 2, 1)"),
+    ],
+    ids=[*_BAD_SPECS, "non-string-key", "real-array", "ops-and-meta", "nodes-and-coefficients",
+         "coin-state-size", "non-square-coin"],
+)
+def test_input_checks_raise_named_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_missing_file_is_io_error(capsys):
@@ -539,6 +578,53 @@ def test_analyze_and_reach_bytes_pinned(capsys, tmp_path):
             code, out = run_cli(capsys, *argv, "--spec", path)
             digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == "40a55f17de87db0aeac90b80e8fc2cafcda670eb8b8d824d3b73ab8cd2c9ba98"
+
+
+def test_every_command_bytes_pinned(capsys, tmp_path):
+    # exit codes, stdout and every --out file of validate, lie-check,
+    # synthesize, simulate and main's error document, byte for byte.  The
+    # i/o and usage errors count by exit code only: their stderr comes from
+    # Python and argparse, which word it differently across versions.
+    digest = hashlib.sha256()
+
+    def spec_file(name, spec):
+        path = tmp_path / f"{name}.json"
+        json_io.write_json(json_io.spec_to_dict(spec), str(path))
+        return str(path)
+
+    def record(*argv, out=None):
+        code, text = run_cli(capsys, *argv, *(["--out", str(out)] if out else []))
+        digest.update(f"{code}\n{text}".encode())
+        if out is not None and out.is_file():
+            digest.update(out.read_bytes())
+
+    self_loop = tmp_path / "self-loop.json"
+    json_io.write_json({"n": 4, "perms": [[0, 1, 2, 3], [1, 2, 3, 0]]}, str(self_loop))
+    record("validate", "--spec", spec_file("c5", qw.cycle_shift(5)))
+    record("validate", "--spec", str(self_loop), out=tmp_path / "validate.json")
+    algebra = [qw.cycle_shift(5), qw.cycle_shift(7), qw.cycle_exchange(6), qw.cycle_exchange(8),
+               qw.cycle_shift(8), qw.complete(4), qw.figure1(), qw.torus(3, 3)]
+    for i, spec in enumerate(algebra):
+        record("lie-check", "--spec", spec_file(f"algebra{i}", spec))
+    rng = np.random.default_rng(5)
+    for name, spec in (("c5", qw.cycle_shift(5)), ("figure1", qw.figure1())):
+        path, states = spec_file(name, spec), []
+        for which in ("psi1", "psi2"):
+            states.append(str(tmp_path / f"{name}-{which}.json"))
+            json_io.write_json(json_io.state_to_dict(random_walk_state(rng, spec)), states[-1])
+        seq = tmp_path / f"{name}-seq.json"
+        record("synthesize", "--spec", path, "--state", states[0], "--target", states[1], out=seq)
+        record("simulate", "--spec", path, "--state", states[0], "--seq", str(seq),
+               out=tmp_path / f"{name}-final.json")
+    record("analyze", "--spec", str(self_loop))
+    record("analyze", "--spec", spec_file("c4", qw.cycle_shift(4)), out=tmp_path)  # exit 3
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{not json")
+    for argv in (["analyze", "--spec", str(tmp_path / "missing.json")],
+                 ["analyze", "--spec", str(garbage)], ["analyze", "--bogus"]):
+        digest.update(f"{main(argv)}\n".encode())
+        capsys.readouterr()
+    assert digest.hexdigest() == "39960c2dd9c684da90bed72c86d45d360ebeb9897d5446425aa46fe869f534bc"
 
 
 def test_out_flag_writes_file(capsys, tmp_path, cycle5_path):

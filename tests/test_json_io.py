@@ -80,7 +80,8 @@ def test_sequence_and_state_text_is_pinned(name, build):
     seq = qw.arbitrary_transfer(spec, psi1, psi2)
     extra = {"bound": seq.bound, "achieved_fidelity": 0.999999999999}
     assert_same_text(
-        json_io.dumps(json_io.sequence_to_dict(seq, **extra)), reference_sequence_text(seq, **extra)
+        json_io.dumps({**json_io.sequence_to_dict(seq), **extra}),
+        reference_sequence_text(seq, **extra),
     )
     final = qw.apply_sequence(psi1, seq, spec)
     probs = [json_io.round_float(p) for p in qw.position_probabilities(final)]
