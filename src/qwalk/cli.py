@@ -236,19 +236,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--seq", required=True)
 
-    sub.add_parser("demo", help="built-in gallery with cross-checks").set_defaults(run=cmd_demo)
+    demo = sub.add_parser("demo", help="built-in gallery with cross-checks")
+    demo.set_defaults(run=cmd_demo, out=None)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one command, print its document with "schema" first and, with
-    ``--out``, write the same text to that path."""
+    ``--out``, write the same text to that path; a QwalkError's document
+    takes the same write.  A usage or I/O error writes no document and
+    leaves ``--out`` as it was."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return EXIT_INVALID if exc.code == 2 else exc.code
     try:
-        doc, code = args.run(args)
+        try:
+            doc, code = args.run(args)
+        except QwalkError as exc:
+            doc, code = {"error": type(exc).__name__, "detail": str(exc)}, EXIT_INVALID
         if doc is not None:
             text = json_io.dumps({"schema": json_io.SCHEMA_VERSION, **doc})
             print(text)
@@ -261,17 +267,6 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"i/o error: cannot parse JSON: {exc}", file=sys.stderr)
         code = EXIT_IO
-    except QwalkError as exc:
-        print(
-            json_io.dumps(
-                {
-                    "schema": json_io.SCHEMA_VERSION,
-                    "error": type(exc).__name__,
-                    "detail": str(exc),
-                }
-            )
-        )
-        code = EXIT_INVALID
     return code
 
 

@@ -2,8 +2,9 @@
 
 Documents hold states and coins as complex numpy arrays; ``dumps`` writes
 each complex number as an [re, im] pair with every float rounded to 12
-significant digits, so identical inputs produce byte-identical output.  Every
-emitted document carries a "schema" version field; it is optional on input.
+significant digits, except state amplitudes, which are written exactly, so
+identical inputs produce byte-identical output.  Every emitted document
+carries a "schema" version field; it is optional on input.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ SCHEMA_VERSION = 1
 
 
 def round_float(x) -> float:
-    """``x`` rounded to the 12 significant digits of every emitted float."""
+    """``x`` rounded to the 12 significant digits of every emitted float
+    but state amplitudes."""
     return float(f"{float(x):.12g}")
 
 
@@ -210,43 +212,44 @@ def _template(shape: tuple, level: int) -> str:
     return _wrap([_template(shape[1:], level + 1)] * shape[0], level, "[]")
 
 
-def _array(a: np.ndarray, level: int, slabs: dict, exact: bool) -> str:
+def _array(a: np.ndarray, level: int, slabs: dict, fast: str | None) -> str:
     """A complex array at nesting ``level``, rendered a (d, d) slab (or a
     whole vector) at a time; a stack of slabs goes to ``_slabs`` at once."""
     if a.ndim > 3:
-        return _wrap([_array(s, level + 1, slabs, exact) for s in a], level, "[]")
+        return _wrap([_array(s, level + 1, slabs, fast) for s in a], level, "[]")
     if a.ndim < 3:
-        return _slabs(a[None], level, slabs, exact)[0]
-    return _wrap(_slabs(a, level + 1, slabs, exact), level, "[]")
+        return _slabs(a[None], level, slabs, fast)[0]
+    return _wrap(_slabs(a, level + 1, slabs, fast), level, "[]")
 
 
-def _slabs(stack: np.ndarray, level: int, slabs: dict, exact: bool) -> list:
+def _slabs(stack: np.ndarray, level: int, slabs: dict, fast: str | None) -> list:
     """The text of each slab of ``stack`` at nesting ``level``, each distinct
     slab formatted once, since most slabs of a control sequence repeat
-    (identity blocks).  ``slabs`` maps (shape, level) to the slab template,
-    its ``{:.12}`` twin and the texts met so far, keyed by raw bytes: equal
-    bytes, not equal values, since -0.0 == 0.0 prints differently.  When
-    ``exact``, one ``str.format`` call fills the twin; otherwise every float
-    goes through ``round_float`` and ``repr``."""
+    (identity blocks).  ``slabs`` maps (shape, level, fast) to the slab
+    template, its twin with ``fast`` for each float and the texts met so
+    far, keyed by raw bytes: equal bytes, not equal values, since
+    -0.0 == 0.0 prints differently.  Given ``fast``, one ``str.format`` call
+    fills the twin; otherwise every float goes through ``round_float`` and
+    ``repr``."""
     shape = stack.shape[1:]
-    entry = slabs.get((shape, level))
+    entry = slabs.get((shape, level, fast))
     if entry is None:
         template = _template(shape, level)
-        entry = slabs[shape, level] = (template, template.replace("%s", "{:.12}"), {})
-    template, fast, texts = entry
+        entry = slabs[shape, level, fast] = (template, template.replace("%s", fast or "%s"), {})
+    template, twin, texts = entry
     if not stack.size:
         return [template] * len(stack)
     keys = stack.reshape(len(stack), -1).view(f"V{stack[0].nbytes}").ravel().tolist()
     for key in set(keys).difference(texts):
         floats = np.frombuffer(key).tolist()
         texts[key] = (
-            fast.format(*floats) if exact
+            twin.format(*floats) if fast
             else template % tuple(map(float.__repr__, map(round_float, floats)))
         )
     return [texts[key] for key in keys]
 
 
-def _render(obj, level: int, slabs: dict) -> str:
+def _render(obj, level: int, slabs: dict, amps: bool = False) -> str:
     # the C encoder's own text for exact ints and finite floats, without the call
     if type(obj) is int or type(obj) is float and math.isfinite(obj):
         return type(obj).__repr__(obj)
@@ -255,31 +258,40 @@ def _render(obj, level: int, slabs: dict) -> str:
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(f"{_ENCODER.encode(key)}: {_render(value, level + 1, slabs)}")
+            value = _render(value, level + 1, slabs, key == "amps")
+            items.append(f"{_ENCODER.encode(key)}: {value}")
         return _wrap(items, level, "{}")
     if isinstance(obj, (list, tuple)):
-        return _wrap([_render(v, level + 1, slabs) for v in obj], level, "[]")
+        return _wrap([_render(v, level + 1, slabs, amps) for v in obj], level, "[]")
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind != "c":
             raise TypeError(f"only complex arrays are written, not {obj.dtype}")
         # format(x, ".12") is repr(round_float(x)) for +-0.0 and every normal
         # float below 1e10 in magnitude: both round to the same 12 digits, a
         # normal double has no shorter repr, and an exponent appears only
-        # from 1e11 on.  Subnormals and larger floats can differ.
+        # from 1e11 on.  Subnormals and larger floats can differ.  "{!r}" is
+        # repr itself, exact for every finite float.
         a = np.asarray(obj, dtype=np.complex128, order="C")
         mag = np.abs(a.reshape(-1).view(np.float64))
         exact = bool(((mag < 1e10) & ((mag >= _TINY) | (mag == 0))).all())
         if not (exact or np.isfinite(mag).all()):
             raise ValueError("Out of range float values are not JSON compliant")
-        return _array(a, level, slabs, exact)
+        return _array(a, level, slabs, "{!r}" if amps else "{:.12}" if exact else None)
     return _ENCODER.encode(obj)
 
 
 def dumps(obj) -> str:
     """The standard library's indent-2 text of ``obj`` (NaN and infinity
     refused), where every complex array is written as nested lists of
-    [round_float(re), round_float(im)] pairs.  Keys must be strings.  Slab
-    text is shared within one call only."""
+    [round_float(re), round_float(im)] pairs, or of exact [re, im] pairs
+    under the key "amps".  Keys must be strings.  Slab text is shared within
+    one call only.
+
+    State amplitudes are written exactly so that a written state reads back
+    bit for bit: rounded to 12 digits its norm can move by about 1e-12, and
+    even at 13 digits one state in a hundred whose norm lies within
+    ``NORM_TOL`` of 1 reads back outside it.  Coin blocks keep 12 digits,
+    since ``_unitary`` snaps them back on read."""
     return _render(obj, 0, {})
 
 

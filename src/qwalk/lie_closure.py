@@ -101,6 +101,14 @@ def _devectorize(vec: np.ndarray, side: int, iu, out=None) -> np.ndarray:
     return mat
 
 
+def _meets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of boolean tables, as a float32 BLAS product of their 0/1
+    values thresholded at 0, far faster than numpy's boolean matmul.  Each
+    entry counts shared indices, at most side or the rows of one block, far
+    below 2**24, so every count is exact."""
+    return a.astype(np.float32) @ b.astype(np.float32) > 0
+
+
 class _SpanBuilder:
     """Orthonormal real basis of the running span, with rank guards; it
     takes real coordinates and forms brackets only in ``brackets``.
@@ -113,7 +121,11 @@ class _SpanBuilder:
     union.  Two side x side tables serve ``saturated``: ``cotouch[i, j]``
     is set once some row touches both i and j, and ``open[i, j]`` while
     pair (i, j) has a coordinate that no unit row holds, a unit row being
-    one with a single nonzero coordinate; ``held`` marks those coordinates.
+    one with a single nonzero coordinate; ``unit`` flags those rows and
+    ``held`` marks their coordinates.  A unit row is exactly +-1 at the
+    coordinate it holds, so ``outside`` masks held coordinates instead of
+    projecting onto unit rows.  The support tables are multiplied as exact
+    counts (``_meets``).
     """
 
     def __init__(self, side: int, tol: float):
@@ -127,6 +139,7 @@ class _SpanBuilder:
         self.coords = np.zeros((full, full), dtype=bool)
         self.spanned = np.zeros(full, dtype=bool)
         self.held = np.zeros(full, dtype=bool)
+        self.unit = np.zeros(full, dtype=bool)
         self.cotouch = np.zeros((side, side), dtype=bool)
         self.open = np.ones((side, side), dtype=bool)
         self.dim = 0
@@ -197,8 +210,9 @@ class _SpanBuilder:
         self.touch[start:self.dim] = touch
         self.coords[start:self.dim] = coords
         self.spanned |= coords.any(axis=0)
-        self.cotouch |= touch.T @ touch
-        units = coords[coords.sum(axis=1) == 1]
+        self.cotouch |= _meets(touch.T, touch)
+        self.unit[start:self.dim] = unit = coords.sum(axis=1) == 1
+        units = coords[unit]
         if units.size:
             side, k = self.side, self.iu[0].size
             self.held |= units.any(axis=0)
@@ -216,7 +230,7 @@ class _SpanBuilder:
         every coordinate a bracket can reach.
         """
         touch = self.touch[fs]
-        return ~((touch @ self.open) & (touch @ self.cotouch)).any(axis=1)
+        return ~(_meets(touch, self.open) & _meets(touch, self.cotouch)).any(axis=1)
 
     def brackets(self, f: int, among: np.ndarray):
         """``(keys, vecs)``: the coordinates where [mats[f], mats[b]] can be
@@ -262,24 +276,28 @@ class _SpanBuilder:
 
         When B and F touch disjoint index sets, B F and F B are exactly
         zero, so the bracket is left out without being formed.  The others
-        are projected only against the rows sharing a coordinate with them,
-        over the coordinates of both; every term left out is an exact zero.
-        A basis without structural zeros meets everywhere, and this is the
-        full computation.  Only the kept brackets are spread to side^2.
+        have their held coordinates zeroed, which is what projecting onto
+        a unit row +-e_c does, exactly, and are projected against the other
+        rows sharing a coordinate with them, over the coordinates of both;
+        every term left out is an exact zero.  On elementary generators
+        every row is a unit row, no row is projected, and each residual has
+        the bits of the full projection.  A basis without structural zeros
+        meets everywhere, and this is the full computation.  Only the kept
+        brackets are spread to side^2.
         """
         dim = self.dim
-        among = np.flatnonzero(self.touch[:dim] @ self.touch[f])
+        among = np.flatnonzero(_meets(self.touch[:dim], self.touch[f]))
         keys, vecs = self.brackets(f, among)
         pre = np.linalg.norm(vecs, axis=1)
         nonzero = pre >= _ZERO_NORM
         among, vecs, pre = among[nonzero], vecs[nonzero], pre[nonzero]
         live = (vecs != 0).any(axis=0)
         keys, vecs = keys[live], vecs[:, live]
-        near = np.flatnonzero(self.coords[:dim, keys].any(axis=1))
+        near = np.flatnonzero(self.coords[:dim, keys].any(axis=1) & ~self.unit[:dim])
         union = self.coords[near].any(axis=0)
         union[keys] = True
         spread = np.zeros((among.size, int(union.sum())))
-        spread[:, (np.cumsum(union) - 1)[keys]] = vecs
+        spread[:, (np.cumsum(union) - 1)[keys]] = np.where(self.held[keys], 0.0, vecs)
         rows = self.rows[near][:, union]
         residual = np.linalg.norm(spread - (spread @ rows.T) @ rows, axis=1)
         out = ~(residual < self.tol * pre / 100.0)

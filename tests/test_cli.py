@@ -624,13 +624,60 @@ def test_every_command_bytes_pinned(capsys, tmp_path):
                  ["analyze", "--spec", str(garbage)], ["analyze", "--bogus"]):
         digest.update(f"{main(argv)}\n".encode())
         capsys.readouterr()
-    assert digest.hexdigest() == "39960c2dd9c684da90bed72c86d45d360ebeb9897d5446425aa46fe869f534bc"
+    assert digest.hexdigest() == "68e4165724fa541cbe2b8e0f2b2754d4791eb356d9ba57ed341cdfa3158531b8"
 
 
 def test_out_flag_writes_file(capsys, tmp_path, cycle5_path):
     out_path = tmp_path / "report.json"
     _, printed = run_cli(capsys, "analyze", "--spec", cycle5_path, "--out", str(out_path))
     assert out_path.read_text() == printed
+
+
+def test_failed_run_writes_its_error_document_to_out(capsys, tmp_path, cycle5_path):
+    # a QwalkError's document takes the one print-and---out write, so no
+    # stale report survives a failed run; i/o and usage errors write no
+    # document and leave --out as it was
+    out = tmp_path / "report.json"
+    assert run_cli(capsys, "analyze", "--spec", cycle5_path, "--out", str(out))[0] == 0
+    self_loop = tmp_path / "self-loop.json"
+    json_io.write_json({"n": 4, "perms": [[0, 1, 2, 3], [1, 2, 3, 0]]}, str(self_loop))
+    code, printed = run_cli(capsys, "analyze", "--spec", str(self_loop), "--out", str(out))
+    assert code == 1 and json.loads(printed)["error"] == "SelfLoopError"
+    assert out.read_text() == printed
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{not json")
+    for argv, want in (
+        (["--spec", str(tmp_path / "missing.json")], 3),
+        (["--spec", str(garbage)], 3),
+        (["--spec", cycle5_path, "--bogus"], 1),
+    ):
+        assert run_cli(capsys, "analyze", *argv, "--out", str(out)) == (want, "")
+        assert out.read_text() == printed
+
+
+def test_simulated_state_feeds_synthesize(capsys, tmp_path):
+    # simulate writes its final state with the state writer, which keeps the
+    # amplitudes exact: a norm near the edge of NORM_TOL still reads back.
+    # The inputs are written by the standard encoder, exact too.
+    spec = qw.cycle_shift(5)
+    path = tmp_path / "c5.json"
+    json_io.write_json(json_io.spec_to_dict(spec), str(path))
+    rng = np.random.default_rng(17)
+    for i, edge in enumerate([-0.9, 0.9] * 4):
+        files = {}
+        for name in ("psi1", "psi2"):
+            amps = random_walk_state(rng, spec).amps * (1 + edge * qw.walk_core.NORM_TOL)
+            files[name] = tmp_path / f"{i}-{name}.json"
+            pairs = [[z.real, z.imag] for z in amps.tolist()]
+            files[name].write_text(json.dumps({"d": 2, "n": 5, "amps": pairs}))
+        seq, final, state = (tmp_path / f"{i}-{name}.json" for name in ("seq", "final", "state"))
+        common = ("--spec", str(path), "--state", str(files["psi1"]))
+        assert run_cli(capsys, "synthesize", *common, "--target", str(files["psi2"]), "--out", str(seq))[0] == 0
+        assert run_cli(capsys, "simulate", *common, "--seq", str(seq), "--out", str(final))[0] == 0
+        state.write_text(json.dumps(json.loads(final.read_text())["state"]))
+        code, text = run_cli(capsys, "synthesize", "--spec", str(path), "--state", str(state),
+                             "--target", str(files["psi1"]))
+        assert code == 0 and json.loads(text)["achieved_fidelity"] >= 1 - 1e-9
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys, tmp_path, cycle5_path):

@@ -10,7 +10,7 @@ import qwalk as qw
 from qwalk import json_io
 
 from reference import from_pairs_asarray
-from sampling import random_spec, random_walk_state
+from sampling import random_spec, random_state_vector, random_walk_state
 
 
 def _pair(z) -> list:
@@ -36,11 +36,12 @@ def reference_sequence_text(seq, **extra) -> str:
 
 
 def reference_state_doc(state) -> dict:
+    """A state's amplitudes are written exactly, as plain [re, im] floats."""
     return {
         "schema": json_io.SCHEMA_VERSION,
         "d": state.d,
         "n": state.n,
-        "amps": _pairs(state.amps),
+        "amps": [[z.real, z.imag] for z in state.amps.tolist()],
     }
 
 
@@ -243,6 +244,26 @@ def test_empty_steps_and_state_text_are_pinned():
     assert json_io.dumps(json_io.state_to_dict(state)) == json.dumps(
         reference_state_doc(state), indent=2, allow_nan=False
     )
+
+
+def test_written_states_read_back_bit_for_bit_and_transfer(tmp_path):
+    # norms anywhere within NORM_TOL, 1e-15 from both ends too: the
+    # amplitudes are written exactly, so every state reads back with its own
+    # bits, and the states read back transfer to one another
+    rng = np.random.default_rng(13)
+    path = str(tmp_path / "state.json")
+    edges = np.concatenate([[-0.999, 0.999], rng.uniform(-0.999, 0.999, 98)])
+    for spec in (qw.cycle_shift(5), qw.figure1(), qw.torus(3, 5)):
+        back = []
+        for edge in edges:
+            amps = random_state_vector(rng, spec.d * spec.n) * (1 + edge * qw.walk_core.NORM_TOL)
+            state = qw.WalkState(spec.d, spec.n, amps)
+            json_io.write_json(json_io.state_to_dict(state), path)
+            back.append(json_io.state_from_dict(json_io.read_json(path)))
+            assert back[-1].amps.tobytes() == state.amps.tobytes()
+        for a, b in zip(back[:6], back[1:7]):
+            seq = qw.arbitrary_transfer(spec, a, b)
+            assert qw.state_fidelity(qw.apply_sequence(a, seq, spec), b) >= 1 - 1e-9
 
 
 def test_plain_documents_match_the_standard_encoder():

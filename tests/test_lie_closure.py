@@ -11,6 +11,7 @@ from qwalk.lie_closure import (
     GeneratorBasis,
     _closure,
     _devectorize,
+    _meets,
     _SpanBuilder,
     _vectorize,
 )
@@ -533,6 +534,42 @@ def test_mixed_basis_closure_equals_reference(seed, tol):
     else:
         assert got[:2] == ref[:2]
         assert np.array_equal(got[2], ref[2])
+
+
+def test_unit_rows_are_masked_and_dense_rows_projected_in_one_call(monkeypatch):
+    # iE_00 and iE_11 are unit rows; the dense element's brackets with them
+    # meet their held coordinates and the dense rows in the same call to
+    # outside, which masks the first and projects against the second
+    h = _random_skew_hermitian(np.random.default_rng(7), 3)
+    basis = GeneratorBasis(mats=[_elementary(3, 0, 0, 1j), _elementary(3, 1, 1, 1j), h])
+    outside, both = _SpanBuilder.outside, []
+
+    def spied(self, f):
+        keys, _ = self.brackets(f, np.arange(self.dim))
+        dense = ~self.unit[:self.dim]
+        both.append(self.held[keys].any() and self.coords[:self.dim][dense][:, keys].any())
+        return outside(self, f)
+
+    monkeypatch.setattr(_SpanBuilder, "outside", spied)
+    got = _closure_outcome(_closure, basis, 1e-9)
+    ref = _closure_outcome(reference_closure, basis, 1e-9)
+    assert any(both)
+    assert got[:2] == ref[:2] == (9, 1)
+    assert np.array_equal(got[2], ref[2])
+
+
+@pytest.mark.parametrize("side", range(1, 65))
+def test_count_products_equal_boolean_products(side):
+    # tables drawn at several densities, all-false and all-true among them,
+    # and fronts of no rows to three times side
+    rng = np.random.default_rng(side)
+    for rows in (0, 1, side, 3 * side):
+        for fill in (0.0, 0.1, 0.5, 1.0):
+            a, b = rng.random((rows, side)) < fill, rng.random((side, side)) < fill
+            assert np.array_equal(_meets(a, b), a @ b)
+            assert np.array_equal(_meets(a.T, a), a.T @ a)
+            for row in b[:3]:
+                assert np.array_equal(_meets(a, row), a @ row)
 
 
 def test_disjoint_block_raises_at_the_first_vector_in_the_band():
