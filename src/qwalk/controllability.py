@@ -20,11 +20,12 @@ or once its reachable sets repeat.  Only the 2k+r transfer bound reads r.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriterionConflictError, UnreachableError
+from .errors import CriterionConflictError, IndexOutOfRangeError, UnreachableError
 from .graph_model import WalkSpec, component_labels, cycle_table
 from .walk_core import _index, cycle_order
 
@@ -135,12 +136,15 @@ def _levels(spec: WalkSpec, mask: np.ndarray):
 
 def reachable_masks(spec: WalkSpec, j: int, kmax: int, need=()) -> list[np.ndarray]:
     """``reachable_sets`` as boolean vertex masks of shape (n,); raises
-    UnreachableError naming the vertices of ``need`` off the level-kmax set.
+    UnreachableError naming the vertices of ``need`` off the level-kmax set,
+    and IndexOutOfRangeError on a level of sys.maxsize or more.
 
     Stepping stops once the masks repeat with period 2 (see ``_levels``);
     the later levels repeat the last two mask objects.
     """
     j, kmax = _index(j, spec.n, "vertex"), _index(kmax, None, "level")
+    if kmax >= sys.maxsize:
+        raise IndexOutOfRangeError(f"level {kmax} is not below {sys.maxsize}")
     start = np.zeros(spec.n, dtype=bool)
     start[j] = True
     masks = list(itertools.islice(_levels(spec, start), kmax + 1))

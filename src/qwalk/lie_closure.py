@@ -90,17 +90,6 @@ def _vectorize(mat: np.ndarray, iu) -> np.ndarray:
     )
 
 
-def _devectorize(vec: np.ndarray, side: int, iu, out=None) -> np.ndarray:
-    """The skew-Hermitian matrix of real coordinates, or one per row, in
-    ``out`` when given, which must hold zeros."""
-    k = iu[0].size
-    mat = np.zeros(vec.shape[:-1] + (side, side), dtype=np.complex128) if out is None else out
-    mat[..., iu[0], iu[1]] = vec[..., side:side + k] + 1j * vec[..., side + k:]
-    mat -= mat.conj().swapaxes(-1, -2)
-    mat[..., np.arange(side), np.arange(side)] = 1j * vec[..., :side]
-    return mat
-
-
 def _meets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` of boolean tables, as a float32 BLAS product of their 0/1
     values thresholded at 0, far faster than numpy's boolean matmul.  Each
@@ -115,26 +104,36 @@ class _SpanBuilder:
 
     ``rows`` and ``mats`` are preallocated for side^2 rows and filled up to
     ``dim``; ``np.zeros`` leaves unused pages untouched, so a small span
-    costs only what it fills.  Beside them, ``touch`` holds the index set
-    each row's matrix touches (its nonzero rows, which are its nonzero
-    columns), ``coords`` its nonzero coordinates and ``spanned`` their
-    union.  Two side x side tables serve ``saturated``: ``cotouch[i, j]``
-    is set once some row touches both i and j, and ``open[i, j]`` while
-    pair (i, j) has a coordinate that no unit row holds, a unit row being
-    one with a single nonzero coordinate; ``unit`` flags those rows and
-    ``held`` marks their coordinates.  A unit row is exactly +-1 at the
+    costs only what it fills.  Rows arrive as values over coordinates, and
+    ``_append`` writes each nonzero one by index, into ``rows`` and into
+    the float view ``flat`` of ``mats`` (at the offsets ``at`` of entries
+    (a, b) and (b, a), the second times ``sign``; ``ends`` holds (a, b)).
+    Beside them, ``touch`` holds the index set each row's matrix touches,
+    ``coords`` its nonzero coordinates and ``spanned`` their union.  Two
+    side x side tables serve ``saturated``: ``cotouch[i, j]`` is set once
+    some row touches both i and j, and ``open[i, j]`` while pair (i, j) has
+    a coordinate (it or its ``partner``) that no unit row holds, a unit row
+    being one with a single nonzero coordinate; ``unit`` flags those rows
+    and ``held`` marks their coordinates.  A unit row is exactly +-1 at the
     coordinate it holds, so ``outside`` masks held coordinates instead of
     projecting onto unit rows.  The support tables are multiplied as exact
     counts (``_meets``).
     """
 
     def __init__(self, side: int, tol: float):
-        full = side * side
+        full, pos = side * side, np.arange(side)
         self.side = side
         self.tol = tol
         self.iu = np.triu_indices(side, 1)
         self.rows = np.zeros((full, full))
         self.mats = np.zeros((full, side, side), dtype=np.complex128)
+        self.flat = self.mats.reshape(full, -1).view(np.float64)
+        k = self.iu[0].size
+        self.ends = np.concatenate([[pos, pos], self.iu, self.iu], axis=1)
+        self.part = np.repeat([1, 0, 1], [side, k, k])  # imaginary diagonal, real and imaginary pairs
+        self.at = 2 * (side * self.ends + self.ends[::-1]) + self.part
+        self.sign = 2.0 * self.part - 1.0
+        self.partner = np.concatenate([pos, side + k + np.arange(k), side + np.arange(k)])
         self.touch = np.zeros((full, side), dtype=bool)
         self.coords = np.zeros((full, full), dtype=bool)
         self.spanned = np.zeros(full, dtype=bool)
@@ -158,22 +157,24 @@ class _SpanBuilder:
         residual = float(np.linalg.norm(vec))
         if not self._clears(residual, pre):
             return False
-        self._append(vec[None] / residual)
+        self._append(np.arange(vec.size), vec[None] / residual)
         return True
 
-    def offer_block(self, vecs: np.ndarray, floor: float = _ZERO_NORM) -> None:
-        """Offer the rows of ``vecs`` in order, as ``offer`` would, until the
-        span is full.
+    def offer_block(self, keys: np.ndarray, vecs: np.ndarray, floor: float = _ZERO_NORM) -> None:
+        """Offer the rows of ``vecs``, values over the coordinates ``keys``,
+        in order, as ``offer`` would, until the span is full.
 
         When no coordinate is nonzero in two of them, or in one of them and
         the span, every projection term in ``offer`` is an exact zero: each
         residual is the vector's own norm, and the whole block is accepted
         in one pass, with ``offer``'s norm and band check on each vector in
         turn.  Any other block goes through ``offer`` one vector at a time.
+        Only that path and the norm of a vector with several nonzero
+        coordinates spread vectors to side^2, so that they round alike.
         """
         nonzero = vecs != 0
-        if (nonzero.sum(axis=0) + self.spanned).max(initial=0) > 1:
-            for vec in vecs:
+        if (nonzero.sum(axis=0) + self.spanned[keys]).max(initial=0) > 1:
+            for vec in self._wide(keys, vecs):
                 if self.dim == self.rows.shape[0]:
                     break
                 self.offer(vec, floor)
@@ -183,12 +184,18 @@ class _SpanBuilder:
         # only below 1.5e-154, under every floor: generators are scaled to
         # a peak in [1, 2)); max and -min give |x| without an |vecs| temporary
         pres = np.maximum(vecs.max(axis=1, initial=0.0), -vecs.min(axis=1, initial=0.0))
-        for i in np.flatnonzero(nonzero.sum(axis=1) > 1):
-            pres[i] = np.linalg.norm(vecs[i])
+        multi = np.flatnonzero(nonzero.sum(axis=1) > 1)
+        pres[multi] = [np.linalg.norm(vec) for vec in self._wide(keys, vecs[multi])]
         keep = [i for i, pre in enumerate(pres) if pre >= floor and self._clears(pre, pre)]
         for at in range(0, len(keep), 32):  # bounds the temporaries
             part = keep[at:at + 32]
-            self._append(vecs[part] / pres[part, None])
+            self._append(keys, vecs[part] / pres[part, None])
+
+    def _wide(self, keys: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """The rows of ``vecs`` spread from ``keys`` to all side^2 coordinates."""
+        wide = np.zeros((len(vecs), self.rows.shape[1]))
+        wide[:, keys] = vecs
+        return wide
 
     def _clears(self, residual: float, pre: float) -> bool:
         """Whether a residual clears ``tol * pre``; one within a factor 10
@@ -201,24 +208,26 @@ class _SpanBuilder:
             )
         return residual > threshold
 
-    def _append(self, rows: np.ndarray) -> None:
-        """Add unit rows to the basis and update the tables."""
-        start, self.dim = self.dim, self.dim + len(rows)
-        mats = _devectorize(rows, self.side, self.iu, self.mats[start:self.dim])
-        touch, coords = mats.any(axis=1), rows != 0
-        self.rows[start:self.dim] = rows
-        self.touch[start:self.dim] = touch
-        self.coords[start:self.dim] = coords
-        self.spanned |= coords.any(axis=0)
+    def _append(self, keys: np.ndarray, vals: np.ndarray) -> None:
+        """Add unit-norm rows, ``vals`` over the coordinates ``keys``, to the
+        basis, writing each nonzero coordinate by index, and update the
+        tables."""
+        start, self.dim = self.dim, self.dim + len(vals)
+        r, j = np.nonzero(vals)
+        at, c, v = r + start, keys[j], vals[r, j]
+        self.rows[at, c] = v
+        self.flat[at, self.at[0, c]] = v
+        self.flat[at, self.at[1, c]] = v * self.sign[c]
+        self.coords[at, c] = self.spanned[c] = True
+        self.touch[at[:, None], self.ends[:, c].T] = True
+        touch = self.touch[start:self.dim]
         self.cotouch |= _meets(touch.T, touch)
-        self.unit[start:self.dim] = unit = coords.sum(axis=1) == 1
-        units = coords[unit]
-        if units.size:
-            side, k = self.side, self.iu[0].size
-            self.held |= units.any(axis=0)
-            pair = ~(self.held[side:side + k] & self.held[side + k:])
-            self.open[self.iu] = self.open[self.iu[::-1]] = pair
-            self.open[np.arange(side), np.arange(side)] = ~self.held[:side]
+        self.unit[start:self.dim] = unit = np.bincount(r, minlength=len(vals)) == 1
+        held = c[unit[r]]
+        if held.size:
+            self.held[held] = True
+            a, b = self.ends[:, held]
+            self.open[a, b] = self.open[b, a] = ~self.held[self.partner[held]]
 
     def saturated(self, fs: np.ndarray) -> np.ndarray:
         """For each basis index in ``fs``, whether every bracket [mats[f], B]
@@ -239,10 +248,11 @@ class _SpanBuilder:
         For skew-Hermitian F and B, [F, B] = P^H - P with P = B F.  With S
         the index set F touches, P is zero outside the columns S, which are
         B[:, S] F[S, S], so only a coordinate (i, j) with i or j in S can be
-        nonzero.  Each is gathered straight from P, a zero column standing
-        in for the columns outside S: -2 Im P_ii on the diagonal,
-        Re P_ji - Re P_ij and -Im P_ji - Im P_ij above it, the same
-        operations as ``_vectorize(P^H - P)``.
+        nonzero.  Both parts it reads, P_ji and P_ij, are gathered straight
+        from the float view of P, a zero column standing in for the columns
+        outside S: Re P_ji - Re P_ij and -Im P_ji - Im P_ij above the
+        diagonal, -Im P_ii - Im P_ii on it, the same operations as
+        ``_vectorize(P^H - P)``, since -x - x is -2x exactly.
         """
         side, touch = self.side, self.touch[f]
         cols = np.flatnonzero(touch)
@@ -251,22 +261,20 @@ class _SpanBuilder:
         at[cols] = np.arange(cols.size)
         prods = np.zeros((among.size, side, width), dtype=np.complex128)
         prods[..., :-1] = (
-            self.mats[among][..., cols].reshape(-1, cols.size) @ self.mats[f][np.ix_(cols, cols)]
+            self.mats[among[:, None, None], np.arange(side)[:, None], cols].reshape(-1, cols.size)
+            @ self.mats[f, cols[:, None], cols]
         ).reshape(among.size, side, cols.size)
-        prods = prods.reshape(among.size, -1)
-        upper = np.flatnonzero(touch[self.iu[0]] | touch[self.iu[1]])
-        i, j = self.iu[0][upper], self.iu[1][upper]
-        low, high = prods[:, j * width + at[i]], prods[:, i * width + at[j]]
-        keys = np.concatenate([cols, side + upper, side + self.iu[0].size + upper])
-        diag = prods[:, cols * width + at[cols]]
-        vecs = np.concatenate(
-            [-2 * diag.imag, low.real - high.real, -low.imag - high.imag], axis=1
-        )
-        return keys, vecs
+        a, b = self.ends
+        keys = np.flatnonzero(touch[a] | touch[b])
+        a, b, part = a[keys], b[keys], self.part[keys]
+        flat = prods.reshape(among.size, -1).view(np.float64)
+        low, high = flat[:, 2 * (b * width + at[a]) + part], flat[:, 2 * (a * width + at[b]) + part]
+        return keys, (1 - 2 * part) * low - high
 
     def outside(self, f: int):
-        """``(bs, vecs)``: each b, ascending, whose bracket [mats[f], mats[b]]
-        the span may not hold, and that bracket's coordinates, one row each.
+        """``(bs, keys, vecs)``: each b, ascending, whose bracket
+        [mats[f], mats[b]] the span may not hold, and those brackets' values
+        over their live coordinates ``keys``, ascending, one row each.
 
         Left out are brackets with norm below ``_ZERO_NORM``, [F, F] among
         them, or residual below a hundredth of ``tol * prenorm``: a full
@@ -277,33 +285,33 @@ class _SpanBuilder:
         When B and F touch disjoint index sets, B F and F B are exactly
         zero, so the bracket is left out without being formed.  The others
         have their held coordinates zeroed, which is what projecting onto
-        a unit row +-e_c does, exactly, and are projected against the other
-        rows sharing a coordinate with them, over the coordinates of both;
-        every term left out is an exact zero.  On elementary generators
-        every row is a unit row, no row is projected, and each residual has
-        the bits of the full projection.  A basis without structural zeros
-        meets everywhere, and this is the full computation.  Only the kept
-        brackets are spread to side^2.
+        a unit row +-e_c does, exactly.  Only when some row that is not a
+        unit row shares a coordinate with them are they projected against
+        those rows, over the coordinates of both; every term left out is an
+        exact zero.  On elementary generators every row is a unit row, the
+        residual is the norm of the masked brackets, and it has the bits of
+        the full projection.  A basis without structural zeros meets
+        everywhere, and this is the full computation.
         """
         dim = self.dim
         among = np.flatnonzero(_meets(self.touch[:dim], self.touch[f]))
         keys, vecs = self.brackets(f, among)
-        pre = np.linalg.norm(vecs, axis=1)
+        pre = np.sqrt((vecs * vecs).sum(axis=1))  # np.linalg.norm(vecs, axis=1)
         nonzero = pre >= _ZERO_NORM
         among, vecs, pre = among[nonzero], vecs[nonzero], pre[nonzero]
         live = (vecs != 0).any(axis=0)
         keys, vecs = keys[live], vecs[:, live]
-        near = np.flatnonzero(self.coords[:dim, keys].any(axis=1) & ~self.unit[:dim])
-        union = self.coords[near].any(axis=0)
-        union[keys] = True
-        spread = np.zeros((among.size, int(union.sum())))
-        spread[:, (np.cumsum(union) - 1)[keys]] = np.where(self.held[keys], 0.0, vecs)
-        rows = self.rows[near][:, union]
-        residual = np.linalg.norm(spread - (spread @ rows.T) @ rows, axis=1)
-        out = ~(residual < self.tol * pre / 100.0)
-        vecs_out = np.zeros((int(out.sum()), self.side * self.side))
-        vecs_out[:, keys] = vecs[out]
-        return among[out], vecs_out
+        masked = np.where(self.held[keys], 0.0, vecs)
+        if not self.unit[:dim].all():
+            near = np.flatnonzero(self.coords[:dim, keys].any(axis=1) & ~self.unit[:dim])
+            union = self.coords[near].any(axis=0)
+            union[keys] = True
+            spread = np.zeros((among.size, int(union.sum())))
+            spread[:, (np.cumsum(union) - 1)[keys]] = masked
+            rows = self.rows[near][:, union]
+            masked = spread - (spread @ rows.T) @ rows
+        out = ~(np.sqrt((masked * masked).sum(axis=1)) < self.tol * pre / 100.0)
+        return among[out], keys, vecs[out]
 
 
 def lie_closure_dim(basis: GeneratorBasis, tol: float = DEFAULT_TOL) -> LieClosureResult:
@@ -333,8 +341,10 @@ def _closure(basis: GeneratorBasis, tol: float):
     so a bracket it leaves out would have been rejected anyway: the
     accepted rows, ``dim`` and ``iterations`` are those of offering every
     bracket.  A tolerance that is not a number in (0, 1), NaN and infinity
-    included, raises ToleranceDegenerateError; a generator that is not
-    finite raises ValueError.  Scaled by the power of two that brings their
+    included, raises ToleranceDegenerateError.  The generators are read as
+    one complex ``(count, side, side)`` stack; one that is not square or
+    not finite, or whose Hermitian part exceeds ``_ZERO_NORM`` times the
+    largest entry, raises ValueError.  Scaled by the power of two that brings their
     peak into [1, 2), generators keep their accepted rows' bits, no squared
     norm under- or overflows, and one is zero below ``_ZERO_NORM`` times the
     peak, whatever the scale; an all-zero basis spans nothing.
@@ -343,15 +353,26 @@ def _closure(basis: GeneratorBasis, tol: float):
         raise ToleranceDegenerateError(f"closure tolerance {tol!r} is not in (0, 1)")
     if len(basis.mats) == 0:
         raise ValueError("empty generator basis")
-    full = basis.side ** 2
-    span = _SpanBuilder(basis.side, tol)
-    vecs = _vectorize(np.asarray(basis.mats), span.iu)
+    mats = np.asarray(basis.mats, dtype=np.complex128)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError(f"generator 0 is not a square matrix: shape {mats.shape[1:]}")
+    side = mats.shape[1]
+    iu = np.triu_indices(side, 1)
+    vecs = _vectorize(mats, iu)
     peak = float(np.maximum(vecs.max(initial=0.0), -vecs.min(initial=0.0)))
     if not np.isfinite(peak):
         raise ValueError("generator basis has entries that are not finite")
+    herm = np.maximum(  # the largest entry of each generator's Hermitian part, doubled
+        np.abs(np.diagonal(mats, axis1=1, axis2=2).real).max(axis=1),
+        np.abs(mats[:, iu[1], iu[0]] + mats[:, iu[0], iu[1]].conj()).max(axis=1, initial=0.0))
+    bad = np.flatnonzero(~(herm <= _ZERO_NORM * peak))
+    if bad.size:
+        raise ValueError(f"generator {bad[0]} is not skew-Hermitian: its Hermitian part "
+                         f"reaches {herm[bad[0]]:.3e} against a largest entry of {peak:.3e}")
     shift = 1 - int(np.frexp(peak)[1])  # 2**shift brings the peak into [1, 2), exactly
     vecs, peak = np.ldexp(vecs, shift, out=vecs), float(np.ldexp(peak, shift))
-    span.offer_block(vecs, _ZERO_NORM * (peak or 1.0))
+    full, span = side * side, _SpanBuilder(side, tol)
+    span.offer_block(np.arange(full), vecs, _ZERO_NORM * (peak or 1.0))
     frontier = np.arange(span.dim)
     iterations = 0
     while frontier.size and span.dim < full:
@@ -361,7 +382,7 @@ def _closure(basis: GeneratorBasis, tol: float):
         while todo.size and span.dim < full:
             dim = span.dim
             for k in np.flatnonzero(~span.saturated(todo)):
-                span.offer_block(span.outside(todo[k])[1])
+                span.offer_block(*span.outside(todo[k])[1:])
                 if span.dim > dim:
                     break
             else:

@@ -236,6 +236,15 @@ def test_reach_negative_level_is_invalid(capsys, cycle5_path):
     assert json.loads(out)["error"] == "IndexOutOfRangeError"
 
 
+def test_reach_level_past_the_largest_index_is_invalid(capsys, cycle5_path):
+    code, out = run_cli(capsys, "reach", "--spec", cycle5_path, "--node", "0",
+                        "--k", "99999999999999999999")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "IndexOutOfRangeError"
+    assert "level 99999999999999999999" in doc["detail"]
+
+
 def test_analyze_exit_2_on_a_reach_parity_conflict(capsys, monkeypatch, cycle4_path):
     # the parity test calls the bipartite walk coverable; the covering
     # search disagrees, and the report says so instead of raising

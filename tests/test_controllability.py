@@ -1,6 +1,7 @@
 """The three controllability criteria and their cross-checks."""
 
 import functools
+import sys
 from collections import deque
 
 import numpy as np
@@ -230,6 +231,13 @@ def test_reachable_sets_start(c5):
 def test_negative_level_is_refused(c5):
     with pytest.raises(qw.IndexOutOfRangeError, match="level -1"):
         qw.reachable_sets(c5, 0, -1)
+
+
+@pytest.mark.parametrize("level", [sys.maxsize, 2**63, 10**20])
+def test_level_past_the_largest_index_is_refused(c5, level):
+    # islice cannot stop at such a level; the check comes before any step
+    with pytest.raises(qw.IndexOutOfRangeError, match=f"level {level} "):
+        qw.reachable_sets(c5, 0, level)
     target = qw.TargetSpread((0,), np.ones(1))
     with pytest.raises(qw.IndexOutOfRangeError):
         qw.spread_from_node(c5, 0, 0, target, -1)

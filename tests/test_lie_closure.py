@@ -10,14 +10,13 @@ from qwalk.lie_closure import (
     _ZERO_NORM,
     GeneratorBasis,
     _closure,
-    _devectorize,
     _meets,
     _SpanBuilder,
     _vectorize,
 )
 
 from sampling import random_spec
-from test_controllability import joint_orbit
+from test_controllability import _redecompose, joint_orbit
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -56,6 +55,17 @@ def pairwise_generator_basis(spec):
             imag[b, a] = 1j
             mats.extend([real, imag])
     return GeneratorBasis(mats=mats)
+
+
+def _devectorize(vec, side, iu):
+    """The skew-Hermitian matrix of real coordinates, the inverse of
+    ``_vectorize``."""
+    k = iu[0].size
+    mat = np.zeros((side, side), dtype=np.complex128)
+    mat[iu] = vec[side:side + k] + 1j * vec[side + k:]
+    mat -= mat.conj().T
+    mat[np.arange(side), np.arange(side)] = 1j * vec[:side]
+    return mat
 
 
 def reference_closure(basis, tol=1e-9):
@@ -139,14 +149,16 @@ def filter_against_dense(monkeypatch, basis):
     outside, brackets = _SpanBuilder.outside, _SpanBuilder.brackets
 
     def checked(self, f):
-        bs, vecs = outside(self, f)
+        bs, keys, vecs = outside(self, f)
         marks = np.ones(self.dim, dtype=bool)
         marks[bs] = False
         np.testing.assert_array_equal(marks, dense_inside(self, f))
         fm, bms = self.mats[f], self.mats[bs]
-        np.testing.assert_allclose(vecs, _vectorize(fm @ bms - bms @ fm, self.iu), rtol=0, atol=1e-14)
+        wide = np.zeros((bs.size, self.side ** 2))
+        wide[:, keys] = vecs
+        np.testing.assert_allclose(wide, _vectorize(fm @ bms - bms @ fm, self.iu), rtol=0, atol=1e-14)
         counts["dense"] += self.dim
-        return bs, vecs
+        return bs, keys, vecs
 
     def counted(self, f, among):
         counts["formed"] += among.size
@@ -396,10 +408,10 @@ def test_filter_leaves_only_accepted_brackets_to_offer(monkeypatch, fig):
         counts["single"] += 1
         return offer(self, vec, *floor)
 
-    def block(self, vecs, *floor):
+    def block(self, keys, vecs, *floor):
         counts["block"] += len(vecs)
         before = counts["single"]
-        offer_block(self, vecs, *floor)
+        offer_block(self, keys, vecs, *floor)
         counts["single"] = before
 
     monkeypatch.setattr(_SpanBuilder, "offer", single)
@@ -417,10 +429,12 @@ def test_filter_does_not_mark_a_bracket_in_the_degenerate_band():
     span = _SpanBuilder(2, tol)
     for mat in (1j * SX, 1j * SY, 1j * (SZ + tol * np.eye(2))):
         assert span.offer(_vectorize(mat, span.iu))
-    bs, vecs = span.outside(0)
+    bs, keys, vecs = span.outside(0)
     assert 1 in bs
+    vec = np.zeros(4)
+    vec[keys] = vecs[bs.tolist().index(1)]
     with pytest.raises(qw.ToleranceDegenerateError):
-        span.offer(vecs[bs.tolist().index(1)])
+        span.offer(vec)
 
 
 def _random_skew_hermitian(rng, side):
@@ -631,3 +645,88 @@ def test_saturation_is_tested_again_after_the_span_grows():
     got, ref = _closure(basis, 1e-9), reference_closure(basis)
     assert got[:2] == ref[:2] == (9, 1)
     assert np.array_equal(got[2], np.stack(ref[2]))
+
+
+def test_bracket_blocks_reach_offer_block_over_their_live_coordinates(monkeypatch, fig):
+    # the generators are offered over every coordinate; each block of
+    # brackets only over the ascending coordinates its brackets reach
+    offer_block, blocks = _SpanBuilder.offer_block, []
+
+    def spied(self, keys, vecs, *floor):
+        blocks.append((keys, vecs.shape[1], self.side ** 2))
+        return offer_block(self, keys, vecs, *floor)
+
+    monkeypatch.setattr(_SpanBuilder, "offer_block", spied)
+    _closure(qw.generator_basis(fig), 1e-9)
+    assert np.array_equal(blocks[0][0], np.arange(324))
+    assert len(blocks) > 1
+    for keys, width, full in blocks[1:]:
+        assert width == keys.size < full
+        assert np.all(np.diff(keys) > 0)
+
+
+def test_integer_generators_are_read_as_complex():
+    # E_01 - E_10 and E_02 - E_20 as an int64 stack close to so(3)
+    mats = np.array([[[0, 1, 0], [-1, 0, 0], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]])
+    assert qw.lie_closure_dim(GeneratorBasis(mats=mats)).dim == 3
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_generators_must_be_skew_hermitian(scale):
+    # a Hermitian part above 1e-14 times the largest entry is refused at
+    # every scale, one below it is read as rounding
+    with pytest.raises(ValueError, match="^generator 0 is not skew-Hermitian"):
+        qw.lie_closure_dim(GeneratorBasis(mats=[scale * SX, scale * SY]))
+    with pytest.raises(ValueError, match="^generator 1 is not skew-Hermitian"):
+        qw.lie_closure_dim(GeneratorBasis(mats=[scale * 1j * SX, scale * (1j * SY + 1e-12 * SZ)]))
+    near = [scale * 1j * SX, scale * (1j * SY + 1e-16 * SX)]
+    assert qw.lie_closure_dim(GeneratorBasis(mats=near)).dim == 3
+
+
+@pytest.mark.parametrize("mats", [np.zeros((2, 2, 3)), np.array([1j, 2j]), np.zeros((1, 2))])
+def test_generators_must_be_square(mats):
+    with pytest.raises(ValueError, match="^generator 0 is not a square matrix"):
+        qw.lie_closure_dim(GeneratorBasis(mats=mats))
+
+
+def _drawn_walk(seed):
+    """A relabelled walk with dN <= 24 outside ``random_spec``'s families:
+    a connected circulant (offsets S = -S, 0 not in S) on 3 to 12 vertices,
+    or disjoint cycles of lengths 3 + 3, 3 + 5 or 4 + 4, their inverse and
+    a perfect matching joining them."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 13))
+    if rng.random() < 0.3:
+        n, lengths = [(6, (3, 3)), (8, (3, 5)), (8, (4, 4))][rng.integers(3)]
+        p1 = np.concatenate([np.roll(c, -1) for c in np.split(np.arange(n), lengths[:1])])
+        while True:
+            pairs = rng.permutation(n).reshape(-1, 2)
+            p3 = np.empty(n, dtype=np.int64)
+            p3[pairs[:, 0]], p3[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+            try:
+                maps = qw.validate(n, [p1, np.argsort(p1), p3]).maps
+                break
+            except qw.QwalkError:
+                continue
+    else:
+        while True:
+            mid = n % 2 == 0 and n <= 8 and rng.random() < 0.5
+            size = int(rng.integers(1, min((24 // n - mid) // 2, (n - 1) // 2) + 1))
+            pairs = rng.choice(np.arange(1, (n + 1) // 2), size=size, replace=False)
+            offsets = [*pairs, *(n - pairs), *([n // 2] if mid else [])]
+            if np.gcd.reduce([n, *offsets]) == 1:
+                break
+        maps = (np.arange(n) + np.array(offsets)[:, None]) % n
+    sigma = rng.permutation(n)
+    return qw.validate(n, [sigma[m][np.argsort(sigma)] for m in maps])
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(spec=st.integers(0, 2**32 - 1).map(_drawn_walk), seed=st.integers(0, 2**32 - 1))
+def test_algebra_matches_the_prediction_on_drawn_walks(spec, seed):
+    # the closure, the block check and the prediction agree, and another
+    # split of the same graph into coins closes to the same dimension
+    report = qw.verify_structure(spec)
+    assert report.match and report.block_diagonal_ok
+    assert report.dim == qw.analyze(spec).predicted_lie_dim
+    assert qw.verify_structure(_redecompose(spec, seed)).dim == report.dim

@@ -231,6 +231,11 @@ def test_concentrate_unreachable(c4):
         qw.concentrate_to_node(c4, 0, state, 2)
 
 
+def test_concentrate_level_past_the_largest_index_is_refused(c5):
+    with pytest.raises(qw.IndexOutOfRangeError, match=f"level {2**63} "):
+        qw.concentrate_to_node(c5, 0, qw.basis_state(c5, 0, 0), 2**63)
+
+
 def test_transfer_same_state(c5):
     rng = np.random.default_rng(6)
     psi = random_walk_state(rng, c5)
