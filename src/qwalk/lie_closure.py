@@ -106,8 +106,8 @@ class _SpanBuilder:
     ``dim``; ``np.zeros`` leaves unused pages untouched, so a small span
     costs only what it fills.  Rows arrive as values over coordinates, and
     ``_append`` writes each nonzero one by index, into ``rows`` and into
-    the float view ``flat`` of ``mats`` (at the offsets ``at`` of entries
-    (a, b) and (b, a), the second times ``sign``; ``ends`` holds (a, b)).
+    the float view ``flat`` of ``mats``, at the ``offsets`` of entries
+    (a, b) and (b, a), the second times ``sign``, with (a, b) its ``ends``.
     Beside them, ``touch`` holds the index set each row's matrix touches,
     ``coords`` its nonzero coordinates and ``spanned`` their union.  Two
     side x side tables serve ``saturated``: ``cotouch[i, j]`` is set once
@@ -131,7 +131,7 @@ class _SpanBuilder:
         k = self.iu[0].size
         self.ends = np.concatenate([[pos, pos], self.iu, self.iu], axis=1)
         self.part = np.repeat([1, 0, 1], [side, k, k])  # imaginary diagonal, real and imaginary pairs
-        self.at = 2 * (side * self.ends + self.ends[::-1]) + self.part
+        self.offsets = 2 * (side * self.ends + self.ends[::-1]) + self.part
         self.sign = 2.0 * self.part - 1.0
         self.partner = np.concatenate([pos, side + k + np.arange(k), side + np.arange(k)])
         self.touch = np.zeros((full, side), dtype=bool)
@@ -214,12 +214,12 @@ class _SpanBuilder:
         tables."""
         start, self.dim = self.dim, self.dim + len(vals)
         r, j = np.nonzero(vals)
-        at, c, v = r + start, keys[j], vals[r, j]
-        self.rows[at, c] = v
-        self.flat[at, self.at[0, c]] = v
-        self.flat[at, self.at[1, c]] = v * self.sign[c]
-        self.coords[at, c] = self.spanned[c] = True
-        self.touch[at[:, None], self.ends[:, c].T] = True
+        row, c, v = start + r, keys[j], vals[r, j]
+        self.rows[row, c] = v
+        self.flat[row, self.offsets[0, c]] = v
+        self.flat[row, self.offsets[1, c]] = v * self.sign[c]
+        self.coords[row, c] = self.spanned[c] = True
+        self.touch[row[:, None], self.ends[:, c].T] = True
         touch = self.touch[start:self.dim]
         self.cotouch |= _meets(touch.T, touch)
         self.unit[start:self.dim] = unit = np.bincount(r, minlength=len(vals)) == 1
