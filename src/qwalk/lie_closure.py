@@ -130,7 +130,7 @@ class _SpanBuilder:
         self.flat = self.mats.reshape(full, -1).view(np.float64)
         k = self.iu[0].size
         self.ends = np.concatenate([[pos, pos], self.iu, self.iu], axis=1)
-        self.part = np.repeat([1, 0, 1], [side, k, k])  # imaginary diagonal, real and imaginary pairs
+        self.part = np.repeat([1, 0, 1], [side, k, k])  # 1 on imaginary parts, 0 on real ones
         self.offsets = 2 * (side * self.ends + self.ends[::-1]) + self.part
         self.sign = 2.0 * self.part - 1.0
         self.partner = np.concatenate([pos, side + k + np.arange(k), side + np.arange(k)])
@@ -268,7 +268,8 @@ class _SpanBuilder:
         keys = np.flatnonzero(touch[a] | touch[b])
         a, b, part = a[keys], b[keys], self.part[keys]
         flat = prods.reshape(among.size, -1).view(np.float64)
-        low, high = flat[:, 2 * (b * width + at[a]) + part], flat[:, 2 * (a * width + at[b]) + part]
+        low = flat[:, 2 * (b * width + at[a]) + part]  # P_ba
+        high = flat[:, 2 * (a * width + at[b]) + part]  # P_ab
         return keys, (1 - 2 * part) * low - high
 
     def outside(self, f: int):
@@ -285,18 +286,19 @@ class _SpanBuilder:
         When B and F touch disjoint index sets, B F and F B are exactly
         zero, so the bracket is left out without being formed.  The others
         have their held coordinates zeroed, which is what projecting onto
-        a unit row +-e_c does, exactly.  Only when some row that is not a
-        unit row shares a coordinate with them are they projected against
-        those rows, over the coordinates of both; every term left out is an
-        exact zero.  On elementary generators every row is a unit row, the
-        residual is the norm of the masked brackets, and it has the bits of
-        the full projection.  A basis without structural zeros meets
-        everywhere, and this is the full computation.
+        a unit row +-e_c does, exactly.  Only when the span has rows that
+        are not unit rows are they projected, against those of them that
+        share a coordinate with the brackets, over the coordinates of both;
+        every term left out is an exact zero.  On elementary generators
+        every row is a unit row, the residual is the norm of the masked
+        brackets, and it has the bits of the full projection.  A basis
+        without structural zeros meets everywhere, and this is the full
+        computation.
         """
         dim = self.dim
         among = np.flatnonzero(_meets(self.touch[:dim], self.touch[f]))
         keys, vecs = self.brackets(f, among)
-        pre = np.sqrt((vecs * vecs).sum(axis=1))  # np.linalg.norm(vecs, axis=1)
+        pre = np.sqrt((vecs * vecs).sum(axis=1))  # np.linalg.norm's sum, bit for bit
         nonzero = pre >= _ZERO_NORM
         among, vecs, pre = among[nonzero], vecs[nonzero], pre[nonzero]
         live = (vecs != 0).any(axis=0)
@@ -344,10 +346,11 @@ def _closure(basis: GeneratorBasis, tol: float):
     included, raises ToleranceDegenerateError.  The generators are read as
     one complex ``(count, side, side)`` stack; one that is not square or
     not finite, or whose Hermitian part exceeds ``_ZERO_NORM`` times the
-    largest entry, raises ValueError.  Scaled by the power of two that brings their
-    peak into [1, 2), generators keep their accepted rows' bits, no squared
-    norm under- or overflows, and one is zero below ``_ZERO_NORM`` times the
-    peak, whatever the scale; an all-zero basis spans nothing.
+    largest entry, raises ValueError.  Scaled by the power of two that
+    brings their peak into [1, 2), generators keep their accepted rows'
+    bits, no squared norm under- or overflows, and one is zero below
+    ``_ZERO_NORM`` times the peak, whatever the scale; an all-zero basis
+    spans nothing.
     """
     if not 0 < tol < 1:
         raise ToleranceDegenerateError(f"closure tolerance {tol!r} is not in (0, 1)")
