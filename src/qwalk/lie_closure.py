@@ -370,8 +370,8 @@ def _closure(basis: GeneratorBasis, tol: float):
         np.abs(mats[:, iu[1], iu[0]] + mats[:, iu[0], iu[1]].conj()).max(axis=1, initial=0.0))
     bad = np.flatnonzero(~(herm <= _ZERO_NORM * peak))
     if bad.size:
-        raise ValueError(f"generator {bad[0]} is not skew-Hermitian: its Hermitian part "
-                         f"reaches {herm[bad[0]]:.3e} against a largest entry of {peak:.3e}")
+        raise ValueError(f"generator {bad[0]} is not skew-Hermitian: its Hermitian part reaches "
+                         f"{herm[bad[0]]:.3e} against a largest coordinate of {abs(peak):.3e}")
     shift = 1 - int(np.frexp(peak)[1])  # 2**shift brings the peak into [1, 2), exactly
     vecs, peak = np.ldexp(vecs, shift, out=vecs), float(np.ldexp(peak, shift))
     full, span = side * side, _SpanBuilder(side, tol)
