@@ -19,23 +19,11 @@ import numpy as np
 from . import json_io
 from .controllability import analyze, k_of, reachable_sets
 from .errors import CapExceededError, QwalkError
-from .graph_model import (
-    complete,
-    cycle_exchange,
-    cycle_shift,
-    figure1,
-    torus,
-)
+from .graph_model import complete, cycle_exchange, cycle_shift, figure1, torus
 from .lie_closure import DEFAULT_TOL, verify_structure
 from .synthesis import TargetSpread, arbitrary_transfer, spread_from_node
 from .walk_core import (
-    WalkState,
-    apply_sequence,
-    basis_state,
-    position_probabilities,
-    shift_order,
-    state_fidelity,
-)
+    WalkState, apply_sequence, basis_state, position_probabilities, shift_order, state_fidelity)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -46,7 +34,7 @@ FIDELITY_TOL = 1e-9
 
 
 def _load_spec(path: str):
-    return json_io.spec_from_dict(json_io.read_json(path))
+    return json_io.read_json(path, json_io.spec_from_dict)
 
 
 def cmd_validate(args) -> tuple[dict, int]:
@@ -86,8 +74,8 @@ def cmd_lie_check(args) -> tuple[dict, int]:
 
 def cmd_synthesize(args) -> tuple[dict, int]:
     spec = _load_spec(args.spec)
-    psi1 = json_io.state_from_dict(json_io.read_json(args.state))
-    psi2 = json_io.state_from_dict(json_io.read_json(args.target))
+    psi1 = json_io.read_json(args.state, json_io.state_from_dict)
+    psi2 = json_io.read_json(args.target, json_io.state_from_dict)
     seq = arbitrary_transfer(spec, psi1, psi2)
     fidelity = state_fidelity(psi2, apply_sequence(psi1, seq, spec))
     doc = {
@@ -100,8 +88,8 @@ def cmd_synthesize(args) -> tuple[dict, int]:
 
 def cmd_simulate(args) -> tuple[dict, int]:
     spec = _load_spec(args.spec)
-    state = json_io.state_from_dict(json_io.read_json(args.state))
-    seq = json_io.sequence_from_dict(json_io.read_json(args.seq))
+    state = json_io.read_json(args.state, json_io.state_from_dict)
+    seq = json_io.read_json(args.seq, json_io.sequence_from_dict)
     final = apply_sequence(state, seq, spec)
     doc = {
         "steps": len(seq),
@@ -139,21 +127,13 @@ def cmd_demo(args) -> tuple[None, int]:
                                 f"{closure.predicted} or block structure broken")
         if not report.verdicts_agree:
             failures.append(f"{name}: criteria disagree")
-        rows.append(
-            (
-                name,
-                spec.n,
-                spec.d,
-                shift_order(spec),
-                report.m,
-                "yes" if report.controllable else "no",
-                report.predicted_lie_dim,
-                dim,
-                "-" if report.kappa is None else str(report.kappa),
-                "-" if report.step_bound is None else str(report.step_bound),
-                "yes" if report.verdicts_agree else "no",
-            )
-        )
+        rows.append((
+            name, spec.n, spec.d, shift_order(spec), report.m,
+            "yes" if report.controllable else "no", report.predicted_lie_dim, dim,
+            "-" if report.kappa is None else str(report.kappa),
+            "-" if report.step_bound is None else str(report.step_bound),
+            "yes" if report.verdicts_agree else "no",
+        ))
 
     hdr = ("walk", "n", "d", "r", "m", "ctrl", "dim_pred", "dim", "kappa", "bound", "agree")
     widths = [max(len(str(row[i])) for row in rows + [hdr]) for i in range(len(hdr))]

@@ -63,11 +63,7 @@ def _int_field(data: dict, key: str) -> int:
 
 
 def spec_to_dict(spec: WalkSpec) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "n": spec.n,
-        "perms": spec.maps.tolist(),
-    }
+    return {"schema": SCHEMA_VERSION, "n": spec.n, "perms": spec.maps.tolist()}
 
 
 def spec_from_dict(data: dict) -> WalkSpec:
@@ -83,12 +79,7 @@ def spec_from_dict(data: dict) -> WalkSpec:
 
 
 def state_to_dict(state: WalkState) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "d": state.d,
-        "n": state.n,
-        "amps": state.amps,
-    }
+    return {"schema": SCHEMA_VERSION, "d": state.d, "n": state.n, "amps": state.amps}
 
 
 def state_from_dict(data: dict) -> WalkState:
@@ -163,21 +154,22 @@ def report_to_dict(report: ControllabilityReport) -> dict:
     return doc
 
 
-def read_json(path: str) -> dict:
-    """The parsed document.  Text that is not UTF-8, arrays and objects
-    nested too deep, or an integer past int()'s digit limit raise
-    json.JSONDecodeError like any other unparsable document.
+def read_json(path: str, decode):
+    """``decode`` of the parsed document.  Text that is not UTF-8, arrays and
+    objects nested too deep, or an integer past int()'s digit limit raise
+    json.JSONDecodeError like any other unparsable document; what ``decode``
+    raises passes through unchanged.
 
-    The cyclic garbage collector is off while ``json.load`` runs: a parsed
-    JSON document holds no reference cycle, so the parse leaves nothing for
-    a collection to free, and one run during it only scans every live
-    object.  The switch is process-global; its prior state comes back on
-    every exit, so a collector the caller disabled stays disabled."""
+    The cyclic garbage collector is off while the document is parsed and
+    decoded: a parsed document holds no reference cycle, so a collection
+    meanwhile only scans every live object, and the parsed tree is freed by
+    reference count before the collector is back.  The switch is global; its
+    prior state comes back on every exit, so a disabled one stays disabled."""
     with open(path, encoding="utf-8") as fh:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except UnicodeDecodeError as exc:
             text = exc.object[:exc.start].decode("utf-8")
             raise json.JSONDecodeError(f"not UTF-8 text ({exc.reason})", text, len(text)) from None
@@ -187,39 +179,47 @@ def read_json(path: str) -> dict:
             raise
         except ValueError:  # the only other: an integer past int()'s digit limit
             raise json.JSONDecodeError("integer literal too long", "", 0) from None
+        else:
+            doc = decode(doc)  # drops the last reference to the parsed tree
         finally:
             if enabled:
                 gc.enable()
+    return doc
 
 
 _ENCODER = json.JSONEncoder(allow_nan=False)
 _TINY = np.finfo(np.float64).tiny
 
 
-def _wrap(items: list, level: int, brackets: str) -> str:
-    """The indent-2 layout of already rendered items at nesting ``level``."""
-    if not items:
-        return brackets
-    pad = "\n" + "  " * (level + 1)
-    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * level}{brackets[1]}"
+def _wrap(out: list, items, level: int, brackets: str, put=list.append) -> list:
+    """Append to ``out`` the indent-2 layout of ``items`` at nesting ``level``,
+    each item's text placed by ``put(out, item)``; returns ``out``."""
+    mark, pad = len(out), ",\n" + "  " * (level + 1)
+    for item in items:
+        out.append(pad)
+        put(out, item)
+    if len(out) > mark:  # the first pad opens the brackets
+        out[mark] = brackets[0] + pad[1:]
+    out.append(brackets if len(out) == mark else f"\n{'  ' * level}{brackets[1]}")
+    return out
 
 
 def _template(shape: tuple, level: int) -> str:
     """Layout of a complex array of ``shape`` with one %s per float, each
     complex number an [re, im] pair."""
-    if not shape:
-        return _wrap(["%s", "%s"], level, "[]")
-    return _wrap([_template(shape[1:], level + 1)] * shape[0], level, "[]")
+    items = [_template(shape[1:], level + 1)] * shape[0] if shape else ["%s", "%s"]
+    return "".join(_wrap([], items, level, "[]"))
 
 
-def _array(a: np.ndarray, level: int, slabs: dict, fast: str | None) -> str:
+def _array(out: list, a: np.ndarray, level: int, slabs: dict, fast: str | None) -> None:
     """A complex array at nesting ``level``, rendered a (d, d) slab (or a
     whole vector) at a time; a stack of slabs goes to ``_slabs`` at once."""
     if a.ndim > 3:
-        return _wrap([_array(s, level + 1, slabs, fast) for s in a], level, "[]")
-    if a.ndim < 3:
-        return _slabs(a[None], level, slabs, fast)[0]
-    return _wrap(_slabs(a, level + 1, slabs, fast), level, "[]")
+        _wrap(out, a, level, "[]", lambda out, s: _array(out, s, level + 1, slabs, fast))
+    elif a.ndim < 3:
+        out.append(_slabs(a[None], level, slabs, fast)[0])
+    else:
+        _wrap(out, _slabs(a, level + 1, slabs, fast), level, "[]")
 
 
 def _slabs(stack: np.ndarray, level: int, slabs: dict, fast: str | None) -> list:
@@ -242,28 +242,20 @@ def _slabs(stack: np.ndarray, level: int, slabs: dict, fast: str | None) -> list
     keys = stack.reshape(len(stack), -1).view(f"V{stack[0].nbytes}").ravel().tolist()
     for key in set(keys).difference(texts):
         floats = np.frombuffer(key).tolist()
-        texts[key] = (
-            twin.format(*floats) if fast
-            else template % tuple(map(float.__repr__, map(round_float, floats)))
-        )
+        texts[key] = twin.format(*floats) if fast else template % tuple(
+            map(float.__repr__, map(round_float, floats)))
     return [texts[key] for key in keys]
 
 
-def _render(obj, level: int, slabs: dict, amps: bool = False) -> str:
+def _render(out: list, obj, level: int, slabs: dict, amps: bool = False) -> list:
     # the C encoder's own text for exact ints and finite floats, without the call
     if type(obj) is int or type(obj) is float and math.isfinite(obj):
-        return type(obj).__repr__(obj)
-    if isinstance(obj, dict):
-        items = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            value = _render(value, level + 1, slabs, key == "amps")
-            items.append(f"{_ENCODER.encode(key)}: {value}")
-        return _wrap(items, level, "{}")
-    if isinstance(obj, (list, tuple)):
-        return _wrap([_render(v, level + 1, slabs, amps) for v in obj], level, "[]")
-    if isinstance(obj, np.ndarray):
+        out.append(type(obj).__repr__(obj))
+    elif isinstance(obj, dict):
+        _wrap(out, obj.items(), level, "{}", lambda out, item: _entry(out, *item, level, slabs))
+    elif isinstance(obj, (list, tuple)):
+        _wrap(out, obj, level, "[]", lambda out, v: _render(out, v, level + 1, slabs, amps))
+    elif isinstance(obj, np.ndarray):
         if obj.dtype.kind != "c":
             raise TypeError(f"only complex arrays are written, not {obj.dtype}")
         # format(x, ".12") is repr(round_float(x)) for +-0.0 and every normal
@@ -276,8 +268,17 @@ def _render(obj, level: int, slabs: dict, amps: bool = False) -> str:
         exact = bool(((mag < 1e10) & ((mag >= _TINY) | (mag == 0))).all())
         if not (exact or np.isfinite(mag).all()):
             raise ValueError("Out of range float values are not JSON compliant")
-        return _array(a, level, slabs, "{!r}" if amps else "{:.12}" if exact else None)
-    return _ENCODER.encode(obj)
+        _array(out, a, level, slabs, "{!r}" if amps else "{:.12}" if exact else None)
+    else:
+        out.append(_ENCODER.encode(obj))
+    return out
+
+
+def _entry(out: list, key, value, level: int, slabs: dict) -> None:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    out.append(f"{_ENCODER.encode(key)}: ")
+    _render(out, value, level + 1, slabs, key == "amps")
 
 
 def dumps(obj) -> str:
@@ -285,14 +286,15 @@ def dumps(obj) -> str:
     refused), where every complex array is written as nested lists of
     [round_float(re), round_float(im)] pairs, or of exact [re, im] pairs
     under the key "amps".  Keys must be strings.  Slab text is shared within
-    one call only.
+    one call only.  The text is built as one flat list of pieces and joined
+    once, so each character is copied once however deep it is nested.
 
     State amplitudes are written exactly so that a written state reads back
     bit for bit: rounded to 12 digits its norm can move by about 1e-12, and
     even at 13 digits one state in a hundred whose norm lies within
     ``NORM_TOL`` of 1 reads back outside it.  Coin blocks keep 12 digits,
     since ``_unitary`` snaps them back on read."""
-    return _render(obj, 0, {})
+    return "".join(_render([], obj, 0, {}))
 
 
 def write_json(obj, path: str) -> None:

@@ -34,7 +34,20 @@ class GeneratorBasis:
 
     @property
     def side(self) -> int:
-        return np.shape(self.mats)[-1]
+        return _stack(self.mats).shape[-1]
+
+
+def _stack(mats) -> np.ndarray:
+    """The generators as one complex array; a generator whose shape is not
+    generator 0's raises ValueError naming it."""
+    try:
+        return np.asarray(mats, dtype=np.complex128)
+    except ValueError:
+        for i, mat in enumerate(mats):
+            if np.shape(mat) != np.shape(mats[0]):
+                raise ValueError(f"generator {i} has shape {np.shape(mat)}, "
+                                 f"generator 0 has {np.shape(mats[0])}") from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -167,8 +180,8 @@ class _SpanBuilder:
         When no coordinate is nonzero in two of them, or in one of them and
         the span, every projection term in ``offer`` is an exact zero: each
         residual is the vector's own norm, and the whole block is accepted
-        in one pass, with ``offer``'s norm and band check on each vector in
-        turn.  Any other block goes through ``offer`` one vector at a time.
+        in one pass, after ``offer``'s norm and band check on all of them at
+        once.  Any other block goes through ``offer`` one vector at a time.
         Only that path and the norm of a vector with several nonzero
         coordinates spread vectors to side^2, so that they round alike.
         """
@@ -186,7 +199,10 @@ class _SpanBuilder:
         pres = np.maximum(vecs.max(axis=1, initial=0.0), -vecs.min(axis=1, initial=0.0))
         multi = np.flatnonzero(nonzero.sum(axis=1) > 1)
         pres[multi] = [np.linalg.norm(vec) for vec in self._wide(keys, vecs[multi])]
-        keep = [i for i, pre in enumerate(pres) if pre >= floor and self._clears(pre, pre)]
+        threshold, kept = self.tol * pres, pres >= floor
+        for i in np.flatnonzero(kept & (threshold / 10.0 <= pres) & (pres <= threshold * 10.0))[:1]:
+            self._clears(float(pres[i]), float(pres[i]))  # raises for the first vector in the band
+        keep = np.flatnonzero(kept & (pres > threshold))
         for at in range(0, len(keep), 32):  # bounds the temporaries
             part = keep[at:at + 32]
             self._append(keys, vecs[part] / pres[part, None])
@@ -356,7 +372,7 @@ def _closure(basis: GeneratorBasis, tol: float):
         raise ToleranceDegenerateError(f"closure tolerance {tol!r} is not in (0, 1)")
     if len(basis.mats) == 0:
         raise ValueError("empty generator basis")
-    mats = np.asarray(basis.mats, dtype=np.complex128)
+    mats = _stack(basis.mats)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"generator 0 is not a square matrix: shape {mats.shape[1:]}")
     side = mats.shape[1]

@@ -78,7 +78,8 @@ class WalkState:
 
 def _unit_norm(x: np.ndarray, what: str) -> None:
     """The one unit-norm rule: norm 1 within NORM_TOL, or NotUnitError naming ``what``."""
-    norm = float(np.linalg.norm(x))
+    with np.errstate(over="ignore"):  # a square past the float range makes the norm inf
+        norm = float(np.linalg.norm(x))
     if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN
         raise NotUnitError(f"{what} norm {norm!r} is not 1 within {NORM_TOL}")
 
@@ -149,7 +150,8 @@ def _unitary(blocks: np.ndarray, where) -> np.ndarray:
     eye, err = np.eye(blocks.shape[-1]), np.zeros(blocks.shape[:-2])
     todo = ~(blocks == eye).all(axis=(-2, -1))  # an exact identity's error is exactly 0
     given = blocks[todo]
-    err[todo] = np.abs(given.conj().swapaxes(-1, -2) @ given - eye).max(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing G^H G errs by inf or NaN
+        err[todo] = np.abs(given.conj().swapaxes(-1, -2) @ given - eye).max(axis=(-2, -1))
     bad = np.argwhere(~(err <= UNITARY_TOL))  # also catches NaN
     if bad.size:
         at = tuple(bad[0].tolist())

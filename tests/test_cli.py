@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, JSON schemas, determinism."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -335,6 +336,35 @@ def test_synthesize_then_simulate(capsys, tmp_path, cycle5_path):
     assert np.abs(np.array(sim["probabilities"]) - expected).max() < 1e-9
 
 
+def test_simulate_runs_no_collection(capsys, tmp_path):
+    # each read parses and decodes with the collector off, and its parsed
+    # tree (about 20,000 lists for this 1.2 MB sequence) is freed by
+    # reference count before the collector is back, so no collection
+    # scans it afterwards
+    spec = qw.torus(7, 9)
+    rng = np.random.default_rng(5)
+    psi1, psi2 = random_walk_state(rng, spec), random_walk_state(rng, spec)
+    paths = [str(tmp_path / name) for name in ("spec.json", "psi1.json", "seq.json")]
+    json_io.write_json(json_io.spec_to_dict(spec), paths[0])
+    json_io.write_json(json_io.state_to_dict(psi1), paths[1])
+    json_io.write_json(json_io.sequence_to_dict(qw.arbitrary_transfer(spec, psi1, psi2)), paths[2])
+    argv = ["simulate", "--spec", paths[0], "--state", paths[1], "--seq", paths[2]]
+    assert main(argv) == 0  # the first run also builds the shared parser
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        assert main(argv) == 0
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
+
+
 def test_usage_error_is_invalid_input(capsys, cycle5_path):
     # an unknown flag is invalid input (1); 2 would read as a failed cross-check
     code = main(["synthesize", "--spec", cycle5_path, "--state", "a.json",
@@ -381,7 +411,28 @@ def test_non_unit_input_is_invalid(capsys, tmp_path, cycle5_path, command):
     assert json.loads(out)["error"] == "NotUnitError"
 
 
-_EYE = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["synthesize", "simulate"])
+def test_overflowing_entries_are_not_unit(capsys, tmp_path, cycle5_path, command):
+    # finite entries whose squares overflow: numpy's overflow warning is no
+    # traceback (warnings are errors here) and no line before the document
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    json_io.write_json({"d": 2, "n": 5, "amps": _AMPS}, str(good))
+    if command == "synthesize":
+        json_io.write_json({"d": 2, "n": 5, "amps": [[1e308, 0.0]] + _AMPS[1:]}, str(bad))
+        argv, detail = ["--state", str(bad), "--target", str(good)], "state norm inf is not 1"
+    else:
+        huge = [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        json_io.write_json({"steps": [{"coins": [_EYE] * 2 + [huge] + [_EYE] * 2}]}, str(bad))
+        argv, detail = ["--state", str(good), "--seq", str(bad)], "coin block at step 0, vertex 2"
+    code = main([command, "--spec", cycle5_path, *argv])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"] == "NotUnitError"
+    assert json.loads(out)["detail"].startswith(detail)
+
+
+_EYE =[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 _AMPS = [[1.0, 0.0]] + [[0.0, 0.0]] * 9
 
 

@@ -5,9 +5,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qwalk as qw
 from qwalk import json_io
+from qwalk.errors import SpecValidationError
 
 from reference import from_pairs_asarray
 from sampling import random_spec, random_state_vector, random_walk_state
@@ -259,7 +262,7 @@ def test_written_states_read_back_bit_for_bit_and_transfer(tmp_path):
             amps = random_state_vector(rng, spec.d * spec.n) * (1 + edge * qw.walk_core.NORM_TOL)
             state = qw.WalkState(spec.d, spec.n, amps)
             json_io.write_json(json_io.state_to_dict(state), path)
-            back.append(json_io.state_from_dict(json_io.read_json(path)))
+            back.append(json_io.read_json(path, json_io.state_from_dict))
             assert back[-1].amps.tobytes() == state.amps.tobytes()
         for a, b in zip(back[:6], back[1:7]):
             seq = qw.arbitrary_transfer(spec, a, b)
@@ -279,6 +282,28 @@ def test_plain_documents_match_the_standard_encoder():
     for doc in docs:
         assert json_io.dumps(doc) == json.dumps(doc, indent=2, allow_nan=False), doc
 
+
+
+_LEAVES = (
+    st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0])
+    | st.text(st.characters(codec="utf-8"), max_size=6)
+    | st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\u2028", "é", "😀"])
+    | st.booleans()
+    | st.none()
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=25,
+))
+def test_drawn_documents_match_the_standard_encoder(doc):
+    # commas, indents and empty brackets at every depth of the one-join layout
+    assert json_io.dumps(doc) == json.dumps(doc, indent=2, allow_nan=False)
 
 _SCALARS = {
     "0": 0, "-1": -1, "2**63": 2**63, "2**200": 2**200,
@@ -316,12 +341,15 @@ def test_non_finite_values_are_refused():
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_read_json_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    # parse errors come out as JSONDecodeError, a decoder's own error as it
+    # was raised; either way the collector is back as it was
     docs = {
         "ok.json": b'{"a": [1, 2.5]}',
         "utf16.json": b'\xff\xfe{"a": 1}',
         "deep.json": b"[" * 200_000 + b"]" * 200_000,
         "bad.json": b"{not json",
         "bigint.json": b'{"a": ' + b"9" * 5000 + b"}",
+        "steps.json": b'{"steps": 3}',
     }
     was = gc.isenabled()
     try:
@@ -330,10 +358,16 @@ def test_read_json_leaves_the_collector_as_it_found_it(tmp_path, enabled):
             path = tmp_path / name
             path.write_bytes(text)
             if name == "ok.json":
-                assert json_io.read_json(str(path)) == {"a": [1, 2.5]}
+                assert json_io.read_json(str(path), lambda doc: doc) == {"a": [1, 2.5]}
+                with pytest.raises(ValueError) as info:
+                    json_io.read_json(str(path), lambda doc: float("x"))
+                assert type(info.value) is ValueError
+            elif name == "steps.json":
+                with pytest.raises(SpecValidationError, match='"steps" must be a list, got int'):
+                    json_io.read_json(str(path), json_io.sequence_from_dict)
             else:
                 with pytest.raises(json.JSONDecodeError):
-                    json_io.read_json(str(path))
+                    json_io.read_json(str(path), json_io.sequence_from_dict)
             assert gc.isenabled() is enabled, name
     finally:
         (gc.enable if was else gc.disable)()

@@ -592,6 +592,12 @@ def test_disjoint_block_raises_at_the_first_vector_in_the_band():
         match=r"^residual 1\.000e\+00 within a factor 10 of threshold 5\.000e-01; ",
     ):
         qw.lie_closure_dim(qw.generator_basis(qw.cycle_shift(5)), tol=0.5)
+    # below the floor, a zero generator is passed over; the next one raises
+    # with its own norm, before the larger one after it
+    mats = np.zeros((3, 2, 2), dtype=complex)
+    mats[1, 0, 0], mats[2, 1, 1] = 0.5j, 1j
+    with pytest.raises(qw.ToleranceDegenerateError, match=r"^residual 5\.000e-01 within .* 2\.500e-01;"):
+        qw.lie_closure_dim(GeneratorBasis(mats=mats), tol=0.5)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -687,6 +693,13 @@ def test_generators_must_be_skew_hermitian(scale):
 def test_generators_must_be_square(mats):
     with pytest.raises(ValueError, match="^generator 0 is not a square matrix"):
         qw.lie_closure_dim(GeneratorBasis(mats=mats))
+
+
+def test_generators_of_two_shapes_are_named():
+    basis = GeneratorBasis(mats=[1j * np.eye(2), 1j * np.eye(2), 1j * np.eye(3)])
+    for call in (lambda: basis.side, lambda: qw.lie_closure_dim(basis)):
+        with pytest.raises(ValueError, match=r"^generator 2 has shape \(3, 3\), generator 0 has \(2, 2\)$"):
+            call()
 
 
 def _drawn_walk(seed):

@@ -320,7 +320,7 @@ def test_transfer_accepts_a_bench_pair_written_with_12_digits(tmp_path):
         path = str(tmp_path / f"{name}.json")
         amps = random_state_vector(rng, spec.d * spec.n)
         json_io.write_json(json_io.state_to_dict(qw.WalkState(spec.d, spec.n, amps)), path)
-        states.append(json_io.state_from_dict(json_io.read_json(path)))
+        states.append(json_io.read_json(path, json_io.state_from_dict))
     seq = qw.arbitrary_transfer(spec, *states)
     assert qw.state_fidelity(states[1], qw.apply_sequence(states[0], seq, spec)) >= 1 - 1e-9
 
