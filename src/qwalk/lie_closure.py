@@ -39,13 +39,17 @@ class GeneratorBasis:
 
 def _stack(mats) -> np.ndarray:
     """The generators as one complex array; a generator whose shape is not
-    generator 0's raises ValueError naming it."""
+    generator 0's, or that is ragged, raises ValueError naming it."""
     try:
         return np.asarray(mats, dtype=np.complex128)
     except ValueError:
         for i, mat in enumerate(mats):
-            if np.shape(mat) != np.shape(mats[0]):
-                raise ValueError(f"generator {i} has shape {np.shape(mat)}, "
+            try:
+                shape = np.shape(mat)
+            except ValueError:
+                raise ValueError(f"generator {i} is ragged") from None
+            if shape != np.shape(mats[0]):
+                raise ValueError(f"generator {i} has shape {shape}, "
                                  f"generator 0 has {np.shape(mats[0])}") from None
         raise
 
@@ -115,22 +119,21 @@ class _SpanBuilder:
     """Orthonormal real basis of the running span, with rank guards; it
     takes real coordinates and forms brackets only in ``brackets``.
 
-    ``rows`` and ``mats`` are preallocated for side^2 rows and filled up to
-    ``dim``; ``np.zeros`` leaves unused pages untouched, so a small span
-    costs only what it fills.  Rows arrive as values over coordinates, and
-    ``_append`` writes each nonzero one by index, into ``rows`` and into
-    the float view ``flat`` of ``mats``, at the ``offsets`` of entries
-    (a, b) and (b, a), the second times ``sign``, with (a, b) its ``ends``.
-    Beside them, ``touch`` holds the index set each row's matrix touches,
-    ``coords`` its nonzero coordinates and ``spanned`` their union.  Two
-    side x side tables serve ``saturated``: ``cotouch[i, j]`` is set once
-    some row touches both i and j, and ``open[i, j]`` while pair (i, j) has
-    a coordinate (it or its ``partner``) that no unit row holds, a unit row
-    being one with a single nonzero coordinate; ``unit`` flags those rows
-    and ``held`` marks their coordinates.  A unit row is exactly +-1 at the
-    coordinate it holds, so ``outside`` masks held coordinates instead of
-    projecting onto unit rows.  The support tables are multiplied as exact
-    counts (``_meets``).
+    Each row is kept once, as its matrix in ``mats``, preallocated for
+    side^2 rows and filled up to ``dim``; ``np.zeros`` leaves unused pages
+    untouched, so a small span costs only what it fills.  ``_append``
+    writes each nonzero coordinate of a row by index into the float view
+    ``flat`` of ``mats``, at the ``offsets`` of entries (a, b) and (b, a),
+    the second times ``sign``, with (a, b) its ``ends``; ``_vectorize``
+    reads the same floats back.  ``touch`` holds the index set each row's
+    matrix touches.  Two side x side tables serve ``saturated``:
+    ``cotouch[i, j]`` is set once some row touches both i and j, and
+    ``open[i, j]`` while pair (i, j) has a coordinate (it or its
+    ``partner``) that no unit row holds, a unit row being one with a single
+    nonzero coordinate; ``unit`` flags those rows and ``held`` marks their
+    coordinates.  A unit row is exactly +-1 at the coordinate it holds, so
+    ``outside`` masks held coordinates instead of projecting onto unit
+    rows.  The support tables are multiplied as exact counts (``_meets``).
     """
 
     def __init__(self, side: int, tol: float):
@@ -138,7 +141,6 @@ class _SpanBuilder:
         self.side = side
         self.tol = tol
         self.iu = np.triu_indices(side, 1)
-        self.rows = np.zeros((full, full))
         self.mats = np.zeros((full, side, side), dtype=np.complex128)
         self.flat = self.mats.reshape(full, -1).view(np.float64)
         k = self.iu[0].size
@@ -148,8 +150,6 @@ class _SpanBuilder:
         self.sign = 2.0 * self.part - 1.0
         self.partner = np.concatenate([pos, side + k + np.arange(k), side + np.arange(k)])
         self.touch = np.zeros((full, side), dtype=bool)
-        self.coords = np.zeros((full, full), dtype=bool)
-        self.spanned = np.zeros(full, dtype=bool)
         self.held = np.zeros(full, dtype=bool)
         self.unit = np.zeros(full, dtype=bool)
         self.cotouch = np.zeros((side, side), dtype=bool)
@@ -164,7 +164,7 @@ class _SpanBuilder:
         pre = float(np.linalg.norm(vec))
         if pre < floor:
             return False
-        rows = self.rows[:self.dim]
+        rows = _vectorize(self.mats[:self.dim], self.iu)
         for _ in range(2):
             vec = vec - rows.T @ (rows @ vec)
         residual = float(np.linalg.norm(vec))
@@ -177,18 +177,20 @@ class _SpanBuilder:
         """Offer the rows of ``vecs``, values over the coordinates ``keys``,
         in order, as ``offer`` would, until the span is full.
 
-        When no coordinate is nonzero in two of them, or in one of them and
-        the span, every projection term in ``offer`` is an exact zero: each
-        residual is the vector's own norm, and the whole block is accepted
-        in one pass, after ``offer``'s norm and band check on all of them at
-        once.  Any other block goes through ``offer`` one vector at a time.
-        Only that path and the norm of a vector with several nonzero
-        coordinates spread vectors to side^2, so that they round alike.
+        When every row is a unit row and no coordinate is nonzero in two of
+        the vectors, or in one of them and ``held``, every projection term
+        in ``offer`` is an exact zero: each residual is the vector's own
+        norm, and the whole block is accepted in one pass, after the norm
+        and band check of ``offer`` on all of them at once.  Any other block
+        goes through ``offer`` one vector at a time.  Only that path and the
+        norm of a vector with several nonzero coordinates spread vectors to
+        side^2, so that they round alike.
         """
         nonzero = vecs != 0
-        if (nonzero.sum(axis=0) + self.spanned[keys]).max(initial=0) > 1:
+        shared = (nonzero.sum(axis=0) + self.held[keys]).max(initial=0) > 1
+        if shared or not self.unit[:self.dim].all():
             for vec in self._wide(keys, vecs):
-                if self.dim == self.rows.shape[0]:
+                if self.dim == len(self.mats):
                     break
                 self.offer(vec, floor)
             return
@@ -209,7 +211,7 @@ class _SpanBuilder:
 
     def _wide(self, keys: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """The rows of ``vecs`` spread from ``keys`` to all side^2 coordinates."""
-        wide = np.zeros((len(vecs), self.rows.shape[1]))
+        wide = np.zeros((len(vecs), len(self.mats)))
         wide[:, keys] = vecs
         return wide
 
@@ -231,10 +233,8 @@ class _SpanBuilder:
         start, self.dim = self.dim, self.dim + len(vals)
         r, j = np.nonzero(vals)
         row, c, v = start + r, keys[j], vals[r, j]
-        self.rows[row, c] = v
         self.flat[row, self.offsets[0, c]] = v
         self.flat[row, self.offsets[1, c]] = v * self.sign[c]
-        self.coords[row, c] = self.spanned[c] = True
         self.touch[row[:, None], self.ends[:, c].T] = True
         touch = self.touch[start:self.dim]
         self.cotouch |= _meets(touch.T, touch)
@@ -321,13 +321,13 @@ class _SpanBuilder:
         keys, vecs = keys[live], vecs[:, live]
         masked = np.where(self.held[keys], 0.0, vecs)
         if not self.unit[:dim].all():
-            near = np.flatnonzero(self.coords[:dim, keys].any(axis=1) & ~self.unit[:dim])
-            union = self.coords[near].any(axis=0)
+            rows = _vectorize(self.mats[:dim][~self.unit[:dim]], self.iu)
+            rows = rows[(rows[:, keys] != 0).any(axis=1)]
+            union = (rows != 0).any(axis=0)
             union[keys] = True
             spread = np.zeros((among.size, int(union.sum())))
             spread[:, (np.cumsum(union) - 1)[keys]] = masked
-            rows = self.rows[near][:, union]
-            masked = spread - (spread @ rows.T) @ rows
+            masked = spread - (spread @ rows[:, union].T) @ rows[:, union]
         out = ~(np.sqrt((masked * masked).sum(axis=1)) < self.tol * pre / 100.0)
         return among[out], keys, vecs[out]
 

@@ -1,5 +1,7 @@
 """Generator construction and bracket-closure dimension checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,7 +127,8 @@ def reference_closure(basis, tol=1e-9):
 def dense_inside(span, f):
     """The filter before the support table: every bracket is formed, 64
     basis elements per product, and projected against every row."""
-    rows, basis = span.rows[:span.dim], span.mats[:span.dim]
+    basis = span.mats[:span.dim]
+    rows = _vectorize(basis, span.iu)
     side = span.side
     marks = []
     for start in range(0, span.dim, 64):
@@ -560,8 +563,8 @@ def test_unit_rows_are_masked_and_dense_rows_projected_in_one_call(monkeypatch):
 
     def spied(self, f):
         keys, _ = self.brackets(f, np.arange(self.dim))
-        dense = ~self.unit[:self.dim]
-        both.append(self.held[keys].any() and self.coords[:self.dim][dense][:, keys].any())
+        dense = _vectorize(self.mats[:self.dim][~self.unit[:self.dim]], self.iu)
+        both.append(self.held[keys].any() and (dense[:, keys] != 0).any())
         return outside(self, f)
 
     monkeypatch.setattr(_SpanBuilder, "outside", spied)
@@ -696,21 +699,47 @@ def test_generators_must_be_square(mats):
 
 
 def test_generators_of_two_shapes_are_named():
-    basis = GeneratorBasis(mats=[1j * np.eye(2), 1j * np.eye(2), 1j * np.eye(3)])
-    for call in (lambda: basis.side, lambda: qw.lie_closure_dim(basis)):
-        with pytest.raises(ValueError, match=r"^generator 2 has shape \(3, 3\), generator 0 has \(2, 2\)$"):
-            call()
+    ragged = [[1j, 0], [0]]
+    for mats, message in [
+        ([1j * np.eye(2), 1j * np.eye(2), 1j * np.eye(3)],
+         r"generator 2 has shape \(3, 3\), generator 0 has \(2, 2\)"),
+        ([ragged], "generator 0 is ragged"),
+        ([1j * np.eye(2), ragged], "generator 1 is ragged"),
+    ]:
+        basis = GeneratorBasis(mats=mats)
+        for call in (lambda: basis.side, lambda: qw.lie_closure_dim(basis)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
 
 
-def _drawn_walk(seed):
-    """A relabelled walk with dN <= 24 outside ``random_spec``'s families:
-    a connected circulant (offsets S = -S, 0 not in S) on 3 to 12 vertices,
-    or disjoint cycles of lengths 3 + 3, 3 + 5 or 4 + 4, their inverse and
-    a perfect matching joining them."""
+def test_closure_peak_memory_is_the_span_matrices():
+    # the span keeps each row once, in its (side^2, side, side) complex
+    # matrices of 16 side^4 bytes; np.zeros allocates through calloc, which
+    # tracemalloc counts in full, so the peak does not depend on the pages
+    # the closure touches
+    basis = qw.generator_basis(qw.torus(3, 3))
+    side = basis.side
+    tracemalloc.start()
+    try:
+        _closure(basis, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * 16 * side ** 4
+
+
+def _drawn_walk(seed, low=0, high=24):
+    """A relabelled walk with low < dN <= high outside ``random_spec``'s
+    families: a connected circulant (offsets S = -S, 0 not in S) on 3 to
+    high / 2 vertices, or disjoint cycles of two lengths, at least 3 each,
+    their inverse and a perfect matching joining them; at the default
+    bounds, cycles of 3 + 3, 3 + 5 or 4 + 4."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 13))
+    n = int(rng.integers(3, high // 2 + 1))
     if rng.random() < 0.3:
-        n, lengths = [(6, (3, 3)), (8, (3, 5)), (8, (4, 4))][rng.integers(3)]
+        choices = [(m, (a, m - a)) for m in range(6, high // 3 + 1, 2) if 3 * m > low
+                   for a in range(3, m // 2 + 1)]
+        n, lengths = choices[rng.integers(len(choices))]
         p1 = np.concatenate([np.roll(c, -1) for c in np.split(np.arange(n), lengths[:1])])
         while True:
             pairs = rng.permutation(n).reshape(-1, 2)
@@ -723,8 +752,13 @@ def _drawn_walk(seed):
                 continue
     else:
         while True:
-            mid = n % 2 == 0 and n <= 8 and rng.random() < 0.5
-            size = int(rng.integers(1, min((24 // n - mid) // 2, (n - 1) // 2) + 1))
+            mid = n % 2 == 0 and 3 * n <= high and rng.random() < 0.5
+            least = max(1, (low // n + 2 - mid) // 2)  # offset pairs for dN > low
+            most = min((high // n - mid) // 2, (n - 1) // 2)
+            if least > most:
+                n = int(rng.integers(3, high // 2 + 1))
+                continue
+            size = int(rng.integers(least, most + 1))
             pairs = rng.choice(np.arange(1, (n + 1) // 2), size=size, replace=False)
             offsets = [*pairs, *(n - pairs), *([n // 2] if mid else [])]
             if np.gcd.reduce([n, *offsets]) == 1:
@@ -743,3 +777,11 @@ def test_algebra_matches_the_prediction_on_drawn_walks(spec, seed):
     assert report.match and report.block_diagonal_ok
     assert report.dim == qw.analyze(spec).predicted_lie_dim
     assert qw.verify_structure(_redecompose(spec, seed)).dim == report.dim
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(spec=st.integers(0, 2**32 - 1).map(lambda seed: _drawn_walk(seed, 24, 36)))
+def test_uncapped_closure_matches_the_prediction_past_the_cap(spec):
+    # past verify_structure's cap, 24 < dN <= 36, the closure is uncapped
+    assert 24 < spec.d * spec.n <= 36
+    assert qw.lie_closure_dim(qw.generator_basis(spec)).dim == qw.analyze(spec).predicted_lie_dim
