@@ -224,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command, print its document with "schema" first and, with
     ``--out``, write the same text to that path; a QwalkError's document
-    takes the same write.  A usage or I/O error writes no document and
-    leaves ``--out`` as it was."""
+    takes the same write.  A usage error or an OSError on an input writes
+    no document and leaves ``--out`` as it was; every OSError exits 3."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
@@ -241,7 +241,7 @@ def main(argv=None) -> int:
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as fh:
                     print(text, file=fh)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         code = EXIT_IO
     except json.JSONDecodeError as exc:

@@ -30,14 +30,22 @@ _CYCLE_RE = re.compile(r"\(([\d,\s]*)\)")
 def _integer(value):
     """The integer test of the index rule: an int, a numpy integer or a float
     with an integral value, as an int; None for a bool or anything else.  A
-    numpy array passes by its dtype and values, as an int64 copy."""
+    numpy array passes by its dtype and values below 2**63, as an int64 copy."""
     if isinstance(value, np.ndarray):
         ok = value.dtype.kind in "iu" or value.dtype.kind == "f" and np.all(
-            np.isfinite(value) & (value == np.trunc(value)))
+            (np.abs(value) < 2.0 ** 63) & (value == np.trunc(value)))
         return value.astype(np.int64) if ok else None
     ok = (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
           or isinstance(value, (float, np.floating)) and float(value).is_integer())
     return int(value) if ok else None
+
+
+def _as_array(values) -> np.ndarray:
+    """``values`` as an array for ``_integer``: an object array, which it
+    refuses, for a list or tuple holding a bool, which numpy reads as 0 or 1.
+    The entry types are tested at C speed, since a spec has d*N images."""
+    bools = isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values))
+    return np.asarray(values, dtype=object if bools else None)
 
 
 class Permutation:
@@ -49,7 +57,7 @@ class Permutation:
 
     def __init__(self, images):
         try:
-            raw = np.asarray(images)
+            raw = _as_array(images)
         except ValueError:  # ragged nesting
             raise NotBijectionError("images are not a flat array of integers") from None
         arr = _integer(raw)

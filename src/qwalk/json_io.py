@@ -204,46 +204,43 @@ def _wrap(out: list, items, level: int, brackets: str, put=list.append) -> list:
     return out
 
 
-def _template(shape: tuple, level: int) -> str:
-    """Layout of a complex array of ``shape`` with one %s per float, each
-    complex number an [re, im] pair."""
-    items = [_template(shape[1:], level + 1)] * shape[0] if shape else ["%s", "%s"]
+def _template(shape: tuple, level: int, field: str) -> str:
+    """Layout of a complex array of ``shape`` with one ``field`` per float,
+    each complex number an [re, im] pair."""
+    items = [_template(shape[1:], level + 1, field)] * shape[0] if shape else [field, field]
     return "".join(_wrap([], items, level, "[]"))
 
 
-def _array(out: list, a: np.ndarray, level: int, slabs: dict, fast: str | None) -> None:
+def _array(out: list, a: np.ndarray, level: int, slabs: dict, fmt: tuple) -> None:
     """A complex array at nesting ``level``, rendered a (d, d) slab (or a
     whole vector) at a time; a stack of slabs goes to ``_slabs`` at once."""
     if a.ndim > 3:
-        _wrap(out, a, level, "[]", lambda out, s: _array(out, s, level + 1, slabs, fast))
+        _wrap(out, a, level, "[]", lambda out, s: _array(out, s, level + 1, slabs, fmt))
     elif a.ndim < 3:
-        out.append(_slabs(a[None], level, slabs, fast)[0])
+        out.append(_slabs(a[None], level, slabs, fmt)[0])
     else:
-        _wrap(out, _slabs(a, level + 1, slabs, fast), level, "[]")
+        _wrap(out, _slabs(a, level + 1, slabs, fmt), level, "[]")
 
 
-def _slabs(stack: np.ndarray, level: int, slabs: dict, fast: str | None) -> list:
+def _slabs(stack: np.ndarray, level: int, slabs: dict, fmt: tuple) -> list:
     """The text of each slab of ``stack`` at nesting ``level``, each distinct
     slab formatted once, since most slabs of a control sequence repeat
-    (identity blocks).  ``slabs`` maps (shape, level, fast) to the slab
-    template, its twin with ``fast`` for each float and the texts met so
-    far, keyed by raw bytes: equal bytes, not equal values, since
-    -0.0 == 0.0 prints differently.  Given ``fast``, one ``str.format`` call
-    fills the twin; otherwise every float goes through ``round_float`` and
-    ``repr``."""
+    (identity blocks).  ``fmt`` is ``(field, rounded)``: one ``str.format``
+    call fills the slab template with ``field`` for each float, after
+    ``round_float`` when ``rounded``.  ``slabs`` maps (shape, level, fmt)
+    to the template and the texts met so far, keyed by raw bytes: equal
+    bytes, not equal values, since -0.0 == 0.0 prints differently."""
     shape = stack.shape[1:]
-    entry = slabs.get((shape, level, fast))
+    entry = slabs.get((shape, level, fmt))
     if entry is None:
-        template = _template(shape, level)
-        entry = slabs[shape, level, fast] = (template, template.replace("%s", fast or "%s"), {})
-    template, twin, texts = entry
+        entry = slabs[shape, level, fmt] = (_template(shape, level, fmt[0]), {})
+    template, texts = entry
     if not stack.size:
         return [template] * len(stack)
     keys = stack.reshape(len(stack), -1).view(f"V{stack[0].nbytes}").ravel().tolist()
     for key in set(keys).difference(texts):
         floats = np.frombuffer(key).tolist()
-        texts[key] = twin.format(*floats) if fast else template % tuple(
-            map(float.__repr__, map(round_float, floats)))
+        texts[key] = template.format(*map(round_float, floats) if fmt[1] else floats)
     return [texts[key] for key in keys]
 
 
@@ -261,14 +258,16 @@ def _render(out: list, obj, level: int, slabs: dict, amps: bool = False) -> list
         # format(x, ".12") is repr(round_float(x)) for +-0.0 and every normal
         # float below 1e10 in magnitude: both round to the same 12 digits, a
         # normal double has no shorter repr, and an exponent appears only
-        # from 1e11 on.  Subnormals and larger floats can differ.  "{!r}" is
-        # repr itself, exact for every finite float.
+        # from 1e11 on.  Subnormals and larger floats can differ, so an
+        # array holding one takes repr ("{!r}") after round_float; "{!r}"
+        # alone is exact for every finite float.
         a = np.asarray(obj, dtype=np.complex128, order="C")
         mag = np.abs(a.reshape(-1).view(np.float64))
         exact = bool(((mag < 1e10) & ((mag >= _TINY) | (mag == 0))).all())
         if not (exact or np.isfinite(mag).all()):
             raise ValueError("Out of range float values are not JSON compliant")
-        _array(out, a, level, slabs, "{!r}" if amps else "{:.12}" if exact else None)
+        fmt = ("{!r}", False) if amps else ("{:.12}", False) if exact else ("{!r}", True)
+        _array(out, a, level, slabs, fmt)
     else:
         out.append(_ENCODER.encode(obj))
     return out

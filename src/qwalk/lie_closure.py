@@ -177,18 +177,17 @@ class _SpanBuilder:
         """Offer the rows of ``vecs``, values over the coordinates ``keys``,
         in order, as ``offer`` would, until the span is full.
 
-        When every row is a unit row and no coordinate is nonzero in two of
-        the vectors, or in one of them and ``held``, every projection term
-        in ``offer`` is an exact zero: each residual is the vector's own
-        norm, and the whole block is accepted in one pass, after the norm
-        and band check of ``offer`` on all of them at once.  Any other block
-        goes through ``offer`` one vector at a time.  Only that path and the
-        norm of a vector with several nonzero coordinates spread vectors to
-        side^2, so that they round alike.
+        When every row and every vector has one nonzero coordinate, and no
+        coordinate is nonzero in two of the vectors, or in one of them and
+        ``held``, every projection term in ``offer`` is an exact zero: each
+        residual is the vector's own norm, and the whole block is accepted
+        in one pass, after the norm and band check of ``offer`` on all of
+        them at once.  Any other block goes through ``offer`` one vector at
+        a time, spread to side^2 coordinates.
         """
         nonzero = vecs != 0
         shared = (nonzero.sum(axis=0) + self.held[keys]).max(initial=0) > 1
-        if shared or not self.unit[:self.dim].all():
+        if shared or nonzero.sum(axis=1).max(initial=0) > 1 or not self.unit[:self.dim].all():
             for vec in self._wide(keys, vecs):
                 if self.dim == len(self.mats):
                     break
@@ -199,8 +198,6 @@ class _SpanBuilder:
         # only below 1.5e-154, under every floor: generators are scaled to
         # a peak in [1, 2)); max and -min give |x| without an |vecs| temporary
         pres = np.maximum(vecs.max(axis=1, initial=0.0), -vecs.min(axis=1, initial=0.0))
-        multi = np.flatnonzero(nonzero.sum(axis=1) > 1)
-        pres[multi] = [np.linalg.norm(vec) for vec in self._wide(keys, vecs[multi])]
         threshold, kept = self.tol * pres, pres >= floor
         for i in np.flatnonzero(kept & (threshold / 10.0 <= pres) & (pres <= threshold * 10.0))[:1]:
             self._clears(float(pres[i]), float(pres[i]))  # raises for the first vector in the band
@@ -303,13 +300,11 @@ class _SpanBuilder:
         zero, so the bracket is left out without being formed.  The others
         have their held coordinates zeroed, which is what projecting onto
         a unit row +-e_c does, exactly.  Only when the span has rows that
-        are not unit rows are they projected, against those of them that
-        share a coordinate with the brackets, over the coordinates of both;
-        every term left out is an exact zero.  On elementary generators
-        every row is a unit row, the residual is the norm of the masked
-        brackets, and it has the bits of the full projection.  A basis
-        without structural zeros meets everywhere, and this is the full
-        computation.
+        are not unit rows are the masked brackets spread to side^2
+        coordinates and projected onto those rows, one pass of ``offer``'s
+        projection.  On elementary generators every row is a unit row, the
+        residual is the norm of the masked brackets, and it has the bits of
+        the full projection.
         """
         dim = self.dim
         among = np.flatnonzero(_meets(self.touch[:dim], self.touch[f]))
@@ -322,12 +317,8 @@ class _SpanBuilder:
         masked = np.where(self.held[keys], 0.0, vecs)
         if not self.unit[:dim].all():
             rows = _vectorize(self.mats[:dim][~self.unit[:dim]], self.iu)
-            rows = rows[(rows[:, keys] != 0).any(axis=1)]
-            union = (rows != 0).any(axis=0)
-            union[keys] = True
-            spread = np.zeros((among.size, int(union.sum())))
-            spread[:, (np.cumsum(union) - 1)[keys]] = masked
-            masked = spread - (spread @ rows[:, union].T) @ rows[:, union]
+            masked = self._wide(keys, masked)
+            masked -= (masked @ rows.T) @ rows
         out = ~(np.sqrt((masked * masked).sum(axis=1)) < self.tol * pre / 100.0)
         return among[out], keys, vecs[out]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, NotUnitError
-from .graph_model import WalkSpec, _integer, cycle_table
+from .graph_model import WalkSpec, _as_array, _integer, cycle_table
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -26,12 +26,11 @@ def _index(value, size: int | None, name: str):
     """The one rule for vertex, coin-value, target-node and level arguments:
     ``value`` must pass ``_integer`` and lie in 0..size-1, or be at least 0
     when ``size`` is None (a level); it is returned as an int.  A list,
-    tuple or array is tested at once by its numpy dtype and values (a list
-    also for bools) and returned as int64.  Failures raise IndexOutOfRangeError."""
+    tuple or array is tested at once by the dtype and values of its
+    ``_as_array`` and returned as int64.  Failures raise IndexOutOfRangeError."""
     if isinstance(value, (list, tuple, np.ndarray)):
-        arr = _integer(np.asarray(value))
-        if arr is None or not isinstance(value, np.ndarray) and any(
-                isinstance(v, (bool, np.bool_)) for v in value):
+        arr = _integer(_as_array(value))
+        if arr is None:
             raise IndexOutOfRangeError(f"{name} {list(value)} are not integers")
         bad = arr[(arr < 0) | (arr >= size)]
         if bad.size:

@@ -1,8 +1,11 @@
 """Command-line surface: exit codes, JSON schemas, determinism."""
 
+import contextlib
+import copy
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qwalk as qw
 from qwalk import controllability, json_io, lie_closure
@@ -131,6 +136,22 @@ def test_input_checks_raise_named_errors(call, error, message):
 
 def test_missing_file_is_io_error(capsys):
     assert main(["analyze", "--spec", "/nonexistent/x.json"]) == 3
+
+
+def test_every_os_error_on_an_input_is_io_error(capsys, tmp_path, cycle5_path):
+    # a path through a file (NotADirectoryError) and a name past 255 bytes
+    # (ENAMETOOLONG) are OSErrors like a missing file
+    for spec in (cycle5_path + "/x.json", str(tmp_path / ("x" * 300))):
+        assert main(["analyze", "--spec", spec]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("i/o error: ")
+
+
+def test_an_out_path_that_cannot_be_written_is_io_error(capsys, cycle5_path):
+    assert main(["analyze", "--spec", cycle5_path, "--out", cycle5_path + "/report.json"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["controllable"] is True
+    assert captured.err.startswith("i/o error: ")
 
 
 def test_unparsable_json_is_io_error(capsys, tmp_path):
@@ -759,3 +780,72 @@ def test_repeated_main_calls_match_fresh_processes(capsys, tmp_path, cycle5_path
                                capture_output=True, text=True, timeout=120)
         assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout)
     assert main(argvs[0]) == 0  # a success after the usage error
+
+
+_DELETE = object()
+_CORRUPTIONS = [None, True, False, 1.5, 1e308, -1e308, 2 ** 64, 1e-320, "x", "", "(0 1)",
+                [], [[1.0, 0.0], [0.0]], {}, {"a": 1}, _DELETE]
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """A cycle_shift(5) spec, two states and a synthesized sequence between
+    them, as parsed JSON, with the commands that read each (``{...}`` is
+    a path)."""
+    work = tmp_path_factory.mktemp("documents")
+    c5 = qw.cycle_shift(5)
+    paths = {name: str(work / f"{name}.json") for name in ("spec", "state", "target", "seq")}
+    json_io.write_json(json_io.spec_to_dict(c5), paths["spec"])
+    rng = np.random.default_rng(3)
+    for name in ("state", "target"):
+        json_io.write_json(json_io.state_to_dict(random_walk_state(rng, c5)), paths[name])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synthesize", "--spec", paths["spec"], "--state", paths["state"],
+                     "--target", paths["target"], "--out", paths["seq"]]) == 0
+    docs = {name: json.loads(Path(path).read_text()) for name, path in paths.items()}
+    synthesize = ["synthesize", "--spec", "{spec}", "--state", "{state}", "--target", "{target}"]
+    simulate = ["simulate", "--spec", "{spec}", "--state", "{state}", "--seq", "{seq}"]
+    readers = {
+        "spec": [["validate", "--spec", "{spec}"], ["analyze", "--spec", "{spec}"],
+                 ["reach", "--spec", "{spec}", "--node", "0", "--k", "3"],
+                 ["lie-check", "--spec", "{spec}"], synthesize, simulate],
+        "state": [synthesize, simulate],
+        "target": [synthesize],
+        "seq": [simulate],
+    }
+    return work, docs, readers
+
+
+def _places(node, at=()):
+    """Every entry of a parsed document, as its path of keys and indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield at + (key,)
+        yield from _places(child, at + (key,))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_documents_never_raise(documents, data):
+    # one entry replaced, or one key or item deleted, in one document, read
+    # by every command that reads it: a named error (exit 1) or an i/o
+    # error (exit 3), never an exception or a RuntimeWarning
+    work, docs, readers = documents
+    name = data.draw(st.sampled_from(sorted(docs)))
+    doc = copy.deepcopy(docs[name])
+    *at, key = data.draw(st.sampled_from(list(_places(doc))))
+    node = doc
+    for step in at:
+        node = node[step]
+    value = data.draw(st.sampled_from(_CORRUPTIONS))
+    if value is _DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    paths = {other: str(work / f"{other}.json") for other in docs}
+    paths[name] = str(work / "corrupted.json")
+    Path(paths[name]).write_text(json.dumps(doc))
+    for argv in readers[name]:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([arg.format(**paths) for arg in argv]) in (0, 1, 2, 3)

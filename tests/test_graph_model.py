@@ -99,6 +99,23 @@ def test_not_bijection():
         Permutation([0, 1, 5])
 
 
+def test_bool_images_are_not_integers():
+    # numpy reads a list holding a bool as an int array, [1, 2, 0] here
+    with pytest.raises(qw.NotBijectionError, match=r"images must be integers: \[True, 2, 0\]"):
+        qw.validate(3, [[True, 2, 0], [2, 0, 1]])
+    with pytest.raises(qw.NotBijectionError, match="images must be integers"):
+        Permutation((1, np.False_, 2))
+
+
+@pytest.mark.parametrize("image", [1e308, -1e308, 2.0 ** 63, -(2.0 ** 63)])
+def test_images_past_int64_are_not_integers(image):
+    # int64 cannot hold them: a cast would warn and give -2**63
+    with pytest.raises(qw.NotBijectionError, match=r"images must be integers: \[1.0, 2.0, 3.0, 4.0, "):
+        qw.validate(5, [[1, 2, 3, 4, image], [4, 0, 1, 2, 3]])
+    with pytest.raises(qw.NotBijectionError, match="images out of range 0..4"):
+        qw.validate(5, [[1, 2, 3, 4, 2.0 ** 62], [4, 0, 1, 2, 3]])
+
+
 def test_coin_collision_names_vertices():
     with pytest.raises(qw.CoinCollisionError, match="0 and 1 both send vertex 0"):
         qw.validate(4, [[1, 2, 3, 0], [1, 0, 3, 2]])

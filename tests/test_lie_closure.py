@@ -575,6 +575,45 @@ def test_unit_rows_are_masked_and_dense_rows_projected_in_one_call(monkeypatch):
     assert np.array_equal(got[2], ref[2])
 
 
+def _two_dense_blocks(side, seed):
+    """Two random skew-Hermitian generators on each of the diagonal blocks
+    of sides side // 2 and side - side // 2: their algebra is
+    u(side // 2) + u(side - side // 2), far below side^2, so most brackets
+    of its dense rows already lie in the span."""
+    rng, cut = np.random.default_rng(seed), side // 2
+    mats = []
+    for lo, hi in ((0, cut), (cut, side)):
+        for _ in range(2):
+            g = np.zeros((side, side), dtype=complex)
+            g[lo:hi, lo:hi] = _random_skew_hermitian(rng, hi - lo)
+            mats.append(g)
+    return GeneratorBasis(mats=mats)
+
+
+@pytest.mark.parametrize("side", [8, 9, 10])
+def test_dense_rows_drop_brackets_as_the_reference_does(monkeypatch, side):
+    # every row is dense, so each outside call projects onto the span's
+    # rows; the brackets it drops are nonzero ones already inside the span
+    basis = _two_dense_blocks(side, side)
+    got = _closure_outcome(_closure, basis, 1e-9)
+    ref = _closure_outcome(reference_closure, basis, 1e-9)
+    assert got[:2] == ref[:2]
+    assert got[0] == (side // 2) ** 2 + (side - side // 2) ** 2
+    assert np.array_equal(got[2], ref[2])
+    outside, dropped = _SpanBuilder.outside, []
+
+    def spied(self, f):
+        bs, keys, vecs = outside(self, f)
+        assert not self.unit[:self.dim].any()
+        _, formed = self.brackets(f, np.arange(self.dim))
+        dropped.append(int((np.linalg.norm(formed, axis=1) >= _ZERO_NORM).sum()) - bs.size)
+        return bs, keys, vecs
+
+    monkeypatch.setattr(_SpanBuilder, "outside", spied)
+    filter_against_dense(monkeypatch, basis)  # marks equal dense_inside's at each call
+    assert sum(dropped) > 0
+
+
 @pytest.mark.parametrize("side", range(1, 65))
 def test_count_products_equal_boolean_products(side):
     # tables drawn at several densities, all-false and all-true among them,

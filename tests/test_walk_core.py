@@ -346,6 +346,13 @@ def test_bad_index_is_refused(name, bad):
         INDEX_ARGS[name][0](bad)
 
 
+@pytest.mark.parametrize("vertices", [[0, 1e308], (0, 2.0 ** 63), np.array([0.0, -1e308]),
+                                      [0, True], (np.True_, 1)])
+def test_index_lists_past_int64_or_holding_bools_are_refused(vertices):
+    with pytest.raises(qw.IndexOutOfRangeError, match="are not integers"):
+        qw.CoinOp.from_blocks(2, 5, vertices, [SWAP, SWAP])
+
+
 @pytest.mark.parametrize("name", INDEX_ARGS)
 def test_integral_float_index_gives_the_same_result(name):
     call, good, _ = INDEX_ARGS[name]
