@@ -6,7 +6,8 @@ alone; repeatedly bracketing them and tracking the real span yields the
 algebra's dimension, which the structure report predicts from the orbit
 criterion's components alone.  Skew-Hermitian matrices of side s are
 vectorized into R^(s^2): imaginary diagonal, then real and imaginary parts
-of the upper triangle.
+of the upper triangle.  The generators and the span's rows are kept as
+their nonzero coordinates there, so the closure's memory follows its rows.
 """
 
 from __future__ import annotations
@@ -26,15 +27,58 @@ _ZERO_NORM = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class GeneratorBasis:
-    """Elementary skew-Hermitian generators on the admissible support:
-    ``mats`` is a ``(count, side, side)`` stack, or any sequence of
-    side x side matrices."""
+    """Skew-Hermitian generators: ``mats`` is a ``(count, side, side)``
+    stack, any sequence of side x side matrices, or the coordinate stack
+    that ``generator_basis`` builds."""
 
-    mats: np.ndarray | list
+    mats: np.ndarray | list | _UnitGenerators
 
     @property
     def side(self) -> int:
+        if isinstance(self.mats, _UnitGenerators):
+            return self.mats.side
         return _stack(self.mats).shape[-1]
+
+
+class _UnitGenerators:
+    """Generators that are each 1.0 at one real coordinate, ``keys[i]``:
+    the coordinate form of a ``(count, side, side)`` stack, whose
+    matrices indexing and ``np.asarray`` build."""
+
+    def __init__(self, side: int, keys: np.ndarray):
+        self.side, self.keys = side, keys
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i) -> np.ndarray:
+        keys = self.keys[i]
+        c = np.ravel(keys)
+        mats = np.zeros((c.size, self.side, self.side), dtype=np.complex128)
+        _scatter(mats, np.arange(c.size), c, 1.0, *_layout(self.side), np.arange(self.side))
+        return mats.reshape(np.shape(keys) + mats.shape[1:])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self[:].astype(dtype or np.complex128, copy=False)
+
+
+def _layout(side: int):
+    """``(ends, part)`` of the real coordinates: coordinate c is the
+    imaginary (``part`` 1) or real (0) part of entry ``ends[:, c]`` =
+    (a, b), a <= b, and of entry (b, a) times ``2 * part - 1``."""
+    pos, iu = np.arange(side), np.triu_indices(side, 1)
+    k = iu[0].size
+    return np.concatenate([[pos, pos], iu, iu], axis=1), np.repeat([1, 0, 1], [side, k, k])
+
+
+def _scatter(out, i, c, v, ends, part, at) -> None:
+    """Write the coordinates ``c``, values ``v``, of the matrices ``out[i]``
+    into the two entries each sets, (a, b) and (b, a) times
+    ``2 * part - 1``, column j kept at ``at[j]``."""
+    (a, b), p = ends[:, c], part[c]
+    flat = out.view(np.float64)
+    flat[i, a, 2 * at[b] + p] = v
+    flat[i, b, 2 * at[a] + p] = v * (2.0 * p - 1.0)
 
 
 def _stack(mats) -> np.ndarray:
@@ -78,7 +122,7 @@ def generator_basis(spec: WalkSpec) -> GeneratorBasis:
     support grows by it until nothing new enters, within the longest cycle
     of that pair map.  The generators are one iE_aa per position, then for
     each admissible pair a < b, in row-major order, E_ab - E_ba and
-    i(E_ab + E_ba), as one ``(count, side, side)`` stack.
+    i(E_ab + E_ba), each kept as its one coordinate (``_UnitGenerators``).
     """
     side = spec.d * spec.n
     flat = (spec.maps + spec.n * np.arange(spec.d)[:, None]).ravel()  # S's image of each position
@@ -89,14 +133,9 @@ def generator_basis(spec: WalkSpec) -> GeneratorBasis:
         size = support.sum()
         support[np.ix_(flat, flat)] |= support
     a, b = np.nonzero(np.triu(support, 1))
-    real = side + 2 * np.arange(a.size)
-    mats = np.zeros((side + 2 * a.size, side, side), dtype=np.complex128)
-    mats[pos, pos, pos] = 1j
-    mats[real, a, b] = 1.0
-    mats[real, b, a] = -1.0
-    mats[real + 1, a, b] = 1j
-    mats[real + 1, b, a] = 1j
-    return GeneratorBasis(mats=mats)
+    real = side + a * (2 * side - a - 1) // 2 + b - a - 1  # (a, b)'s place in np.triu_indices
+    pairs = np.stack([real, real + (side * side - side) // 2], axis=1)
+    return GeneratorBasis(mats=_UnitGenerators(side, np.concatenate([pos, pairs.ravel()])))
 
 
 def _vectorize(mat: np.ndarray, iu) -> np.ndarray:
@@ -115,18 +154,28 @@ def _meets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.astype(np.float32) @ b.astype(np.float32) > 0
 
 
+def _grow(arr: np.ndarray, size: int) -> np.ndarray:
+    """``arr``, or a zero-padded copy of at least twice its length, so that
+    it holds ``size`` rows."""
+    if size <= len(arr):
+        return arr
+    out = np.zeros((max(size, 2 * len(arr)),) + arr.shape[1:], dtype=arr.dtype)
+    out[:len(arr)] = arr
+    return out
+
+
 class _SpanBuilder:
     """Orthonormal real basis of the running span, with rank guards; it
     takes real coordinates and forms brackets only in ``brackets``.
 
-    Each row is kept once, as its matrix in ``mats``, preallocated for
-    side^2 rows and filled up to ``dim``; ``np.zeros`` leaves unused pages
-    untouched, so a small span costs only what it fills.  ``_append``
-    writes each nonzero coordinate of a row by index into the float view
-    ``flat`` of ``mats``, at the ``offsets`` of entries (a, b) and (b, a),
-    the second times ``sign``, with (a, b) its ``ends``; ``_vectorize``
-    reads the same floats back.  ``touch`` holds the index set each row's
-    matrix touches.  Two side x side tables serve ``saturated``:
+    Each row is kept once, as its nonzero coordinates in CSR form: row i
+    is ``val[ptr[i]:ptr[i + 1]]`` at the coordinates
+    ``key[ptr[i]:ptr[i + 1]]``.  A row with more than one coordinate also
+    keeps a dense copy, in row order in the first ``nd`` rows of
+    ``dense``, for the projections of ``offer`` and ``outside``; no row of
+    a generator basis has one.  ``_columns`` writes rows' matrix entries
+    from their coordinates (``_scatter``).  ``touch`` holds the index set
+    each row's matrix touches.  Two side x side tables serve ``saturated``:
     ``cotouch[i, j]`` is set once some row touches both i and j, and
     ``open[i, j]`` while pair (i, j) has a coordinate (it or its
     ``partner``) that no unit row holds, a unit row being one with a single
@@ -138,33 +187,35 @@ class _SpanBuilder:
 
     def __init__(self, side: int, tol: float):
         full, pos = side * side, np.arange(side)
-        self.side = side
-        self.tol = tol
-        self.iu = np.triu_indices(side, 1)
-        self.mats = np.zeros((full, side, side), dtype=np.complex128)
-        self.flat = self.mats.reshape(full, -1).view(np.float64)
-        k = self.iu[0].size
-        self.ends = np.concatenate([[pos, pos], self.iu, self.iu], axis=1)
-        self.part = np.repeat([1, 0, 1], [side, k, k])  # 1 on imaginary parts, 0 on real ones
-        self.offsets = 2 * (side * self.ends + self.ends[::-1]) + self.part
-        self.sign = 2.0 * self.part - 1.0
+        self.side, self.full, self.tol = side, full, tol
+        self.ends, self.part = _layout(side)
+        k = (full - side) // 2
         self.partner = np.concatenate([pos, side + k + np.arange(k), side + np.arange(k)])
+        self.ptr = np.zeros(full + 1, dtype=np.int64)
+        self.key = np.zeros(full, dtype=np.int64)
+        self.val = np.zeros(full)
+        self.dense = np.zeros((0, full))
         self.touch = np.zeros((full, side), dtype=bool)
         self.held = np.zeros(full, dtype=bool)
         self.unit = np.zeros(full, dtype=bool)
         self.cotouch = np.zeros((side, side), dtype=bool)
         self.open = np.ones((side, side), dtype=bool)
-        self.dim = 0
+        self.dim = self.nd = 0
 
     def offer(self, vec: np.ndarray, floor: float = _ZERO_NORM) -> bool:
         """Project real coordinates against the span; extend the basis when
         the residual clears the tolerance.  A vector with norm below
         ``floor`` is zero.  Two projection passes keep the basis
-        orthonormal; residuals within a factor 10 of the threshold abort."""
+        orthonormal; residuals within a factor 10 of the threshold abort.
+        The rows are spread to side^2 coordinates for the projection."""
         pre = float(np.linalg.norm(vec))
         if pre < floor:
             return False
-        rows = _vectorize(self.mats[:self.dim], self.iu)
+        unit = self.unit[:self.dim]
+        rows = np.zeros((self.dim, self.full))
+        rows[~unit] = self.dense[:self.nd]
+        at = self.ptr[np.flatnonzero(unit)]
+        rows[unit, self.key[at]] = self.val[at]
         for _ in range(2):
             vec = vec - rows.T @ (rows @ vec)
         residual = float(np.linalg.norm(vec))
@@ -189,7 +240,7 @@ class _SpanBuilder:
         shared = (nonzero.sum(axis=0) + self.held[keys]).max(initial=0) > 1
         if shared or nonzero.sum(axis=1).max(initial=0) > 1 or not self.unit[:self.dim].all():
             for vec in self._wide(keys, vecs):
-                if self.dim == len(self.mats):
+                if self.dim == self.full:
                     break
                 self.offer(vec, floor)
             return
@@ -208,7 +259,7 @@ class _SpanBuilder:
 
     def _wide(self, keys: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """The rows of ``vecs`` spread from ``keys`` to all side^2 coordinates."""
-        wide = np.zeros((len(vecs), len(self.mats)))
+        wide = np.zeros((len(vecs), self.full))
         wide[:, keys] = vecs
         return wide
 
@@ -224,27 +275,50 @@ class _SpanBuilder:
         return residual > threshold
 
     def _append(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        """Add unit-norm rows, ``vals`` over the coordinates ``keys``, to the
-        basis, writing each nonzero coordinate by index, and update the
-        tables."""
+        """Add unit-norm rows, ``vals`` over the coordinates
+        ``keys``, to the basis, keeping each nonzero coordinate, and update
+        the tables."""
         start, self.dim = self.dim, self.dim + len(vals)
         r, j = np.nonzero(vals)
         row, c, v = start + r, keys[j], vals[r, j]
-        self.flat[row, self.offsets[0, c]] = v
-        self.flat[row, self.offsets[1, c]] = v * self.sign[c]
+        count = np.bincount(r, minlength=len(vals))
+        lo, self.ptr[start + 1:self.dim + 1] = self.ptr[start], self.ptr[start] + np.cumsum(count)
+        self.key, self.val = _grow(self.key, lo + c.size), _grow(self.val, lo + c.size)
+        self.key[lo:lo + c.size], self.val[lo:lo + c.size] = c, v
+        self.unit[start:self.dim] = unit = count == 1
+        if not unit.all():
+            many = self.nd + np.cumsum(~unit) - 1  # each row's place in dense
+            self.nd = int(many[-1]) + 1
+            self.dense = _grow(self.dense, self.nd)
+            wide = ~unit[r]
+            self.dense[many[r[wide]], c[wide]] = v[wide]
         self.touch[row[:, None], self.ends[:, c].T] = True
         touch = self.touch[start:self.dim]
         self.cotouch |= _meets(touch.T, touch)
-        self.unit[start:self.dim] = unit = np.bincount(r, minlength=len(vals)) == 1
         held = c[unit[r]]
         if held.size:
             self.held[held] = True
             a, b = self.ends[:, held]
             self.open[a, b] = self.open[b, a] = ~self.held[self.partner[held]]
 
+    def _columns(self, rows: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+        """Columns of the element of each row in ``rows``, as one complex
+        ``(len(rows), side, width)`` array: column j at ``at[j]``, where a
+        place past the columns kept is a spare that the caller drops."""
+        e = self.ptr[rows]
+        if self.nd:  # some row has several coordinates: one index per coordinate
+            count = self.ptr[rows + 1] - e
+            i = np.repeat(np.arange(rows.size), count)
+            e = np.arange(i.size) + (e - (np.cumsum(count) - count))[i]
+        else:  # one coordinate per row
+            i = np.arange(rows.size)
+        out = np.zeros((rows.size, self.side, width), dtype=np.complex128)
+        _scatter(out, i, self.key[e], self.val[e], self.ends, self.part, at)
+        return out
+
     def saturated(self, fs: np.ndarray) -> np.ndarray:
-        """For each basis index in ``fs``, whether every bracket [mats[f], B]
-        with a basis element B already lies in the span.
+        """For each basis index in ``fs``, whether every bracket [F, B] of
+        its element F with a basis element B already lies in the span.
 
         With S the index set F touches, a B that meets S touches only
         indices that some row shares with S, the set R, and [F, B] is zero
@@ -255,8 +329,9 @@ class _SpanBuilder:
         return ~(_meets(touch, self.open) & _meets(touch, self.cotouch)).any(axis=1)
 
     def brackets(self, f: int, among: np.ndarray):
-        """``(keys, vecs)``: the coordinates where [mats[f], mats[b]] can be
-        nonzero, and its values there, one row of ``vecs`` per b in ``among``.
+        """``(keys, vecs)``: the coordinates where [F, B] can be nonzero, F
+        being row f's element, and its values there, one row of ``vecs``
+        per row b in ``among``.
 
         For skew-Hermitian F and B, [F, B] = P^H - P with P = B F.  With S
         the index set F touches, P is zero outside the columns S, which are
@@ -272,10 +347,10 @@ class _SpanBuilder:
         width = cols.size + 1
         at = np.full(side, cols.size)  # where column j of P is kept
         at[cols] = np.arange(cols.size)
+        slabs = self._columns(np.append(among, f), at, width)[..., :-1]  # each B[:, S], then F's
         prods = np.zeros((among.size, side, width), dtype=np.complex128)
         prods[..., :-1] = (
-            self.mats[among[:, None, None], np.arange(side)[:, None], cols].reshape(-1, cols.size)
-            @ self.mats[f, cols[:, None], cols]
+            slabs[:-1].reshape(-1, cols.size) @ slabs[-1, cols]
         ).reshape(among.size, side, cols.size)
         a, b = self.ends
         keys = np.flatnonzero(touch[a] | touch[b])
@@ -286,9 +361,9 @@ class _SpanBuilder:
         return keys, (1 - 2 * part) * low - high
 
     def outside(self, f: int):
-        """``(bs, keys, vecs)``: each b, ascending, whose bracket
-        [mats[f], mats[b]] the span may not hold, and those brackets' values
-        over their live coordinates ``keys``, ascending, one row each.
+        """``(bs, keys, vecs)``: each b, ascending, whose bracket [F, B]
+        the span may not hold, and those brackets' values over their live
+        coordinates ``keys``, ascending, one row each.
 
         Left out are brackets with norm below ``_ZERO_NORM``, [F, F] among
         them, or residual below a hundredth of ``tol * prenorm``: a full
@@ -301,10 +376,10 @@ class _SpanBuilder:
         have their held coordinates zeroed, which is what projecting onto
         a unit row +-e_c does, exactly.  Only when the span has rows that
         are not unit rows are the masked brackets spread to side^2
-        coordinates and projected onto those rows, one pass of ``offer``'s
-        projection.  On elementary generators every row is a unit row, the
-        residual is the norm of the masked brackets, and it has the bits of
-        the full projection.
+        coordinates and projected onto those rows' dense copies, one pass
+        of ``offer``'s projection.  On elementary generators every row is a
+        unit row, the residual is the norm of the masked brackets, and it
+        has the bits of the full projection.
         """
         dim = self.dim
         among = np.flatnonzero(_meets(self.touch[:dim], self.touch[f]))
@@ -315,8 +390,8 @@ class _SpanBuilder:
         live = (vecs != 0).any(axis=0)
         keys, vecs = keys[live], vecs[:, live]
         masked = np.where(self.held[keys], 0.0, vecs)
-        if not self.unit[:dim].all():
-            rows = _vectorize(self.mats[:dim][~self.unit[:dim]], self.iu)
+        if self.nd:
+            rows = self.dense[:self.nd]
             masked = self._wide(keys, masked)
             masked -= (masked @ rows.T) @ rows
         out = ~(np.sqrt((masked * masked).sum(axis=1)) < self.tol * pre / 100.0)
@@ -335,34 +410,24 @@ def lie_closure_dim(basis: GeneratorBasis, tol: float = DEFAULT_TOL) -> LieClosu
     return LieClosureResult(dim=dim, predicted=None, match=None, iterations=iterations)
 
 
-def _closure(basis: GeneratorBasis, tol: float):
-    """Return ``(dim, iterations, mats)`` of the bracket closure, ``mats``
-    being the ``(dim, side, side)`` orthonormal basis in acceptance order.
+def _seed(basis: GeneratorBasis, tol: float) -> _SpanBuilder:
+    """A span holding the generators, offered in their given order.
 
-    The generators are vectorized in one call and offered as one block.  A
-    frontier element F whose brackets all lie on coordinates that unit rows
-    hold (``_SpanBuilder.saturated``) is passed over: its brackets are in
-    the span.  The test runs over the rest of the frontier at once, again
-    only after the span grows.  Any other F is bracketed once, as
-    coordinates, against the basis it is about to loop over by the filter
-    ``_SpanBuilder.outside``, and the brackets it returns are offered in
-    basis order as one block.  Rows added later can only shrink a residual,
-    so a bracket it leaves out would have been rejected anyway: the
-    accepted rows, ``dim`` and ``iterations`` are those of offering every
-    bracket.  A tolerance that is not a number in (0, 1), NaN and infinity
-    included, raises ToleranceDegenerateError.  The generators are read as
-    one complex ``(count, side, side)`` stack; one that is not square or
-    not finite, or whose Hermitian part exceeds ``_ZERO_NORM`` times the
-    largest entry, raises ValueError.  Scaled by the power of two that
-    brings their peak into [1, 2), generators keep their accepted rows'
-    bits, no squared norm under- or overflows, and one is zero below
-    ``_ZERO_NORM`` times the peak, whatever the scale; an all-zero basis
-    spans nothing.
+    ``_UnitGenerators`` are offered as coordinates, 64 at a time.  Any
+    other basis is read as one complex ``(count, side, side)`` stack; one
+    that is not square or not finite, or whose Hermitian part exceeds
+    ``_ZERO_NORM`` times the largest entry, raises ValueError.  It is
+    vectorized in one call and offered as one block, scaled by the power
+    of two that brings its peak into [1, 2): generators keep their
+    accepted rows' bits, no squared norm under- or overflows, and one is
+    zero below ``_ZERO_NORM`` times the peak, whatever the scale; an
+    all-zero basis spans nothing.  The generators are released on return.
     """
-    if not 0 < tol < 1:
-        raise ToleranceDegenerateError(f"closure tolerance {tol!r} is not in (0, 1)")
-    if len(basis.mats) == 0:
-        raise ValueError("empty generator basis")
+    if isinstance(basis.mats, _UnitGenerators):
+        span, keys = _SpanBuilder(basis.mats.side, tol), basis.mats.keys
+        for at in range(0, keys.size, 64):  # bounds the identity block
+            span.offer_block(keys[at:at + 64], np.eye(keys[at:at + 64].size))
+        return span
     mats = _stack(basis.mats)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"generator 0 is not a square matrix: shape {mats.shape[1:]}")
@@ -381,8 +446,36 @@ def _closure(basis: GeneratorBasis, tol: float):
                          f"{herm[bad[0]]:.3e} against a largest coordinate of {abs(peak):.3e}")
     shift = 1 - int(np.frexp(peak)[1])  # 2**shift brings the peak into [1, 2), exactly
     vecs, peak = np.ldexp(vecs, shift, out=vecs), float(np.ldexp(peak, shift))
-    full, span = side * side, _SpanBuilder(side, tol)
-    span.offer_block(np.arange(full), vecs, _ZERO_NORM * (peak or 1.0))
+    span = _SpanBuilder(side, tol)
+    span.offer_block(np.arange(side * side), vecs, _ZERO_NORM * (peak or 1.0))
+    return span
+
+
+def _closure(basis: GeneratorBasis, tol: float):
+    """Return ``(dim, iterations, span)`` of the bracket closure, the
+    span's rows, as coordinates, being the orthonormal basis in acceptance
+    order.
+
+    The generators seed the span (``_seed``).  A frontier element F whose
+    brackets all lie on coordinates that unit rows hold
+    (``_SpanBuilder.saturated``) is passed over: its brackets are in the
+    span.  The test runs over the rest of the frontier at once, again only
+    after the span grows.  Any other F is bracketed once, as coordinates,
+    against the basis it is about to loop over by the filter
+    ``_SpanBuilder.outside``, and the brackets it returns are offered in
+    basis order as one block.  Rows added later can only shrink a residual,
+    so a bracket it leaves out would have been rejected anyway: the
+    accepted rows, ``dim`` and ``iterations`` are those of offering every
+    bracket.  A tolerance that is not a number in (0, 1), NaN and infinity
+    included, raises ToleranceDegenerateError, and an empty basis
+    ValueError.
+    """
+    if not 0 < tol < 1:
+        raise ToleranceDegenerateError(f"closure tolerance {tol!r} is not in (0, 1)")
+    if len(basis.mats) == 0:
+        raise ValueError("empty generator basis")
+    span = _seed(basis, tol)
+    full = span.full
     frontier = np.arange(span.dim)
     iterations = 0
     while frontier.size and span.dim < full:
@@ -399,7 +492,7 @@ def _closure(basis: GeneratorBasis, tol: float):
                 break  # the span did not grow: the rest is done
             todo = todo[k + 1:]
         frontier = np.arange(start, span.dim)
-    return span.dim, iterations, span.mats[:span.dim]
+    return span.dim, iterations, span
 
 
 def verify_structure(spec: WalkSpec, tol: float = DEFAULT_TOL) -> LieClosureResult:
@@ -409,20 +502,25 @@ def verify_structure(spec: WalkSpec, tol: float = DEFAULT_TOL) -> LieClosureResu
     block structure: every closure element must vanish (magnitude below
     1e-9) between basis positions whose vertices lie in different
     components of the orbit criterion (``analyze(spec).components``);
-    where one does not, ``off_block`` names the largest such entry.
+    where one does not, ``off_block`` names the largest such entry.  Only
+    the rows with a coordinate whose ends straddle two components are
+    rebuilt as matrices for it.
     """
     side = spec.d * spec.n
     if side > DEFAULT_DIM_CAP:
         raise CapExceededError(f"d*n = {side} exceeds cap {DEFAULT_DIM_CAP}")
     report = analyze(spec)
-    dim, iterations, mats = _closure(generator_basis(spec), tol)
+    dim, iterations, span = _closure(generator_basis(spec), tol)
 
     comp_of = np.empty(spec.n, dtype=np.int64)
     for ci, comp in enumerate(report.components):
         comp_of[list(comp)] = ci
     block_of = comp_of[np.arange(side) % spec.n]
     off_block = block_of[:, None] != block_of[None, :]
-    off = np.abs(mats[:, off_block])
+    a, b = span.ends[:, span.key[:span.ptr[dim]]]
+    across = np.zeros(dim, dtype=bool)
+    across[np.repeat(np.arange(dim), np.diff(span.ptr[:dim + 1]))[off_block[a, b]]] = True
+    off = np.abs(span._columns(np.flatnonzero(across), np.arange(side), side)[:, off_block])
     worst = float(off.max(initial=0.0))
     block_ok = worst < 1e-9
     where = None

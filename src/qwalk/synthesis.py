@@ -22,7 +22,8 @@ from .errors import (
     UnreachableError,
 )
 from .graph_model import WalkSpec, _integer
-from .walk_core import NORM_TOL, WalkState, _check_dims, _coin_ops, _index, _step_table, _unit_norm
+from .walk_core import (
+    NORM_TOL, WalkState, _check_dims, _coin_ops, _index, _indices, _step_table, _unit_norm)
 
 ZERO_COEFF = 1e-14
 
@@ -196,7 +197,7 @@ def spread_from_node(spec: WalkSpec, j: int, c0, target: TargetSpread, k: int):
     state (a coin basis vector chosen by the construction; per-node coin
     states cannot be prescribed here, use reach_full_state for that).
     """
-    _index(target.nodes, spec.n, "target nodes")
+    _indices(target.nodes, spec.n, "target nodes")
     kept = np.abs(target.coeffs) > ZERO_COEFF  # never empty: unit norm
     nodes, coeffs = tuple(np.array(target.nodes)[kept].tolist()), target.coeffs[kept]
     ops, states = _spread(spec, j, c0, nodes, coeffs, k)

@@ -22,27 +22,41 @@ NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
 
 
-def _index(value, size: int | None, name: str):
-    """The one rule for vertex, coin-value, target-node and level arguments:
-    ``value`` must pass ``_integer`` and lie in 0..size-1, or be at least 0
-    when ``size`` is None (a level); it is returned as an int.  A list,
-    tuple or array is tested at once by the dtype and values of its
-    ``_as_array`` and returned as int64.  Failures raise IndexOutOfRangeError."""
-    if isinstance(value, (list, tuple, np.ndarray)):
-        arr = _integer(_as_array(value))
-        if arr is None:
-            raise IndexOutOfRangeError(f"{name} {list(value)} are not integers")
-        bad = arr[(arr < 0) | (arr >= size)]
-        if bad.size:
-            raise IndexOutOfRangeError(f"{name} {bad.tolist()} out of range 0..{size - 1}")
-        return arr
-    v = _integer(value)
+def _index(value, size: int | None, name: str) -> int:
+    """The one rule for a vertex, coin-value or level argument: one number
+    that passes ``_integer``, a 0-d array included, in 0..size-1, or at
+    least 0 when ``size`` is None (a level); it is returned as an int.  A
+    list, tuple or array of rank 1 or more is refused.  Failures raise
+    IndexOutOfRangeError naming the argument."""
+    array = isinstance(value, np.ndarray)
+    v = None if array and value.ndim else _integer(value[()] if array else value)
     if v is None:
         raise IndexOutOfRangeError(f"{name} {value!r} is not an integer")
     if v < 0 or size is not None and v >= size:
         where = "is negative" if size is None else f"out of range 0..{size - 1}"
         raise IndexOutOfRangeError(f"{name} {v} {where}")
     return v
+
+
+def _indices(values, size: int, name: str) -> np.ndarray:
+    """The one rule for a list of vertices: a flat list, tuple or array,
+    tested at once by the dtype and values of its ``_as_array``, each entry
+    in 0..size-1; it is returned as int64.  Ragged or nested input, or one
+    number, is refused.  Failures raise IndexOutOfRangeError naming the
+    argument."""
+    try:
+        raw = _as_array(values)
+    except ValueError:  # ragged nesting
+        raw = None
+    if raw is None or raw.ndim != 1:
+        raise IndexOutOfRangeError(f"{name} {values!r} are not a flat list of integers")
+    arr = _integer(raw)
+    if arr is None:
+        raise IndexOutOfRangeError(f"{name} {raw.tolist()} are not integers")
+    bad = arr[(arr < 0) | (arr >= size)]
+    if bad.size:
+        raise IndexOutOfRangeError(f"{name} {bad.tolist()} out of range 0..{size - 1}")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +136,7 @@ class CoinOp:
     def from_blocks(cls, d: int, n: int, vertices, blocks) -> "CoinOp":
         """Identity coin everywhere except ``blocks[i]`` at ``vertices[i]``;
         a vertex may appear once.  ``_coin_ops`` for outside input."""
-        idx = _index(vertices, n, "vertices")
+        idx = _indices(vertices, n, "vertices")
         if idx.size != len(blocks):
             raise DimensionMismatchError(f"{len(blocks)} blocks for {idx.size} vertices")
         repeated = np.flatnonzero(np.bincount(idx, minlength=n) > 1)

@@ -303,7 +303,8 @@ def test_lie_check_exit_2_names_the_largest_off_block_entry(capsys, monkeypatch,
     assert doc["match"] is False and doc["block_diagonal_ok"] is False
     a, b = doc["off_block_at"]
     assert (a % 5 < 2) != (b % 5 < 2)  # the pair straddles the two components
-    mats = lie_closure._closure(qw.generator_basis(qw.cycle_shift(5)), 1e-9)[2]
+    span = lie_closure._closure(qw.generator_basis(qw.cycle_shift(5)), 1e-9)[2]
+    mats = span._columns(np.arange(span.dim), np.arange(10), 10)
     block = np.arange(10) % 5 < 2
     largest = np.abs(mats[:, block[:, None] != block[None, :]]).max()
     assert doc["off_block_max"] == pytest.approx(largest, rel=1e-11)

@@ -124,17 +124,22 @@ def reference_closure(basis, tol=1e-9):
     return len(mats), iterations, mats
 
 
+def span_mats(span):
+    """The span's rows as their ``(dim, side, side)`` matrices."""
+    return span._columns(np.arange(span.dim), np.arange(span.side), span.side)
+
+
 def dense_inside(span, f):
     """The filter before the support table: every bracket is formed, 64
     basis elements per product, and projected against every row."""
-    basis = span.mats[:span.dim]
-    rows = _vectorize(basis, span.iu)
-    side = span.side
+    basis, side = span_mats(span), span.side
+    iu = np.triu_indices(side, 1)
+    rows = _vectorize(basis, iu)
     marks = []
     for start in range(0, span.dim, 64):
         block = basis[start:start + 64]
         prods = (block.reshape(-1, side) @ basis[f]).reshape(block.shape)
-        vecs = _vectorize(prods.conj().transpose(0, 2, 1) - prods, span.iu)
+        vecs = _vectorize(prods.conj().transpose(0, 2, 1) - prods, iu)
         pre = np.linalg.norm(vecs, axis=1)
         mark = pre < _ZERO_NORM
         live = vecs[~mark]
@@ -156,10 +161,12 @@ def filter_against_dense(monkeypatch, basis):
         marks = np.ones(self.dim, dtype=bool)
         marks[bs] = False
         np.testing.assert_array_equal(marks, dense_inside(self, f))
-        fm, bms = self.mats[f], self.mats[bs]
+        mats = span_mats(self)
+        fm, bms = mats[f], mats[bs]
         wide = np.zeros((bs.size, self.side ** 2))
         wide[:, keys] = vecs
-        np.testing.assert_allclose(wide, _vectorize(fm @ bms - bms @ fm, self.iu), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(wide, _vectorize(fm @ bms - bms @ fm, np.triu_indices(self.side, 1)),
+                                   rtol=0, atol=1e-14)
         counts["dense"] += self.dim
         return bs, keys, vecs
 
@@ -243,8 +250,9 @@ def _generator_specs():
 def test_generator_stack_equals_pairwise_reference(spec):
     gb, ref = qw.generator_basis(spec), pairwise_generator_basis(spec)
     assert gb.side == ref.side
-    assert gb.mats.dtype == np.complex128
-    assert gb.mats.tobytes() == np.stack(ref.mats).tobytes()
+    stack = np.asarray(gb.mats)
+    assert stack.dtype == np.complex128
+    assert stack.tobytes() == np.stack(ref.mats).tobytes()
 
 
 def test_no_generators_within_a_coin_block(c5):
@@ -377,19 +385,29 @@ def _small_random_spec(seed):
 
 
 def _assert_closure_equals_reference(spec):
+    """Two input forms, one closure: generator_basis's coordinates, and the
+    same generators densified and passed back in as a (count, side, side)
+    stack, make the same rank decisions and the same rows, bit for bit, as
+    each other and as the sequential reference."""
     basis = qw.generator_basis(spec)
-    dim, iterations, mats = _closure(basis, 1e-9)
+    dim, iterations, span = _closure(basis, 1e-9)
+    again = _closure(GeneratorBasis(mats=np.asarray(basis.mats)), 1e-9)
     ref_dim, ref_iterations, ref_mats = reference_closure(basis)
-    assert (dim, iterations) == (ref_dim, ref_iterations)
-    assert np.array_equal(mats, np.stack(ref_mats))
+    assert (dim, iterations) == again[:2] == (ref_dim, ref_iterations)
+    end = span.ptr[dim]
+    assert span.ptr[:dim + 1].tobytes() == again[2].ptr[:dim + 1].tobytes()
+    assert span.key[:end].tobytes() == again[2].key[:end].tobytes()
+    assert span.val[:end].tobytes() == again[2].val[:end].tobytes()
+    assert np.array_equal(span_mats(span), np.stack(ref_mats))
 
 
 @pytest.mark.parametrize(
     "spec",
-    _filter_specs() + [qw.cycle_shift(5), qw.cycle_exchange(6), qw.complete(4)],
+    _filter_specs() + [qw.cycle_shift(n) for n in (5, 7, 8)]
+    + [qw.cycle_exchange(6), qw.cycle_exchange(8), qw.complete(4)],
     ids=["figure1"]
     + [f"random{i}" for i in range(8)]
-    + ["cycle_shift5", "cycle_exchange6", "complete4"],
+    + ["cycle_shift5", "cycle_shift7", "cycle_shift8", "cycle_exchange6", "cycle_exchange8", "complete4"],
 )
 def test_filtered_closure_equals_sequential_reference(spec):
     _assert_closure_equals_reference(spec)
@@ -431,7 +449,7 @@ def test_filter_does_not_mark_a_bracket_in_the_degenerate_band():
     tol = 1e-9
     span = _SpanBuilder(2, tol)
     for mat in (1j * SX, 1j * SY, 1j * (SZ + tol * np.eye(2))):
-        assert span.offer(_vectorize(mat, span.iu))
+        assert span.offer(_vectorize(mat, np.triu_indices(2, 1)))
     bs, keys, vecs = span.outside(0)
     assert 1 in bs
     vec = np.zeros(4)
@@ -533,9 +551,10 @@ def _mixed_basis(seed):
 
 def _closure_outcome(closure, basis, tol):
     try:
-        dim, iterations, mats = closure(basis, tol)
+        dim, iterations, rows = closure(basis, tol)
     except qw.ToleranceDegenerateError as exc:
         return str(exc)
+    mats = span_mats(rows) if isinstance(rows, _SpanBuilder) else rows
     return dim, iterations, np.reshape(mats, (dim, basis.side, basis.side))
 
 
@@ -563,7 +582,7 @@ def test_unit_rows_are_masked_and_dense_rows_projected_in_one_call(monkeypatch):
 
     def spied(self, f):
         keys, _ = self.brackets(f, np.arange(self.dim))
-        dense = _vectorize(self.mats[:self.dim][~self.unit[:self.dim]], self.iu)
+        dense = self.dense[:self.nd]
         both.append(self.held[keys].any() and (dense[:, keys] != 0).any())
         return outside(self, f)
 
@@ -692,12 +711,12 @@ def test_saturation_is_tested_again_after_the_span_grows():
     basis = GeneratorBasis(mats=[_elementary(3, a, b, v) for a, b, v in pairs])
     got, ref = _closure(basis, 1e-9), reference_closure(basis)
     assert got[:2] == ref[:2] == (9, 1)
-    assert np.array_equal(got[2], np.stack(ref[2]))
+    assert np.array_equal(span_mats(got[2]), np.stack(ref[2]))
 
 
 def test_bracket_blocks_reach_offer_block_over_their_live_coordinates(monkeypatch, fig):
-    # the generators are offered over every coordinate; each block of
-    # brackets only over the ascending coordinates its brackets reach
+    # the generators are offered as their coordinates, 64 at a time; each
+    # block of brackets only over the ascending coordinates its brackets reach
     offer_block, blocks = _SpanBuilder.offer_block, []
 
     def spied(self, keys, vecs, *floor):
@@ -705,10 +724,12 @@ def test_bracket_blocks_reach_offer_block_over_their_live_coordinates(monkeypatc
         return offer_block(self, keys, vecs, *floor)
 
     monkeypatch.setattr(_SpanBuilder, "offer_block", spied)
-    _closure(qw.generator_basis(fig), 1e-9)
-    assert np.array_equal(blocks[0][0], np.arange(324))
-    assert len(blocks) > 1
-    for keys, width, full in blocks[1:]:
+    basis = qw.generator_basis(fig)
+    _closure(basis, 1e-9)
+    seeds = -(-len(basis.mats) // 64)
+    assert np.array_equal(np.concatenate([keys for keys, _, _ in blocks[:seeds]]), basis.mats.keys)
+    assert len(blocks) > seeds
+    for keys, width, full in blocks[seeds:]:
         assert width == keys.size < full
         assert np.all(np.diff(keys) > 0)
 
@@ -751,20 +772,21 @@ def test_generators_of_two_shapes_are_named():
                 call()
 
 
-def test_closure_peak_memory_is_the_span_matrices():
-    # the span keeps each row once, in its (side^2, side, side) complex
-    # matrices of 16 side^4 bytes; np.zeros allocates through calloc, which
-    # tracemalloc counts in full, so the peak does not depend on the pages
-    # the closure touches
-    basis = qw.generator_basis(qw.torus(3, 3))
-    side = basis.side
-    tracemalloc.start()
-    try:
-        _closure(basis, 1e-9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.4 * 16 * side ** 4
+def test_closure_peak_memory_follows_the_rows():
+    # the span keeps each row as its coordinates; its largest tables and
+    # temporaries hold one entry per row and index (touch, the support
+    # products of saturated and outside, the column slabs of brackets), 12
+    # to 22 bytes per row and index here.  A dense row store alone would be
+    # 16 side^4 bytes: 27 times the peak on torus(3,3), 80 times on torus(3,5)
+    for spec in (qw.torus(3, 3), qw.torus(3, 5)):
+        basis = qw.generator_basis(spec)
+        tracemalloc.start()
+        try:
+            dim = _closure(basis, 1e-9)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * dim * basis.side
 
 
 def _drawn_walk(seed, low=0, high=24):

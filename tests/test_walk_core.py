@@ -353,6 +353,31 @@ def test_index_lists_past_int64_or_holding_bools_are_refused(vertices):
         qw.CoinOp.from_blocks(2, 5, vertices, [SWAP, SWAP])
 
 
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: qw.reachable_sets(C5, 0, []), "level", id="reachable_sets-kmax"),
+    pytest.param(lambda: qw.k_of(C5, []), "vertex", id="k_of-j"),
+    pytest.param(lambda: qw.parity_check(C5, []), "vertex", id="parity_check-j"),
+    pytest.param(lambda: qw.concentrate_to_node(C5, [1, 2], PSI, 4), "vertex",
+                 id="concentrate_to_node-j"),
+])
+def test_scalar_index_given_a_list_is_refused(call, name):
+    with pytest.raises(qw.IndexOutOfRangeError, match=f"^{name} .* is not an integer"):
+        call()
+
+
+@pytest.mark.parametrize("vertices", [[[0], [1, 2]], [0, [1]]], ids=["nested", "mixed"])
+def test_ragged_vertex_list_is_refused(vertices):
+    with pytest.raises(qw.IndexOutOfRangeError, match="^vertices .* are not a flat list"):
+        qw.CoinOp.from_blocks(2, 5, vertices, [SWAP, SWAP])
+
+
+@pytest.mark.parametrize("name", [name for name in INDEX_ARGS if name != "spread_from_node-node"])
+def test_zero_dimensional_array_index_gives_the_same_result(name):
+    # every scalar slot; a target node is an entry of TargetSpread's list
+    call, good, _ = INDEX_ARGS[name]
+    assert pickle.dumps(call(np.array(good))) == pickle.dumps(call(good))
+
+
 @pytest.mark.parametrize("name", INDEX_ARGS)
 def test_integral_float_index_gives_the_same_result(name):
     call, good, _ = INDEX_ARGS[name]
