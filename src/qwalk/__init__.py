@@ -49,11 +49,9 @@ from .lie_closure import (
 )
 from .synthesis import (
     ControlSequence,
-    TargetSpread,
     arbitrary_transfer,
     concentrate_to_node,
     reach_full_state,
-    spread_from_node,
 )
 from .walk_core import (
     CoinOp,
@@ -63,7 +61,6 @@ from .walk_core import (
     position_probabilities,
     shift_order,
     state_fidelity,
-    step,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .controllability import analyze, k_of, reachable_sets
 from .errors import CapExceededError, QwalkError
 from .graph_model import complete, cycle_exchange, cycle_shift, figure1, torus
 from .lie_closure import DEFAULT_TOL, verify_structure
-from .synthesis import TargetSpread, arbitrary_transfer, spread_from_node
+from .synthesis import arbitrary_transfer, reach_full_state
 from .walk_core import (
     WalkState, apply_sequence, basis_state, position_probabilities, shift_order, state_fidelity)
 
@@ -150,9 +150,11 @@ def cmd_demo(args) -> tuple[None, int]:
     if k_of(fig, 0) != 3:
         failures.append("figure1: covering step count at vertex 0 is not 3")
 
-    # three-step uniform spread on figure1: every node probability must be 1/6
-    target = TargetSpread(tuple(range(6)), np.full(6, 1 / np.sqrt(6)))
-    seq, _ = spread_from_node(fig, 0, 0, target, 3)
+    # three-step uniform spread on figure1: every node probability must be 1/6;
+    # S^-1 of this target lies on level 2, so reaching it takes 3 steps
+    amps = np.zeros((3, 6))
+    amps[0, [0, 1, 2, 3, 5]] = amps[1, 4] = 1 / np.sqrt(6)
+    seq = reach_full_state(fig, 0, 0, WalkState(3, 6, amps), 2)
     probs = position_probabilities(apply_sequence(basis_state(fig, 0, 0), seq, fig))
     print(f"figure1 uniform 3-step spread node probabilities: "
           f"{[format(p, '.6f') for p in probs]}")

@@ -40,6 +40,17 @@ def _integer(value):
     return int(value) if ok else None
 
 
+def _size(value, name: str, error=SpecValidationError) -> int:
+    """The one rule for a size argument: a number that passes ``_integer``,
+    from 1 to below 2**63, as an int; else ``error`` naming ``name``."""
+    size = _integer(value)
+    if size is None or size < 1:
+        raise error(f"{name} must be an integer >= 1, got {value!r}")
+    if size >= 2 ** 63:
+        raise error(f"{name} {value!r} is not below 2**63")
+    return size
+
+
 def _as_array(values) -> np.ndarray:
     """``values`` as an array for ``_integer``: an object array, which it
     refuses, for a list or tuple holding a bool, which numpy reads as 0 or 1.
@@ -253,6 +264,7 @@ def product_walk(a: WalkSpec, b: WalkSpec) -> WalkSpec:
 
 def cycle_shift(n: int) -> WalkSpec:
     """Degree-2 walk on the n-cycle: one step clockwise, one counterclockwise."""
+    n = _size(n, "n")
     idx = np.arange(n)
     return validate(n, [(idx + 1) % n, (idx - 1) % n])
 
@@ -263,6 +275,7 @@ def cycle_exchange(n: int) -> WalkSpec:
     The first permutation swaps (0 1)(2 3)...; the second swaps
     (1 2)(3 4)...(n-1 0).  Only possible when n is even.
     """
+    n = _size(n, "n")
     if n % 2:
         raise ParityError(f"cycle_exchange needs an even vertex count, got {n}")
     up = np.arange(n) ^ 1
@@ -272,6 +285,7 @@ def cycle_exchange(n: int) -> WalkSpec:
 
 def complete(n: int) -> WalkSpec:
     """Walk on the complete graph via the circulant decomposition j -> j+k."""
+    n = _size(n, "n")
     idx = np.arange(n)
     return validate(n, [(idx + k) % n for k in range(1, n)])
 
@@ -283,5 +297,5 @@ def figure1() -> WalkSpec:
 
 def torus(n1: int, n2: int) -> WalkSpec:
     """Degree-4 walk on the n1 x n2 periodic lattice (product of two cycles)."""
-    return product_walk(cycle_shift(n1), cycle_shift(n2))
+    return product_walk(cycle_shift(_size(n1, "n1")), cycle_shift(_size(n2, "n2")))
 

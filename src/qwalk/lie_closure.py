@@ -12,6 +12,7 @@ their nonzero coordinates there, so the closure's memory follows its rows.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,12 +307,9 @@ class _SpanBuilder:
         ``(len(rows), side, width)`` array: column j at ``at[j]``, where a
         place past the columns kept is a spare that the caller drops."""
         e = self.ptr[rows]
-        if self.nd:  # some row has several coordinates: one index per coordinate
-            count = self.ptr[rows + 1] - e
-            i = np.repeat(np.arange(rows.size), count)
-            e = np.arange(i.size) + (e - (np.cumsum(count) - count))[i]
-        else:  # one coordinate per row
-            i = np.arange(rows.size)
+        count = self.ptr[rows + 1] - e
+        i = np.repeat(np.arange(rows.size), count)
+        e = np.arange(i.size) + (e - (np.cumsum(count) - count))[i]
         out = np.zeros((rows.size, self.side, width), dtype=np.complex128)
         _scatter(out, i, self.key[e], self.val[e], self.ends, self.part, at)
         return out
@@ -466,11 +464,11 @@ def _closure(basis: GeneratorBasis, tol: float):
     basis order as one block.  Rows added later can only shrink a residual,
     so a bracket it leaves out would have been rejected anyway: the
     accepted rows, ``dim`` and ``iterations`` are those of offering every
-    bracket.  A tolerance that is not a number in (0, 1), NaN and infinity
-    included, raises ToleranceDegenerateError, and an empty basis
+    bracket.  A tolerance that is not a real number in (0, 1), NaN and
+    infinity included, raises ToleranceDegenerateError, and an empty basis
     ValueError.
     """
-    if not 0 < tol < 1:
+    if not (isinstance(tol, numbers.Real) and 0 < tol < 1):
         raise ToleranceDegenerateError(f"closure tolerance {tol!r} is not in (0, 1)")
     if len(basis.mats) == 0:
         raise ValueError("empty generator basis")

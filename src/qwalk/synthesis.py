@@ -16,14 +16,13 @@ import numpy as np
 from .controllability import analyze, reachable_masks
 from .errors import (
     DimensionMismatchError,
-    IndexOutOfRangeError,
     NotControllableError,
     NotUnitError,
     UnreachableError,
 )
-from .graph_model import WalkSpec, _integer
+from .graph_model import WalkSpec
 from .walk_core import (
-    NORM_TOL, WalkState, _check_dims, _coin_ops, _index, _indices, _step_table, _unit_norm)
+    NORM_TOL, WalkState, _check_dims, _coin_ops, _index, _step_table, _unit_norm)
 
 ZERO_COEFF = 1e-14
 
@@ -53,30 +52,6 @@ class ControlSequence:
 
     def __len__(self) -> int:
         return len(self.ops)
-
-
-@dataclass(frozen=True, eq=False)
-class TargetSpread:
-    """A node-probability target: distinct vertices (each passes ``_integer``;
-    ``spread_from_node`` checks the range) with unit-norm complex coefficients."""
-
-    nodes: tuple
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        nodes = tuple(_integer(v) for v in self.nodes)
-        if None in nodes:
-            bad = [v for v, i in zip(self.nodes, nodes) if i is None]
-            raise IndexOutOfRangeError(f"target nodes {bad} are not vertex indices")
-        coeffs = np.array(self.coeffs, dtype=np.complex128).reshape(-1)  # a copy
-        if len(nodes) != coeffs.size:
-            raise ValueError("one coefficient per node required")
-        if len(set(nodes)) != len(nodes):
-            raise ValueError(f"target nodes must be distinct: {nodes}")
-        _unit_norm(coeffs, "coefficient")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "coeffs", coeffs)
 
 
 def _coin_vector(d: int, c0) -> np.ndarray:
@@ -146,14 +121,15 @@ def _least_steps(ends: np.ndarray, members: np.ndarray):
     return coins, np.where(members[ends[coins, cols]], ends[coins, cols], -1)
 
 
-def _spread(spec, j, c0, nodes, coeffs, k, final=None):
-    """Core of spread_from_node; returns (ops, coin states of nodes).
+def _spread(spec, j, c0, nodes, coeffs, k, final):
+    """The k + 1 steps of reach_full_state: spread |c0> at j to weight
+    coeffs[i] on node nodes[i] in k steps, then turn each node's coin state
+    into its row of ``final``.
 
     Walks down the levels grouping each level's nodes under their least
     (predecessor, coin), whose weight is the group's norm; a level's sources,
     the coin basis vectors of the level below, are then known, and one
-    completion batch and one check build every step, then ``final``'s: a
-    step turning each node's coin state into its row.  The weights keep the
+    completion batch and one check build every step.  The weights keep the
     scalar arithmetic of a per-node sum: libm's pow for the squares, in node
     order (the array square x * x differs from pow in the last ulp), and
     a / gamma stays a complex division at the top level and a real one below.
@@ -161,9 +137,8 @@ def _spread(spec, j, c0, nodes, coeffs, k, final=None):
     d, n = spec.d, spec.n
     c0vec = _coin_vector(d, c0)
     inv = np.argsort(spec.maps, axis=1)
-    top = nodes = np.asarray(nodes, dtype=np.intp)
-    masks = reachable_masks(spec, j, k, top.tolist())
-    levels = [] if final is None else [(None, top, final)]
+    masks = reachable_masks(spec, j, k, nodes.tolist())
+    levels = [(None, nodes, final)]
     for level in range(len(masks) - 1, 0, -1):
         coins, preds = _least_steps(inv[:, nodes], masks[level - 1])
         if (preds < 0).any():  # impossible: nodes in the level mask have predecessors
@@ -180,28 +155,10 @@ def _spread(spec, j, c0, nodes, coeffs, k, final=None):
     norm = np.linalg.norm(row)  # within NORM_TOL of 1 each, so the product may miss it
     if not abs(norm - 1.0) <= NORM_TOL:
         row /= norm
-    if not levels:
-        return [], row[None]
     coins, zs, dst = zip(*levels)
     basis = _reflectors(np.eye(d))
     src = np.concatenate([_reflectors(row[None]), *(basis[c] for c in coins[:-1])])
-    ops = _coin_ops(d, n, zs, _completions(src, np.concatenate(dst)))
-    return ops, np.eye(d, dtype=np.complex128)[coins[-1]] if final is None else final
-
-
-def spread_from_node(spec: WalkSpec, j: int, c0, target: TargetSpread, k: int):
-    """Steer |c0> at node j to the target node distribution in exactly k steps.
-
-    Returns (sequence, coin states): the achieved state is
-    sum_h alpha_h |chi_h> (x) |v_h> with chi_h the returned per-node coin
-    state (a coin basis vector chosen by the construction; per-node coin
-    states cannot be prescribed here, use reach_full_state for that).
-    """
-    _indices(target.nodes, spec.n, "target nodes")
-    kept = np.abs(target.coeffs) > ZERO_COEFF  # never empty: unit norm
-    nodes, coeffs = tuple(np.array(target.nodes)[kept].tolist()), target.coeffs[kept]
-    ops, states = _spread(spec, j, c0, nodes, coeffs, k)
-    return ControlSequence(tuple(ops), ("spread",) * len(ops)), dict(zip(nodes, states))
+    return _coin_ops(d, n, zs, _completions(src, np.concatenate(dst)))
 
 
 def reach_full_state(spec: WalkSpec, j: int, c0, target: WalkState, k: int) -> ControlSequence:
@@ -221,7 +178,7 @@ def reach_full_state(spec: WalkSpec, j: int, c0, target: WalkState, k: int) -> C
     norms = np.linalg.norm(pre, axis=0)
     nodes = np.flatnonzero(norms > ZERO_COEFF)
     betas = norms[nodes].astype(np.complex128)  # a / gamma at the top level divides complex
-    ops, _ = _spread(spec, j, c0, nodes, betas, k, (pre[:, nodes] / betas).T)
+    ops = _spread(spec, j, c0, nodes, betas, k, (pre[:, nodes] / betas).T)
     return ControlSequence(tuple(ops), ("spread",) * (len(ops) - 1) + ("mix",))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, NotUnitError
-from .graph_model import WalkSpec, _as_array, _integer, cycle_table
+from .graph_model import WalkSpec, _as_array, _integer, _size, cycle_table
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -62,7 +62,7 @@ def _indices(values, size: int, name: str) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class WalkState:
     """Unit complex amplitude vector over the d*N product basis; d and n
-    pass ``_integer`` and are at least 1."""
+    pass ``_size``."""
 
     d: int
     n: int
@@ -70,10 +70,7 @@ class WalkState:
 
     def __post_init__(self):
         for name in ("d", "n"):
-            size = _integer(getattr(self, name))
-            if size is None or size < 1:
-                raise DimensionMismatchError(
-                    f"state {name} must be an integer >= 1, got {getattr(self, name)!r}")
+            size = _size(getattr(self, name), f"state {name}", DimensionMismatchError)
             object.__setattr__(self, name, size)
         amps = np.array(self.amps, dtype=np.complex128).reshape(-1)  # the caller's stays writable
         if amps.size != self.d * self.n:
@@ -136,6 +133,7 @@ class CoinOp:
     def from_blocks(cls, d: int, n: int, vertices, blocks) -> "CoinOp":
         """Identity coin everywhere except ``blocks[i]`` at ``vertices[i]``;
         a vertex may appear once.  ``_coin_ops`` for outside input."""
+        d, n = _size(d, "coin d", DimensionMismatchError), _size(n, "coin n", DimensionMismatchError)
         idx = _indices(vertices, n, "vertices")
         if idx.size != len(blocks):
             raise DimensionMismatchError(f"{len(blocks)} blocks for {idx.size} vertices")
@@ -206,14 +204,6 @@ def _step_table(table: np.ndarray, blocks: np.ndarray, maps: np.ndarray) -> np.n
     out[np.arange(len(maps))[:, None], maps] = mixed
     _unit_norm(out, "state")
     return out
-
-
-def step(state: WalkState, coin: CoinOp, spec: WalkSpec) -> WalkState:
-    """One step: coin blocks act per vertex, then the shift permutes vertices.
-
-    Never materializes the d*n x d*n operators.
-    """
-    return apply_sequence(state, (coin,), spec)
 
 
 def apply_sequence(state: WalkState, seq, spec: WalkSpec) -> WalkState:

@@ -1,7 +1,7 @@
 """References the package must agree with.
 
 The package never forms a d*N x d*N operator; ``shift_matrix`` and
-``coin_matrix`` give the matrices that ``step`` must agree with.  The
+``coin_matrix`` give the matrices that each step must agree with.  The
 others are the plain forms of checks and decoders the package runs in a
 faster way with the same result.
 """

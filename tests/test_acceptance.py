@@ -99,8 +99,10 @@ def test_criterion_3_figure1_walk():
         assert sets[2] == {0, 1, 2, 4, 5}
         assert sets[3] == {0, 1, 2, 3, 4, 5}
 
-        target = qw.TargetSpread(tuple(range(6)), np.full(6, 1 / np.sqrt(6)))
-        seq, _ = qw.spread_from_node(fig, 0, 0, target, 3)
+        # S^-1 of this uniform spread lies on level 2: reached in 3 steps
+        amps = np.zeros((3, 6))
+        amps[0, [0, 1, 2, 3, 5]] = amps[1, 4] = 1 / np.sqrt(6)
+        seq = qw.reach_full_state(fig, 0, 0, qw.WalkState(3, 6, amps), 2)
         assert len(seq) == 3
         out = qw.apply_sequence(qw.basis_state(fig, 0, 0), seq, fig)
         probs = qw.position_probabilities(out)
@@ -183,7 +185,7 @@ def test_criterion_8_simulation_exactness():
                 continue
             state = random_walk_state(rng, spec)
             coin = random_coin_op(rng, spec)
-            fast = qw.step(state, coin, spec)
+            fast = qw.apply_sequence(state, (coin,), spec)
             dense = shift_matrix(spec) @ coin_matrix(coin) @ state.amps
             assert np.abs(fast.amps - dense).max() < 1e-12
             checked += 1

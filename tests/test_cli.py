@@ -118,15 +118,14 @@ def test_malformed_spec_is_invalid(capsys, tmp_path, text, error):
         (lambda: json_io.dumps({1: "x"}), TypeError, "keys must be str, not int"),
         (lambda: json_io.dumps(np.zeros(3)), TypeError, "only complex arrays are written, not float64"),
         (lambda: qw.ControlSequence((), ("step",)), ValueError, "ops and meta must have equal length"),
-        (lambda: qw.TargetSpread((0, 1), np.ones(1)), ValueError, "one coefficient per node required"),
-        (lambda: qw.spread_from_node(qw.cycle_shift(5), 0, np.ones(3) / np.sqrt(3),
-                                     qw.TargetSpread((1,), np.ones(1)), 1),
+        (lambda: qw.reach_full_state(qw.cycle_shift(5), 0, np.ones(3) / np.sqrt(3),
+                                     qw.basis_state(qw.cycle_shift(5), 0, 1), 0),
          qw.DimensionMismatchError, "coin state has size 3, expected 2"),
         (lambda: qw.CoinOp(np.zeros((3, 2, 1))), qw.DimensionMismatchError,
          "blocks must be (n, d, d), got (3, 2, 1)"),
     ],
-    ids=[*_BAD_SPECS, "non-string-key", "real-array", "ops-and-meta", "nodes-and-coefficients",
-         "coin-state-size", "non-square-coin"],
+    ids=[*_BAD_SPECS, "non-string-key", "real-array", "ops-and-meta", "coin-state-size",
+         "non-square-coin"],
 )
 def test_input_checks_raise_named_errors(call, error, message):
     with pytest.raises(error) as info:
@@ -581,11 +580,17 @@ def test_synthesize_not_controllable(capsys, tmp_path, cycle4_path):
     assert json.loads(out)["error"] == "NotControllableError"
 
 
+def _figure1_uniform():
+    """figure1's uniform spread, whose S^-1 lies on the level-2 set of vertex 0."""
+    amps = np.zeros((3, 6))
+    amps[0, [0, 1, 2, 3, 5]] = amps[1, 4] = 1 / np.sqrt(6)
+    return qw.WalkState(3, 6, amps)
+
+
 def test_simulate_figure1_uniform_spread(capsys, tmp_path):
     # replaying a three-step spread sequence spreads the walker uniformly
     fig = qw.figure1()
-    target = qw.TargetSpread(tuple(range(6)), np.full(6, 1 / np.sqrt(6)))
-    seq, _ = qw.spread_from_node(fig, 0, 0, target, 3)
+    seq = qw.reach_full_state(fig, 0, 0, _figure1_uniform(), 2)
     spec_path = tmp_path / "figure1.json"
     psi0_path = tmp_path / "psi0.json"
     seq_path = tmp_path / "seq.json"
@@ -616,7 +621,7 @@ def test_replay_survives_rounded_coin_blocks(tmp_path):
     state = qw.basis_state(c5, 0, 0)
     for _ in range(40):
         (coin,) = _text_round_trip(qw.ControlSequence((random_coin_op(rng, c5),), ("step",)))
-        state = qw.step(state, coin, c5)
+        state = qw.apply_sequence(state, (coin,), c5)
     assert abs(np.linalg.norm(state.amps) - 1) < 1e-12
 
 
@@ -628,8 +633,7 @@ def test_json_round_trips(tmp_path):
     state = random_walk_state(rng, fig)
     back = json_io.state_from_dict(json.loads(json_io.dumps(json_io.state_to_dict(state))))
     assert np.abs(back.amps - state.amps).max() < 1e-11
-    target = qw.TargetSpread(tuple(range(6)), np.full(6, 1 / np.sqrt(6)))
-    seq, _ = qw.spread_from_node(fig, 0, 0, target, 3)
+    seq = qw.reach_full_state(fig, 0, 0, _figure1_uniform(), 2)
     seq2 = _text_round_trip(seq)
     assert seq2.meta == seq.meta
     out1 = qw.apply_sequence(qw.basis_state(fig, 0, 0), seq, fig)

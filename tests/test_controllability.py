@@ -238,9 +238,6 @@ def test_level_past_the_largest_index_is_refused(c5, level):
     # islice cannot stop at such a level; the check comes before any step
     with pytest.raises(qw.IndexOutOfRangeError, match=f"level {level} "):
         qw.reachable_sets(c5, 0, level)
-    target = qw.TargetSpread((0,), np.ones(1))
-    with pytest.raises(qw.IndexOutOfRangeError):
-        qw.spread_from_node(c5, 0, 0, target, -1)
     state = qw.basis_state(c5, 0, 0)
     with pytest.raises(qw.IndexOutOfRangeError):
         qw.reach_full_state(c5, 0, 0, state, -1)

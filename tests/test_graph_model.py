@@ -231,6 +231,33 @@ def test_cycle_exchange_odd_parity_error():
         qw.cycle_exchange(5)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: qw.cycle_shift(float("nan")), qw.SpecValidationError, "n must be an integer >= 1, got nan"),
+    (lambda: qw.cycle_shift(1e308), qw.SpecValidationError, "n 1e+308 is not below 2**63"),
+    (lambda: qw.cycle_shift(None), qw.SpecValidationError, "n must be an integer >= 1, got None"),
+    (lambda: qw.complete(1.5), qw.SpecValidationError, "n must be an integer >= 1, got 1.5"),
+    (lambda: qw.cycle_exchange(6.5), qw.SpecValidationError, "n must be an integer >= 1, got 6.5"),
+    (lambda: qw.torus(3, 2**63), qw.SpecValidationError, f"n2 {2**63} is not below 2**63"),
+    (lambda: qw.CoinOp.from_blocks(-1, 5, [], []), qw.DimensionMismatchError,
+     "coin d must be an integer >= 1, got -1"),
+    (lambda: qw.CoinOp.from_blocks(2, -1, [], []), qw.DimensionMismatchError,
+     "coin n must be an integer >= 1, got -1"),
+    (lambda: qw.CoinOp.from_blocks(2.5, 5, [], []), qw.DimensionMismatchError,
+     "coin d must be an integer >= 1, got 2.5"),
+], ids=["nan", "1e308", "None", "complete-1.5", "exchange-6.5", "torus-2**63",
+        "from_blocks-d", "from_blocks-n", "from_blocks-2.5"])
+def test_bad_sizes_raise_named_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_integral_float_sizes_build_the_same_walk():
+    for build, size in ((qw.cycle_shift, 5), (qw.cycle_exchange, 6), (qw.complete, 5)):
+        assert np.array_equal(build(float(size)).maps, build(size).maps)
+    assert qw.CoinOp.from_blocks(2.0, 5.0, [], []).blocks.shape == (5, 2, 2)
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_complete_adjacency_is_all_ones_off_diagonal(n):
     spec = qw.complete(n)

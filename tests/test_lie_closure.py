@@ -352,7 +352,7 @@ def test_basis_side_is_read_off_the_matrices(c5):
     assert qw.lie_closure_dim(GeneratorBasis(mats=np.zeros((1, 2, 2)))).dim == 0
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, 1.0, float("inf"), 1e3])
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, 1.0, float("inf"), 1e3, None, "0.1"])
 def test_tolerance_outside_unit_interval_raises(c5, tol):
     with pytest.raises(qw.ToleranceDegenerateError, match="not in"):
         qw.lie_closure_dim(qw.generator_basis(c5), tol=tol)

@@ -50,30 +50,41 @@ def test_unitary_completion_rejects_non_unit():
         completion(np.array([1, 1], dtype=complex), np.array([1, 0], dtype=complex))
 
 
+def _figure1_table(entries):
+    """A figure1 state with amplitude a at (coin, vertex) for each entry."""
+    amps = np.zeros((3, 6), dtype=complex)
+    for (c, v), a in entries.items():
+        amps[c, v] = a
+    return qw.WalkState(3, 6, amps)
+
+
+# figure1's uniform spread: S^-1 of it lies on the level-2 set of vertex 0
+UNIFORM = {(0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 1, (1, 4): 1, (0, 5): 1}
+
+
 def test_spread_k0_is_empty(fig):
-    target = qw.TargetSpread((0,), np.array([1.0]))
-    seq, states = qw.spread_from_node(fig, 0, 0, target, 0)
-    assert len(seq) == 0
-    assert np.abs(states[0] - np.array([1, 0, 0])).max() < 1e-12
+    # at level 0 the spread has no step, and the mix is the whole sequence
+    target = _figure1_table({(0, 1): 1.0})  # coin 0 carries vertex 0 to 1
+    seq = qw.reach_full_state(fig, 0, 0, target, 0)
+    assert seq.meta == ("mix",)
+    out = qw.apply_sequence(qw.basis_state(fig, 0, 0), seq, fig)
+    assert qw.state_fidelity(target, out) > 1 - 1e-12
 
 
 def test_spread_two_nodes_two_steps(fig):
-    target = qw.TargetSpread((4, 5), np.array([1, 1]) / np.sqrt(2))
-    seq, states = qw.spread_from_node(fig, 0, 0, target, 2)
+    # coin 1 at 4 and coin 2 at 5 come from vertices 5 and 1, both on level 1
+    target = _figure1_table({(1, 4): 1 / np.sqrt(2), (2, 5): 1 / np.sqrt(2)})
+    seq = qw.reach_full_state(fig, 0, 0, target, 1)
     assert len(seq) == 2
     out = qw.apply_sequence(qw.basis_state(fig, 0, 0), seq, fig)
     probs = qw.position_probabilities(out)
     assert np.abs(probs - [0, 0, 0, 0, 0.5, 0.5]).max() < 1e-9
-    # the achieved state matches the returned coin states exactly
-    expected = np.zeros((3, 6), dtype=complex)
-    expected[:, 4] = states[4] / np.sqrt(2)
-    expected[:, 5] = states[5] / np.sqrt(2)
-    assert abs(qw.state_fidelity(out, qw.WalkState(3, 6, expected.reshape(-1))) - 1) < 1e-9
+    assert qw.state_fidelity(target, out) > 1 - 1e-9
 
 
 def test_spread_uniform_three_steps(fig):
-    target = qw.TargetSpread(tuple(range(6)), np.full(6, 1 / np.sqrt(6)))
-    seq, _ = qw.spread_from_node(fig, 0, 0, target, 3)
+    target = _figure1_table({at: 1 / np.sqrt(6) for at in UNIFORM})
+    seq = qw.reach_full_state(fig, 0, 0, target, 2)
     assert len(seq) == 3
     out = qw.apply_sequence(qw.basis_state(fig, 0, 0), seq, fig)
     assert np.abs(qw.position_probabilities(out) - 1 / 6).max() < 1e-9
@@ -81,56 +92,40 @@ def test_spread_uniform_three_steps(fig):
 
 def test_spread_intermediate_support(fig):
     # after step t the walker only occupies vertices reachable in exactly t steps
-    target = qw.TargetSpread(tuple(range(6)), np.full(6, 1 / np.sqrt(6)))
-    seq, _ = qw.spread_from_node(fig, 0, 0, target, 3)
+    target = _figure1_table({at: 1 / np.sqrt(6) for at in UNIFORM})
+    seq = qw.reach_full_state(fig, 0, 0, target, 2)
     sets = qw.reachable_sets(fig, 0, 3)
     state = qw.basis_state(fig, 0, 0)
     for t, coin in enumerate(seq.ops, start=1):
-        state = qw.step(state, coin, fig)
+        state = qw.apply_sequence(state, (coin,), fig)
         support = set(np.flatnonzero(qw.position_probabilities(state) > 1e-12).tolist())
         assert support <= sets[t]
 
 
 def test_spread_strips_zero_coefficients(fig):
-    coeffs = np.array([1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)])
-    target = qw.TargetSpread((4, 3, 5), coeffs)  # node 3 has weight zero
-    seq, _ = qw.spread_from_node(fig, 0, 0, target, 2)  # 3 unreachable at k=2, but stripped
+    # coin 0 at 4 comes from vertex 3, off the level-1 set; a weight at or
+    # below 1e-14 there is dropped instead of refused
+    half = 1 / np.sqrt(2)
+    target = _figure1_table({(1, 4): half, (2, 5): half, (0, 4): 1e-15})
+    seq = qw.reach_full_state(fig, 0, 0, target, 1)
     out = qw.apply_sequence(qw.basis_state(fig, 0, 0), seq, fig)
     assert np.abs(qw.position_probabilities(out) - [0, 0, 0, 0, 0.5, 0.5]).max() < 1e-9
+    assert qw.state_fidelity(target, out) > 1 - 1e-12
 
 
 def test_spread_unreachable(fig):
-    target = qw.TargetSpread((3,), np.array([1.0]))
-    with pytest.raises(qw.UnreachableError):
-        qw.spread_from_node(fig, 0, 0, target, 2)
-
-
-def test_target_spread_validation():
-    with pytest.raises(ValueError, match="distinct"):
-        qw.TargetSpread((1, 1), np.array([1, 0]))
-    with pytest.raises(qw.NotUnitError):
-        qw.TargetSpread((0, 1), np.array([1.0, 1.0]))
-    # a node must be a vertex index, never truncated to one
-    for node in (3.9, "3", None, float("nan"), float("inf"), np.float64(2.5), 1j):
-        with pytest.raises(qw.IndexOutOfRangeError, match="not vertex indices"):
-            qw.TargetSpread((1, node), np.array([0.6, 0.8]))
-    for node in (3.0, np.float64(3.0), np.int32(3)):
-        assert qw.TargetSpread((1, node), np.array([0.6, 0.8])).nodes == (1, 3)
-
-
-def test_target_spread_copies_the_callers_array():
-    coeffs = np.array([0.6, 0.8])
-    target = qw.TargetSpread((1, 2), coeffs)
-    coeffs[0] = 1.6  # norm 1.79: a later write cannot reach the validated target
-    assert target.coeffs.tolist() == [0.6, 0.8] and not target.coeffs.flags.writeable
+    # coin 0 at 4 comes from vertex 3, which level 2 misses
+    target = _figure1_table({(0, 4): 1.0})
+    with pytest.raises(qw.UnreachableError, match=r"^nodes \[3\] are not reachable from 0 in exactly 2"):
+        qw.reach_full_state(fig, 0, 0, target, 2)
 
 
 def test_unit_norm_rule_names_what_it_checks(fig):
-    with pytest.raises(qw.NotUnitError, match=r"^coefficient norm 2\.0 is not 1 within 1e-12$"):
-        qw.TargetSpread((0,), np.array([2.0]))
-    target = qw.TargetSpread((0,), np.array([1.0]))
+    with pytest.raises(qw.NotUnitError, match=r"^state norm 2\.0 is not 1 within 1e-12$"):
+        qw.WalkState(1, 1, np.array([2.0]))
+    target = _figure1_table({(0, 1): 1.0})
     with pytest.raises(qw.NotUnitError, match=r"^coin state norm 2\.0 is not 1 within 1e-12$"):
-        qw.spread_from_node(fig, 0, [2, 0, 0], target, 0)
+        qw.reach_full_state(fig, 0, [2, 0, 0], target, 0)
 
 
 def test_reach_own_state_pads_to_shift_period(c5):
@@ -338,7 +333,6 @@ def test_reach_builds_spread_and_mix_with_one_batch_and_one_check(monkeypatch):
     monkeypatch.setattr(walk_core, "_unitary", counting("unitary", walk_core._unitary))
     monkeypatch.setattr(qw.CoinOp, "from_blocks",
                         staticmethod(counting("from_blocks", qw.CoinOp.from_blocks)))
-    monkeypatch.setattr(synthesis, "TargetSpread", counting("TargetSpread", qw.TargetSpread))
     spec = qw.torus(3, 5)
     rng = np.random.default_rng(4)
     psi1, psi2 = random_walk_state(rng, spec), random_walk_state(rng, spec)
@@ -368,14 +362,6 @@ def test_batched_mix_alone_at_level_0_matches_reference():
             start = qw.WalkState(spec.d, spec.n, np.outer(c0, np.eye(spec.n)[j]))
             out = qw.apply_sequence(start, seq, spec)
             assert qw.state_fidelity(target, out) > 1 - 1e-12
-
-
-def test_spread_target_node_out_of_range(fig):
-    # checked before any mask is indexed, where -1 would wrap to vertex n - 1
-    for node in (-1, fig.n, 99):
-        target = qw.TargetSpread((node, 1), np.array([0.6, 0.8]))
-        with pytest.raises(qw.IndexOutOfRangeError, match=str(node)):
-            qw.spread_from_node(fig, 0, 0, target, 1)
 
 
 # Reference construction: one sorted predecessor scan per vertex and one
@@ -423,7 +409,7 @@ def _ref_spread(spec, j, c0vec, nodes, coeffs, k, nsets, inv_maps):
     return ops, coin_states
 
 
-def _ref_spread_from_node(spec, j, c0vec, nodes, coeffs, k):
+def _ref_k_step_spread(spec, j, c0vec, nodes, coeffs, k):
     kept = [(v, a) for v, a in zip(nodes, coeffs) if abs(a) > 1e-14]
     nodes = tuple(v for v, _ in kept)
     coeffs = np.array([a for _, a in kept], dtype=np.complex128)
@@ -438,7 +424,7 @@ def _ref_reach(spec, j, c0vec, target, k):
     norms = np.linalg.norm(pre, axis=0)
     nodes = tuple(int(v) for v in np.flatnonzero(norms > 1e-14))
     betas = norms[list(nodes)]
-    ops, coin_states = _ref_spread_from_node(spec, j, c0vec, nodes, betas, k)
+    ops, coin_states = _ref_k_step_spread(spec, j, c0vec, nodes, betas, k)
     mix = {v: _ref_completion(coin_states[v], pre[:, v] / b) for v, b in zip(nodes, betas)}
     return ops + [qw.CoinOp.from_blocks(spec.d, spec.n, list(mix), list(mix.values()))]
 
@@ -460,7 +446,7 @@ def _ref_concentrate(spec, j, state, k):
                     break
             blocks[v] = _ref_completion(col / gamma, np.eye(spec.d, dtype=complex)[coin])
         ops.append(qw.CoinOp.from_blocks(spec.d, spec.n, list(blocks), list(blocks.values())))
-        current = qw.step(current, ops[-1], spec)
+        current = qw.apply_sequence(current, ops[-1:], spec)
     return ops, current.table()[:, j].copy()
 
 
@@ -511,27 +497,26 @@ def test_batched_construction_matches_per_block_reference():
             assert _same_bits(seq.ops, _ref_transfer(spec, psi1, psi2)), spec
 
 
-@pytest.mark.parametrize("seed", [69, 207, 416, 513])
-def test_batched_spread_matches_reference_on_complex_targets(seed):
-    # complex weights in random node order: each group's weight sums its
-    # squares in target order, and the top level divides complex by real.
-    # In these draws the array square x * x, in place of the scalar
-    # abs(a) ** 2 (libm's pow), would change a block.
-    rng = np.random.default_rng(seed)
-    spec, k = (qw.torus(5, 5), 4) if seed % 2 else (qw.complete(12), 2)
-    nodes = tuple(int(v) for v in rng.permutation(sorted(qw.reachable_sets(spec, 0, k)[k])))
-    coeffs = random_state_vector(rng, len(nodes))
-    seq, states = qw.spread_from_node(spec, 0, 0, qw.TargetSpread(nodes, coeffs), k)
+@pytest.mark.parametrize("spec", [qw.figure1(), qw.torus(3, 5)], ids=["figure1", "torus(3,5)"])
+def test_batched_reach_one_level_lower_matches_a_k_step_spread(spec):
+    # a k-step spread, here the per-block reference's from vertex 0 with
+    # uniform weights on the level-k set, leaves S^-1 of its state on level
+    # k - 1, so reach_full_state rebuilds that state in the same k steps
     c0 = np.eye(spec.d, dtype=complex)[0]
-    ref_ops, ref_states = _ref_spread_from_node(spec, 0, c0, nodes, coeffs, k)
-    assert _same_bits(seq.ops, ref_ops)
-    assert states.keys() == ref_states.keys()
-    assert all(states[v].tobytes() == ref_states[v].tobytes() for v in nodes)
+    start = qw.basis_state(spec, 0, 0)
+    for k in range(1, 7):
+        nodes = tuple(sorted(qw.reachable_sets(spec, 0, k)[k]))
+        ops, _ = _ref_k_step_spread(spec, 0, c0, nodes, np.full(len(nodes), len(nodes) ** -0.5), k)
+        spread = qw.apply_sequence(start, ops, spec)
+        seq = qw.reach_full_state(spec, 0, 0, spread, k - 1)
+        assert len(seq) == k
+        assert _same_bits(seq.ops, _ref_reach(spec, 0, c0, spread, k - 1)), k
+        assert qw.state_fidelity(spread, qw.apply_sequence(start, seq, spec)) >= 1 - 1e-12, k
 
 
 def test_batched_spread_builds_every_level_in_one_completion_call(monkeypatch):
     # a level's sources are the coin basis vectors of the level below, known
-    # after the downward pass: 30 levels take one completion batch
+    # after the downward pass: 30 levels and the mix take one completion batch
     calls = []
 
     def counting_completions(src, dst):
@@ -540,12 +525,14 @@ def test_batched_spread_builds_every_level_in_one_completion_call(monkeypatch):
 
     monkeypatch.setattr(synthesis, "_completions", counting_completions)
     spec = qw.cycle_shift(31)
-    nodes = tuple(sorted(qw.reachable_sets(spec, 0, 30)[30]))
-    target = qw.TargetSpread(nodes, np.full(len(nodes), 1 / np.sqrt(len(nodes))))
-    seq, _ = qw.spread_from_node(spec, 0, 1, target, 30)
-    assert len(seq) == 30 and len(calls) <= 2
+    nodes = sorted(qw.reachable_sets(spec, 0, 30)[30])
+    pre = np.zeros((2, 31), dtype=complex)
+    pre[0, nodes] = 1 / np.sqrt(len(nodes))
+    target = qw.apply_sequence(qw.WalkState(2, 31, pre), [identity_coin(2, 31)], spec)
+    seq = qw.reach_full_state(spec, 0, 1, target, 30)
+    assert len(seq) == 31 and len(calls) == 1
     final = qw.apply_sequence(qw.basis_state(spec, 1, 0), seq, spec)
-    assert np.abs(qw.position_probabilities(final)[list(nodes)] - 1 / len(nodes)).max() < 1e-12
+    assert qw.state_fidelity(target, final) >= 1 - 1e-12
 
 
 def test_unitary_completion_of_a_basis_vector_to_itself_is_the_identity():

@@ -43,7 +43,7 @@ def test_coin_matrix_unitary_for_random_blocks():
 def test_shift_moves_forward_on_cycle():
     c3 = qw.cycle_shift(3)
     assert shift_matrix(c3)[1, 0] == 1  # (coin0, v0) -> (coin0, v1)
-    psi = qw.step(qw.basis_state(c3, 0, 0), identity_coin(2, 3), c3)
+    psi = qw.apply_sequence(qw.basis_state(c3, 0, 0), (identity_coin(2, 3),), c3)
     assert psi.amps[1] == 1
 
 
@@ -85,7 +85,7 @@ def test_step_with_vertex0_coin_splits_both_ways(fig):
         [[1, 1, 0], [1, -1, 0], [0, 0, np.sqrt(2)]], dtype=complex
     ) / np.sqrt(2)
     coin = qw.CoinOp.from_blocks(3, 6, [0], [q0])
-    out = qw.step(qw.basis_state(fig, 0, 0), coin, fig)
+    out = qw.apply_sequence(qw.basis_state(fig, 0, 0), (coin,), fig)
     expected = np.zeros(18, dtype=complex)
     expected[0 * 6 + 1] = 1 / np.sqrt(2)
     expected[1 * 6 + 5] = 1 / np.sqrt(2)
@@ -103,7 +103,7 @@ def test_step_agrees_with_dense_matrices_on_random_instances():
             continue
         state = random_walk_state(rng, spec)
         coin = random_coin_op(rng, spec)
-        fast = qw.step(state, coin, spec)
+        fast = qw.apply_sequence(state, (coin,), spec)
         dense = shift_matrix(spec) @ coin_matrix(coin) @ state.amps
         assert np.abs(fast.amps - dense).max() < 1e-12
 
@@ -113,7 +113,7 @@ def test_step_preserves_norm():
     spec = qw.torus(3, 3)
     state = random_walk_state(rng, spec)
     for _ in range(20):
-        state = qw.step(state, random_coin_op(rng, spec), spec)
+        state = qw.apply_sequence(state, (random_coin_op(rng, spec),), spec)
     assert abs(np.linalg.norm(state.amps) - 1) < 1e-12
 
 
@@ -263,9 +263,9 @@ def test_replay_keeps_the_per_step_norm_check(c5):
     [
         (lambda: qw.WalkState(1, 2, np.array([1.0, np.nan])), qw.NotUnitError),
         (lambda: qw.CoinOp(np.array([[[1.0, 0.0], [0.0, np.nan]]])), qw.NotUnitError),
-        (lambda: qw.TargetSpread((0, 1), np.array([1.0, np.nan])), qw.NotUnitError),
+        (lambda: qw.reach_full_state(C5, 0, [1.0, np.nan], TARGET, 4), qw.NotUnitError),
     ],
-    ids=["state", "coin", "target"],
+    ids=["state", "coin", "coin-state"],
 )
 def test_nan_is_rejected(build, error):
     with pytest.raises(error):
@@ -276,10 +276,10 @@ def test_nan_is_rejected(build, error):
 
 def test_step_dimension_mismatch(c5):
     with pytest.raises(qw.DimensionMismatchError):
-        qw.step(qw.basis_state(c5, 0, 0), identity_coin(2, 4), c5)
+        qw.apply_sequence(qw.basis_state(c5, 0, 0), (identity_coin(2, 4),), c5)
     fig = qw.figure1()
     with pytest.raises(qw.DimensionMismatchError):
-        qw.step(qw.basis_state(c5, 0, 0), identity_coin(3, 6), fig)
+        qw.apply_sequence(qw.basis_state(c5, 0, 0), (identity_coin(3, 6),), fig)
 
 
 def test_random_unitary_is_unitary():
@@ -308,26 +308,19 @@ PSI = qw.basis_state(C5, 0, 0)
 TARGET = qw.basis_state(C5, 1, 3)
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
-# Every public argument that takes a vertex, coin value, target node or
-# level: a call taking that one argument, a valid value, and the size of its
-# range (None for a level, which has no upper end).
+# Every public argument that takes a vertex, coin value or level: a call
+# taking that one argument, a valid value, and the size of its range (None
+# for a level, which has no upper end).
 INDEX_ARGS = {
     "k_of-j": (lambda v: qw.k_of(C5, v), 1, 5),
     "parity_check-j": (lambda v: qw.parity_check(C5, v), 1, 5),
     "concentrate_to_node-j": (lambda v: qw.concentrate_to_node(C5, v, PSI, 4), 1, 5),
     "concentrate_to_node-k": (lambda v: qw.concentrate_to_node(C5, 0, PSI, v), 4, None),
     "reach_full_state-j": (lambda v: qw.reach_full_state(C5, v, 0, TARGET, 4), 1, 5),
+    "reach_full_state-c0": (lambda v: qw.reach_full_state(C5, 0, v, TARGET, 4), 1, 2),
     "reach_full_state-k": (lambda v: qw.reach_full_state(C5, 0, 0, TARGET, v), 4, None),
     "reachable_sets-j": (lambda v: qw.reachable_sets(C5, v, 2), 1, 5),
     "reachable_sets-kmax": (lambda v: qw.reachable_sets(C5, 0, v), 2, None),
-    "spread_from_node-j": (
-        lambda v: qw.spread_from_node(C5, v, 0, qw.TargetSpread((3,), [1.0]), 4), 1, 5),
-    "spread_from_node-c0": (
-        lambda v: qw.spread_from_node(C5, 0, v, qw.TargetSpread((3,), [1.0]), 4), 1, 2),
-    "spread_from_node-node": (
-        lambda v: qw.spread_from_node(C5, 0, 0, qw.TargetSpread((v,), [1.0]), 4), 1, 5),
-    "spread_from_node-k": (
-        lambda v: qw.spread_from_node(C5, 0, 0, qw.TargetSpread((3,), [1.0]), v), 2, None),
     "basis_state-coin": (lambda v: qw.basis_state(C5, v, 0), 1, 2),
     "basis_state-vertex": (lambda v: qw.basis_state(C5, 0, v), 1, 5),
     "from_blocks-vertex": (lambda v: qw.CoinOp.from_blocks(2, 5, [v], [SWAP]), 1, 5),
@@ -371,9 +364,8 @@ def test_ragged_vertex_list_is_refused(vertices):
         qw.CoinOp.from_blocks(2, 5, vertices, [SWAP, SWAP])
 
 
-@pytest.mark.parametrize("name", [name for name in INDEX_ARGS if name != "spread_from_node-node"])
+@pytest.mark.parametrize("name", INDEX_ARGS)
 def test_zero_dimensional_array_index_gives_the_same_result(name):
-    # every scalar slot; a target node is an entry of TargetSpread's list
     call, good, _ = INDEX_ARGS[name]
     assert pickle.dumps(call(np.array(good))) == pickle.dumps(call(good))
 
