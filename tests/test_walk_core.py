@@ -307,6 +307,9 @@ C5 = qw.cycle_shift(5)
 PSI = qw.basis_state(C5, 0, 0)
 TARGET = qw.basis_state(C5, 1, 3)
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
+# weight on nodes 2 and 3: from node 0 a 3-step spread reaches it, from node 1
+# a 4-step one; a k-step spread from node j is reach_full_state at level k - 1
+SPREAD = qw.WalkState(2, 5, np.array([[0, 0, 0, 1, 0], [0, 0, 1, 0, 0]]) / np.sqrt(2))
 
 # Every public argument that takes a vertex, coin value or level: a call
 # taking that one argument, a valid value, and the size of its range (None
@@ -321,6 +324,8 @@ INDEX_ARGS = {
     "reach_full_state-k": (lambda v: qw.reach_full_state(C5, 0, 0, TARGET, v), 4, None),
     "reachable_sets-j": (lambda v: qw.reachable_sets(C5, v, 2), 1, 5),
     "reachable_sets-kmax": (lambda v: qw.reachable_sets(C5, 0, v), 2, None),
+    "spread_from_node-j": (lambda v: qw.reach_full_state(C5, v, 0, SPREAD, 3), 1, 5),
+    "spread_from_node-k": (lambda v: qw.reach_full_state(C5, 0, 0, SPREAD, v), 2, None),
     "basis_state-coin": (lambda v: qw.basis_state(C5, v, 0), 1, 2),
     "basis_state-vertex": (lambda v: qw.basis_state(C5, 0, v), 1, 5),
     "from_blocks-vertex": (lambda v: qw.CoinOp.from_blocks(2, 5, [v], [SWAP]), 1, 5),
