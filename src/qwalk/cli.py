@@ -20,7 +20,7 @@ from . import json_io
 from .controllability import analyze, k_of, reachable_sets
 from .errors import CapExceededError, QwalkError
 from .graph_model import complete, cycle_exchange, cycle_shift, figure1, torus
-from .lie_closure import DEFAULT_TOL, verify_structure
+from .lie_closure import verify_structure
 from .synthesis import arbitrary_transfer, reach_full_state
 from .walk_core import (
     WalkState, apply_sequence, basis_state, position_probabilities, shift_order, state_fidelity)
@@ -56,7 +56,7 @@ def cmd_reach(args) -> tuple[dict, int]:
 
 
 def cmd_lie_check(args) -> tuple[dict, int]:
-    result = verify_structure(_load_spec(args.spec), tol=args.tol)
+    result = verify_structure(_load_spec(args.spec))
     doc = {
         "dim": result.dim,
         "predicted": result.predicted,
@@ -207,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = add_command("lie-check", cmd_lie_check, "closure dimension vs structure prediction")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    add_command("lie-check", cmd_lie_check, "closure dimension vs structure prediction")
 
     p = add_command("synthesize", cmd_synthesize, "coin sequence steering one state to another")
     p.add_argument("--state", required=True, help="initial state JSON path")

@@ -2,13 +2,12 @@
 
 A walk on ``N`` vertices of degree ``d`` is defined by ``d`` permutations
 ``P_1 .. P_d`` of ``{0, ..., N-1}``.  Vertices are 0-based everywhere.  A
-validated walk stores only its images, one (d, N) array; ``Permutation``
-objects and cycle notation such as ``"(0 1 2)(3 4)"`` are input sugar.
+validated walk stores only its images, one (d, N) array; each
+permutation is given as its one-line image array, or as a ``Permutation``.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +22,6 @@ from .errors import (
     SelfLoopError,
     SpecValidationError,
 )
-
-_CYCLE_RE = re.compile(r"\(([\d,\s]*)\)")
 
 
 def _integer(value):
@@ -101,27 +98,6 @@ class Permutation:
         return f"Permutation({self.map.tolist()})"
 
 
-def _cycle_images(text: str, n: int) -> dict:
-    """The image of each vertex that cycle notation names."""
-    stripped = text.replace(" ", "").replace(",", "")
-    if stripped and _CYCLE_RE.sub("", text).strip():
-        raise SpecValidationError(f"unparsable cycle notation: {text!r}")
-    images = {}
-    for group in _CYCLE_RE.findall(text):
-        toks = [tok.lstrip("0") or "0" for tok in re.split(r"[,\s]+", group.strip()) if tok]
-        try:
-            elems = [int(tok) for tok in toks]
-        except ValueError:  # past int()'s digit limit, which bounds n read from JSON too
-            raise NotBijectionError(f"vertex {max(toks, key=len)} out of range 0..{n - 1}") from None
-        for v, w in zip(elems, elems[1:] + elems[:1]):
-            if v < 0 or v >= n:
-                raise NotBijectionError(f"vertex {v} out of range 0..{n - 1}")
-            if v in images:
-                raise NotBijectionError(f"vertex {v} appears in two cycles")
-            images[v] = w
-    return images
-
-
 @dataclass(frozen=True, eq=False)
 class WalkSpec:
     """A validated walk: the vertex count and the images of its permutations
@@ -143,16 +119,8 @@ class WalkSpec:
         return f"WalkSpec(n={self.n}, d={self.d})"
 
 
-def _as_map(raw, n: int, index: int):
-    """Entry ``index`` as an image array.  Cycle notation that fixes a
-    vertex, as no walk does, gives the least vertex it fixes instead, and
-    no n-length array: n may be far too large for one."""
-    if isinstance(raw, str):
-        images = _cycle_images(raw, n)
-        fixed = next((v for v in range(n) if images.get(v, v) == v), None)
-        if fixed is not None:
-            return fixed
-        raw = [images[v] for v in range(n)]
+def _as_map(raw, n: int, index: int) -> np.ndarray:
+    """Entry ``index`` as an image array of length ``n``."""
     p = raw if isinstance(raw, Permutation) else Permutation(raw)
     if p.n != n:
         raise LengthMismatchError(f"permutation {index} has length {p.n}, expected {n}")
@@ -213,12 +181,6 @@ def validate(n: int, perms) -> WalkSpec:
     d = len(rows)
     if d < 2:
         raise SpecValidationError(f"need at least 2 permutations, got {d}")
-    if any(isinstance(row, int) for row in rows):  # name the first entry with a fixed point
-        for i, row in enumerate(rows):
-            fixed = row if isinstance(row, int) else np.flatnonzero(row == np.arange(n))
-            if np.size(fixed):
-                raise SelfLoopError(f"permutation {i} fixes vertex {int(np.min(fixed))}")
-
     maps = np.stack(rows)
     maps.setflags(write=False)
     idx = np.arange(n)

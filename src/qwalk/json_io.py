@@ -67,7 +67,8 @@ def spec_to_dict(spec: WalkSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> WalkSpec:
-    """Accepts one-line arrays or cycle-notation strings under "perms".
+    """Reads each entry of "perms" as a one-line image array, the form
+    ``spec_to_dict`` writes.
 
     Raises SpecValidationError unless ``data`` is an object whose "n" is an
     integer and whose "perms" is a list.

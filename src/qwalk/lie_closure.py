@@ -20,6 +20,7 @@ import numpy as np
 from .controllability import analyze
 from .errors import CapExceededError, ToleranceDegenerateError
 from .graph_model import WalkSpec
+from .walk_core import _complex
 
 DEFAULT_TOL = 1e-9
 DEFAULT_DIM_CAP = 24
@@ -38,7 +39,7 @@ class GeneratorBasis:
     def side(self) -> int:
         if isinstance(self.mats, _UnitGenerators):
             return self.mats.side
-        return _stack(self.mats).shape[-1]
+        return _complex(self.mats, "generator", ValueError, copy=False).shape[-1]
 
 
 class _UnitGenerators:
@@ -80,23 +81,6 @@ def _scatter(out, i, c, v, ends, part, at) -> None:
     flat = out.view(np.float64)
     flat[i, a, 2 * at[b] + p] = v
     flat[i, b, 2 * at[a] + p] = v * (2.0 * p - 1.0)
-
-
-def _stack(mats) -> np.ndarray:
-    """The generators as one complex array; a generator whose shape is not
-    generator 0's, or that is ragged, raises ValueError naming it."""
-    try:
-        return np.asarray(mats, dtype=np.complex128)
-    except ValueError:
-        for i, mat in enumerate(mats):
-            try:
-                shape = np.shape(mat)
-            except ValueError:
-                raise ValueError(f"generator {i} is ragged") from None
-            if shape != np.shape(mats[0]):
-                raise ValueError(f"generator {i} has shape {shape}, "
-                                 f"generator 0 has {np.shape(mats[0])}") from None
-        raise
 
 
 @dataclass(frozen=True)
@@ -413,7 +397,7 @@ def _seed(basis: GeneratorBasis, tol: float) -> _SpanBuilder:
 
     ``_UnitGenerators`` are offered as coordinates, 64 at a time.  Any
     other basis is read as one complex ``(count, side, side)`` stack; one
-    that is not square or not finite, or whose Hermitian part exceeds
+    that is empty, not square or not finite, or whose Hermitian part exceeds
     ``_ZERO_NORM`` times the largest entry, raises ValueError.  It is
     vectorized in one call and offered as one block, scaled by the power
     of two that brings its peak into [1, 2): generators keep their
@@ -426,7 +410,9 @@ def _seed(basis: GeneratorBasis, tol: float) -> _SpanBuilder:
         for at in range(0, keys.size, 64):  # bounds the identity block
             span.offer_block(keys[at:at + 64], np.eye(keys[at:at + 64].size))
         return span
-    mats = _stack(basis.mats)
+    mats = _complex(basis.mats, "generator", ValueError, copy=False)
+    if not mats.size:
+        raise ValueError("empty generator basis")
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"generator 0 is not a square matrix: shape {mats.shape[1:]}")
     side = mats.shape[1]
@@ -465,13 +451,10 @@ def _closure(basis: GeneratorBasis, tol: float):
     so a bracket it leaves out would have been rejected anyway: the
     accepted rows, ``dim`` and ``iterations`` are those of offering every
     bracket.  A tolerance that is not a real number in (0, 1), NaN and
-    infinity included, raises ToleranceDegenerateError, and an empty basis
-    ValueError.
+    infinity included, raises ToleranceDegenerateError.
     """
     if not (isinstance(tol, numbers.Real) and 0 < tol < 1):
         raise ToleranceDegenerateError(f"closure tolerance {tol!r} is not in (0, 1)")
-    if len(basis.mats) == 0:
-        raise ValueError("empty generator basis")
     span = _seed(basis, tol)
     full = span.full
     frontier = np.arange(span.dim)
@@ -493,10 +476,12 @@ def _closure(basis: GeneratorBasis, tol: float):
     return span.dim, iterations, span
 
 
-def verify_structure(spec: WalkSpec, tol: float = DEFAULT_TOL) -> LieClosureResult:
+def verify_structure(spec: WalkSpec) -> LieClosureResult:
     """Compute the closure dimension and compare it with the prediction.
 
-    Walks with d*n above DEFAULT_DIM_CAP are refused.  Also checks the
+    Walks with d*n above DEFAULT_DIM_CAP are refused.  The closure runs at
+    DEFAULT_TOL: a walk's closure keeps rows of one coordinate, each +-1,
+    so no rank decision comes near the tolerance.  Also checks the
     block structure: every closure element must vanish (magnitude below
     1e-9) between basis positions whose vertices lie in different
     components of the orbit criterion (``analyze(spec).components``);
@@ -508,7 +493,7 @@ def verify_structure(spec: WalkSpec, tol: float = DEFAULT_TOL) -> LieClosureResu
     if side > DEFAULT_DIM_CAP:
         raise CapExceededError(f"d*n = {side} exceeds cap {DEFAULT_DIM_CAP}")
     report = analyze(spec)
-    dim, iterations, span = _closure(generator_basis(spec), tol)
+    dim, iterations, span = _closure(generator_basis(spec), DEFAULT_TOL)
 
     comp_of = np.empty(spec.n, dtype=np.int64)
     for ci, comp in enumerate(report.components):

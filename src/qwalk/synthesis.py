@@ -22,7 +22,7 @@ from .errors import (
 )
 from .graph_model import WalkSpec
 from .walk_core import (
-    NORM_TOL, WalkState, _check_dims, _coin_ops, _index, _step_table, _unit_norm)
+    NORM_TOL, WalkState, _check_dims, _coin_ops, _complex, _index, _step_table, _unit_norm)
 
 ZERO_COEFF = 1e-14
 
@@ -55,9 +55,9 @@ class ControlSequence:
 
 
 def _coin_vector(d: int, c0) -> np.ndarray:
-    if np.ndim(c0) == 0:  # a coin value
+    if not isinstance(c0, (list, tuple)) and np.ndim(c0) == 0:  # a coin value
         return np.eye(d, dtype=np.complex128)[_index(c0, d, "coin value")]
-    vec = np.asarray(c0, dtype=np.complex128).reshape(-1)
+    vec = _complex(c0, "c0 entry").reshape(-1)
     if vec.size != d:
         raise DimensionMismatchError(f"coin state has size {vec.size}, expected {d}")
     _unit_norm(vec, "coin state")

@@ -59,6 +59,26 @@ def _indices(values, size: int, name: str) -> np.ndarray:
     return arr
 
 
+def _complex(values, name: str, error=DimensionMismatchError, copy: bool = True) -> np.ndarray:
+    """The one rule for a complex-array argument: ``values`` as a complex128
+    array, a new one unless ``copy`` is false.  Ragged input, or input
+    holding anything but numbers, raises ``error``: "{name} i is ragged" or
+    "{name} i has shape ..." for the first entry i that is ragged or not
+    shaped as entry 0."""
+    try:
+        return (np.array if copy else np.asarray)(values, dtype=np.complex128)
+    except (ValueError, TypeError, OverflowError):
+        pass
+    for i, item in enumerate(values if isinstance(values, (list, tuple)) else ()):
+        try:
+            shape = np.shape(item)
+        except ValueError:
+            raise error(f"{name} {i} is ragged") from None
+        if shape != np.shape(values[0]):
+            raise error(f"{name} {i} has shape {shape}, {name} 0 has {np.shape(values[0])}")
+    raise error(f"not every {name} holds only numbers that fit a complex128")
+
+
 @dataclass(frozen=True, eq=False)
 class WalkState:
     """Unit complex amplitude vector over the d*N product basis; d and n
@@ -72,7 +92,7 @@ class WalkState:
         for name in ("d", "n"):
             size = _size(getattr(self, name), f"state {name}", DimensionMismatchError)
             object.__setattr__(self, name, size)
-        amps = np.array(self.amps, dtype=np.complex128).reshape(-1)  # the caller's stays writable
+        amps = _complex(self.amps, "amps entry").reshape(-1)  # the caller's stays writable
         if amps.size != self.d * self.n:
             raise DimensionMismatchError(
                 f"state has {amps.size} amplitudes, expected d*n = {self.d * self.n}"
@@ -107,7 +127,7 @@ class CoinOp:
     blocks: np.ndarray
 
     def __post_init__(self):
-        blocks = np.array(self.blocks, dtype=np.complex128)  # the caller's stays writable
+        blocks = _complex(self.blocks, "block")  # the caller's stays writable
         if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
             raise DimensionMismatchError(f"blocks must be (n, d, d), got {blocks.shape}")
         _unitary(blocks, "vertex {}".format).setflags(write=False)
@@ -140,8 +160,10 @@ class CoinOp:
         repeated = np.flatnonzero(np.bincount(idx, minlength=n) > 1)
         if repeated.size:
             raise IndexOutOfRangeError(f"vertices {repeated.tolist()} repeated")
-        given = np.array(np.reshape(blocks, (-1, d, d)), dtype=np.complex128)  # an empty list too
-        return _coin_ops(d, n, [idx], given)[0]
+        given = _complex(blocks, "block")
+        if given.size != idx.size * d * d:
+            raise DimensionMismatchError(f"blocks must be {d}x{d}, got shape {given.shape}")
+        return _coin_ops(d, n, [idx], given.reshape(-1, d, d))[0]  # an empty list too
 
 
 def _coin_ops(d: int, n: int, vertices: list, blocks: np.ndarray) -> list:

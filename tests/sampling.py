@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qwalk.errors import DisconnectedError
+from qwalk.errors import DisconnectedError, QwalkError
 from qwalk.graph_model import WalkSpec, validate
 from qwalk.walk_core import CoinOp, WalkState
 
@@ -101,3 +101,43 @@ def random_spec(
         except DisconnectedError:
             continue  # pairing union split into several cycles; resample
     raise RuntimeError(f"could not sample a valid walk with n={n}, d={d}")
+
+
+def drawn_walk(seed, low=0, high=24):
+    """A relabelled walk with low < dN <= high outside ``random_spec``'s
+    families: a connected circulant (offsets S = -S, 0 not in S) on 3 to
+    high / 2 vertices, or disjoint cycles of two lengths, at least 3 each,
+    their inverse and a perfect matching joining them; at the default
+    bounds, cycles of 3 + 3, 3 + 5 or 4 + 4."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, high // 2 + 1))
+    if rng.random() < 0.3:
+        choices = [(m, (a, m - a)) for m in range(6, high // 3 + 1, 2) if 3 * m > low
+                   for a in range(3, m // 2 + 1)]
+        n, lengths = choices[rng.integers(len(choices))]
+        p1 = np.concatenate([np.roll(c, -1) for c in np.split(np.arange(n), lengths[:1])])
+        while True:
+            pairs = rng.permutation(n).reshape(-1, 2)
+            p3 = np.empty(n, dtype=np.int64)
+            p3[pairs[:, 0]], p3[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+            try:
+                maps = validate(n, [p1, np.argsort(p1), p3]).maps
+                break
+            except QwalkError:
+                continue
+    else:
+        while True:
+            mid = n % 2 == 0 and 3 * n <= high and rng.random() < 0.5
+            least = max(1, (low // n + 2 - mid) // 2)  # offset pairs for dN > low
+            most = min((high // n - mid) // 2, (n - 1) // 2)
+            if least > most:
+                n = int(rng.integers(3, high // 2 + 1))
+                continue
+            size = int(rng.integers(least, most + 1))
+            pairs = rng.choice(np.arange(1, (n + 1) // 2), size=size, replace=False)
+            offsets = [*pairs, *(n - pairs), *([n // 2] if mid else [])]
+            if np.gcd.reduce([n, *offsets]) == 1:
+                break
+        maps = (np.arange(n) + np.array(offsets)[:, None]) % n
+    sigma = rng.permutation(n)
+    return validate(n, [sigma[m][np.argsort(sigma)] for m in maps])

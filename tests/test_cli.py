@@ -62,23 +62,25 @@ def test_validate_bad_spec(capsys, tmp_path):
 
 @pytest.mark.parametrize("cycle", ["(0 1 2 3 4", "(0 1 x 3 4)"])
 def test_validate_malformed_cycle_notation(capsys, tmp_path, cycle):
+    # a string is not an image array, cycle notation or not
     path = tmp_path / "bad.json"
     json_io.write_json({"n": 5, "perms": [cycle, [4, 0, 1, 2, 3]]}, str(path))
     code, out = run_cli(capsys, "validate", "--spec", str(path))
     doc = json.loads(out)
     assert code == 1
-    assert doc["valid"] is False and doc["error"] == "SpecValidationError"
+    assert doc["valid"] is False and doc["error"] == "NotBijectionError"
+    assert doc["detail"] == f"images must be integers: {cycle}"
 
 
 # spec checks that raise with the message given: ragged and empty images,
-# a cycle naming a vertex out of range, and "perms" that is not a list
+# a string in place of an image array, and "perms" that is not a list
 _BAD_SPECS = {
     "ragged-images": ({"n": 3, "perms": [[[0, 1], [2]], [1, 2, 0]]}, qw.NotBijectionError,
                       "images are not a flat array of integers"),
     "empty-images": ({"n": 3, "perms": [[], [1, 2, 0]]}, qw.NotBijectionError,
                      "need a non-empty one-dimensional image array"),
     "cycle-vertex-out-of-range": ({"n": 5, "perms": ["(0 7)", [4, 0, 1, 2, 3]]},
-                                  qw.NotBijectionError, "vertex 7 out of range 0..4"),
+                                  qw.NotBijectionError, "images must be integers: (0 7)"),
     "perms-not-a-list": ({"n": 5, "perms": "(0 1 2 3 4)"}, qw.SpecValidationError,
                          "\"perms\" must be a list, got '(0 1 2 3 4)'"),
 }
@@ -92,14 +94,14 @@ _BAD_SPECS = {
         ('[5, [[1, 2, 3, 4, 0], [4, 0, 1, 2, 3]]]', "SpecValidationError"),
         ('{"n": "x", "perms": [[1, 2, 3, 4, 0], [4, 0, 1, 2, 3]]}', "SpecValidationError"),
         ('{"n": 5, "perms": [[1.5, 2, 3, 4, 0], [4, 0, 1, 2, 3]]}', "NotBijectionError"),
-        # cycle notation fixing a vertex is refused without an n-length array
-        ('{"n": 1000000000000, "perms": ["(0 1)", "(1 2)"]}', "SelfLoopError"),
-        # a vertex past int()'s 4300-digit limit is out of range, not a traceback
+        # a string is refused before any n-length array is built
+        ('{"n": 1000000000000, "perms": ["(0 1)", "(1 2)"]}', "NotBijectionError"),
         ('{"n": 5, "perms": ["(0 1 ' + "9" * 5000 + ')", [4, 0, 1, 2, 3]]}', "NotBijectionError"),
+        ('{"n": 5, "perms": ["(0 1 2 3 4)", [4, 0, 1, 2, 3]]}', "NotBijectionError"),
     ],
     ids=[
         *_BAD_SPECS, "missing-n", "top-level-list", "string-n", "fractional-image", "huge-n-cycles",
-        "huge-vertex-cycles",
+        "huge-vertex-cycles", "cycle-notation",
     ],
 )
 def test_malformed_spec_is_invalid(capsys, tmp_path, text, error):
@@ -391,7 +393,8 @@ def test_usage_error_is_invalid_input(capsys, cycle5_path):
     code = main(["synthesize", "--spec", cycle5_path, "--state", "a.json",
                  "--target", "b.json", "--shortcut"])
     assert code == 1
-    # the closure cap and the transfer fidelity tolerance are not settable
+    # the closure cap and the transfer fidelity tolerance are not settable,
+    # nor is the closure tolerance (test_bad_closure_tolerance_is_invalid)
     assert main(["lie-check", "--spec", cycle5_path, "--cap", "30"]) == 1
     assert main(["synthesize", "--spec", cycle5_path, "--state", "a.json",
                  "--target", "b.json", "--tol", "0.1"]) == 1
@@ -402,14 +405,14 @@ def test_usage_error_is_invalid_input(capsys, cycle5_path):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e3", "0"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e3", "0", "1e-9"])
 def test_bad_closure_tolerance_is_invalid(capsys, tmp_path, n, tol):
-    # a tolerance outside (0, 1) made NaN basis rows or an empty span before
+    # lie-check takes no --tol: no rank decision of a walk's closure comes near
+    # the tolerance, so another one could only make it fail; a usage error
+    # prints no document
     path = tmp_path / "cycle.json"
     json_io.write_json(json_io.spec_to_dict(qw.cycle_shift(n)), str(path))
-    code, out = run_cli(capsys, "lie-check", "--spec", str(path), "--tol", tol)
-    assert code == 1
-    assert json.loads(out)["error"] == "ToleranceDegenerateError"
+    assert run_cli(capsys, "lie-check", "--spec", str(path), "--tol", tol) == (1, "")
 
 
 @pytest.mark.parametrize("command", ["synthesize", "simulate"])

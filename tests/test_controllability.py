@@ -13,7 +13,7 @@ import qwalk as qw
 from qwalk import controllability
 from qwalk.lie_closure import DEFAULT_DIM_CAP
 
-from sampling import random_spec
+from sampling import drawn_walk, random_spec
 
 
 def components(adj):
@@ -452,6 +452,19 @@ def test_verdict_depends_only_on_the_graph(name):
         assert again.verdicts_agree
         if small:
             assert qw.verify_structure(other).dim == dim
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(spec=st.integers(0, 2**32 - 1).map(lambda seed: drawn_walk(seed, 0, 80)),
+       seed=st.integers(0, 2**32 - 1))
+def test_verdict_depends_only_on_the_graph_on_drawn_walks(spec, seed):
+    # the theorem on drawn walks of up to 40 vertices; step_bound is left out,
+    # since it reads the shift order, which another decomposition changes
+    report, again = qw.analyze(spec), qw.analyze(_redecompose(spec, seed))
+    assert report.verdicts_agree
+    for field in ("components", "controllable", "kappa", "kappa_vertex", "predicted_lie_dim",
+                  "verdicts_agree"):
+        assert getattr(again, field) == getattr(report, field), field
 
 
 def test_product_of_controllable_walks_is_controllable():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qwalk as qw
-from qwalk.graph_model import Permutation, _cycle_images, cycle_table
+from qwalk.graph_model import Permutation, cycle_table
 
 from sampling import random_spec
 
@@ -45,13 +45,6 @@ def power(p, k):
     return result
 
 
-def from_cycles(text, n):
-    """The permutation that cycle notation names; vertices it does not
-    mention are fixed points."""
-    images = _cycle_images(text, n)
-    return Permutation([images.get(v, v) for v in range(n)])
-
-
 def cycle_notation(p):
     """Display form; fixed points omitted, identity prints ``()``."""
     return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles(p) if len(c) > 1) or "()"
@@ -82,14 +75,6 @@ def test_cycle5_is_valid(c5):
 def test_identity_permutation_rejected_as_self_loop():
     with pytest.raises(qw.SelfLoopError, match="fixes vertex 0"):
         qw.validate(4, [[0, 1, 2, 3], [1, 2, 3, 0]])
-    # cycle notation fixing a vertex keeps the order of the checks: an
-    # earlier entry's loop is named first, a later entry's parse error wins
-    with pytest.raises(qw.SelfLoopError, match="permutation 0 fixes vertex 0"):
-        qw.validate(5, [[0, 2, 3, 4, 1], "(0 1)"])
-    with pytest.raises(qw.SelfLoopError, match="permutation 1 fixes vertex 3"):
-        qw.validate(5, [[1, 2, 3, 4, 0], "(0 1 2 4)(3)"])
-    with pytest.raises(qw.LengthMismatchError):
-        qw.validate(5, ["(0 1 2)", [1, 2, 0]])
 
 
 def test_not_bijection():
@@ -190,21 +175,13 @@ def test_cycles_cover_fixed_points():
     assert cycle_notation(identity(3)) == "()"
 
 
-def test_cycle_notation_parser():
-    p = from_cycles("(0 1 2 3 4 5)", 6)
-    assert p.map.tolist() == [1, 2, 3, 4, 5, 0]
-    q = from_cycles("(0 3)(1 5)(2 4)", 6)
-    assert q.map.tolist() == [3, 5, 4, 0, 2, 1]
-    assert from_cycles(cycle_notation(q), 6) == q
-    with pytest.raises(qw.NotBijectionError):
-        from_cycles("(0 1)(1 2)", 4)
-    with pytest.raises(qw.SpecValidationError):
-        from_cycles("0 1 2", 3)
-
-
-def test_spec_accepts_cycle_strings():
-    spec = qw.validate(6, ["(0 1 2 3 4 5)", "(0 5 4 3 2 1)", "(0 3)(1 5)(2 4)"])
-    assert all(p == q for p, q in zip(spec.perms, qw.figure1().perms))
+def test_string_entries_are_not_image_arrays():
+    # a string, cycle notation included, fails the integer rule before any
+    # n-length array is built, whatever n is
+    with pytest.raises(qw.NotBijectionError, match=r"^images must be integers: \(0 1 2 3 4\)$"):
+        qw.validate(5, ["(0 1 2 3 4)", [4, 0, 1, 2, 3]])
+    with pytest.raises(qw.NotBijectionError, match=r"^images must be integers: \(0 1\)$"):
+        qw.validate(10 ** 12, ["(0 1)", "(1 2)"])
 
 
 def test_product_walk_torus():

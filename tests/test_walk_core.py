@@ -369,6 +369,42 @@ def test_ragged_vertex_list_is_refused(vertices):
         qw.CoinOp.from_blocks(2, 5, vertices, [SWAP, SWAP])
 
 
+_RAGGED_BLOCKS = [[[1, 0], [0, 1]], [[1, 0]]]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: qw.WalkState(2, 5, [[1, 0], [0]]), qw.DimensionMismatchError,
+                 r"amps entry 1 has shape \(1,\), amps entry 0 has \(2,\)", id="state-ragged"),
+    pytest.param(lambda: qw.WalkState(2, 5, "abc"), qw.DimensionMismatchError,
+                 "not every amps entry holds only numbers that fit a complex128", id="state-string"),
+    pytest.param(lambda: qw.WalkState(2, 5, {"a": 1}), qw.DimensionMismatchError,
+                 "not every amps entry holds only numbers that fit a complex128", id="state-dict"),
+    pytest.param(lambda: qw.WalkState(2, 5, [10 ** 400] + [0] * 9), qw.DimensionMismatchError,
+                 "not every amps entry holds only numbers that fit a complex128", id="state-huge"),
+    pytest.param(lambda: qw.CoinOp(_RAGGED_BLOCKS), qw.DimensionMismatchError,
+                 r"block 1 has shape \(1, 2\), block 0 has \(2, 2\)", id="coin-ragged"),
+    pytest.param(lambda: qw.CoinOp("x"), qw.DimensionMismatchError,
+                 "not every block holds only numbers that fit a complex128", id="coin-string"),
+    pytest.param(lambda: qw.CoinOp.from_blocks(2, 5, [0, 1], _RAGGED_BLOCKS),
+                 qw.DimensionMismatchError, r"block 1 has shape \(1, 2\), block 0 has \(2, 2\)",
+                 id="from_blocks-ragged"),
+    pytest.param(lambda: qw.CoinOp.from_blocks(2, 5, [0, 1], np.zeros((2, 3, 3))),
+                 qw.DimensionMismatchError, r"blocks must be 2x2, got shape \(2, 3, 3\)",
+                 id="from_blocks-size"),
+    pytest.param(lambda: qw.reach_full_state(C5, 0, [[1], [0, 0]], PSI, 4),
+                 qw.DimensionMismatchError, r"c0 entry 1 has shape \(2,\), c0 entry 0 has \(1,\)",
+                 id="c0-ragged"),
+    pytest.param(lambda: qw.lie_closure_dim(qw.GeneratorBasis(mats="ab")), ValueError,
+                 "not every generator holds only numbers that fit a complex128", id="generators-string"),
+    pytest.param(lambda: qw.lie_closure_dim(qw.GeneratorBasis(mats=None)), ValueError,
+                 r"generator 0 is not a square matrix: shape \(\)", id="generators-none"),
+])
+def test_complex_input_that_is_ragged_or_not_numbers_is_refused(call, error, message):
+    # one complex-array rule names the argument, where numpy named no argument
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("name", INDEX_ARGS)
 def test_zero_dimensional_array_index_gives_the_same_result(name):
     call, good, _ = INDEX_ARGS[name]
